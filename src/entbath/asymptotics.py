@@ -15,9 +15,9 @@ import enum
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import NumericsError, ParameterRegimeError, ValidationError
 from .gaussian import GaussianState, ModeSpec, state_from_virtual_blocks
@@ -62,16 +62,6 @@ class PhaseSummary:
 # stationary dispersions
 
 
-def _coth_half(w: float, temperature: float) -> float:
-    """coth(w / 2T), with the small-argument series to dodge the 1/w pole."""
-    if temperature == 0.0:
-        return 1.0
-    x = w / (2.0 * temperature)
-    if x < 1e-6:
-        return 1.0 / x + x / 3.0
-    return 1.0 / math.tanh(x)
-
-
 def ohmic_susceptibility_im(
     w: np.ndarray, density: OhmicSpectralDensity, omega_plus: float
 ) -> np.ndarray:
@@ -97,11 +87,72 @@ def ohmic_susceptibility_im(
     return out
 
 
+#: Gauss-Legendre nodes and weights on [-1, 1]: the rule applied on every
+#: panel, and the coarser rule on the same panels that estimates its error
+_GAUSS_FINE = np.polynomial.legendre.leggauss(24)
+_GAUSS_COARSE = np.polynomial.legendre.leggauss(12)
+
+
+def _panel_edges(density: OhmicSpectralDensity, omega_plus: float) -> np.ndarray:
+    """Breakpoints of the composite stationary quadrature on [0, cutoff].
+
+    - octaves of Omega+ up to the cutoff, and down to Omega+/4 or, for an
+      overdamped mode, to the scale Omega+^2/(4 gamma0) of its slow pole;
+    - offsets from Omega+ graded in powers of two from 3 gamma0/4 out to
+      Omega+: the resonance has half-width gamma0 whatever Omega+ is;
+    - cutoff (1 - 10^-k), k = 1..14, grading into the logarithmic zero of
+      Im chi at the cutoff.
+    """
+    lam = density.cutoff
+    offsets = [0.75 * density.gamma0]
+    while 2.0 * offsets[-1] < omega_plus:
+        offsets.append(2.0 * offsets[-1])
+    below = [0.5 * omega_plus, 0.25 * omega_plus]
+    while 0.5 * below[-1] >= omega_plus**2 / (4.0 * density.gamma0):
+        below.append(0.5 * below[-1])
+    above = [2.0 * omega_plus]
+    while 2.0 * above[-1] < lam:
+        above.append(2.0 * above[-1])
+    points = [0.0, omega_plus, lam, *below, *above]
+    points += [omega_plus + sign * d for d in offsets for sign in (1.0, -1.0)]
+    points += [lam * (1.0 - 10.0**-k) for k in range(1, 15)]
+    return np.unique([p for p in points if 0.0 <= p <= lam])
+
+
+@lru_cache(maxsize=16)
+def _position_rules(density: OhmicSpectralDensity, omega_plus: float) -> tuple:
+    """Temperature-independent part of the stationary quadrature.
+
+    For the fine and the coarse rule: the nodes w and a (2, n) array holding
+    the rule weights times Im chi(w)/pi, and those times m^2 w^2, so that
+    dx+^2 and dp+^2 at any temperature are sums against coth(w/2T).
+    Read-only, because every caller shares them.
+    """
+    edges = _panel_edges(density, omega_plus)
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    rules = []
+    for x, w in (_GAUSS_FINE, _GAUSS_COARSE):
+        nodes = (mid + half * x).ravel()
+        base = (half * w).ravel() * ohmic_susceptibility_im(nodes, density, omega_plus) / math.pi
+        weights = np.stack([base, (density.mass * nodes) ** 2 * base])
+        nodes.flags.writeable = False
+        weights.flags.writeable = False
+        rules.append((nodes, weights))
+    return tuple(rules)
+
+
+def _thermal_sums(nodes: np.ndarray, weights: np.ndarray, temperature: float) -> np.ndarray:
+    """Rows of ``weights`` summed against coth(w/2T); plain sums at T = 0."""
+    if temperature == 0.0:
+        return weights.sum(axis=1)
+    return (weights / np.tanh(nodes / (2.0 * temperature))).sum(axis=1)
+
+
 def stationary_variances_position(
     density: OhmicSpectralDensity,
     omega_plus: float,
     temperature: float,
-    rel_tol: float = 1e-10,
 ) -> tuple[float, float]:
     """Exact stationary dispersions (dx+, dp+) for position coupling.
 
@@ -110,6 +161,10 @@ def stationary_variances_position(
     dp+^2 = (m^2/pi) int w^2 coth(w/2T) Im chi(w) dw,
     with the exact Ohmic susceptibility built from the same self-energy as the
     simulator.  ``omega_plus`` is the dressed (renormalized) (+) frequency.
+    The rule is a fixed composite Gauss-Legendre one (24 nodes per panel,
+    panels from ``_panel_edges``) whose Im chi weights are built once per
+    (density, omega_plus); the 12-node rule on the same panels estimates
+    its error.
     """
     if density.gamma0 <= 0.0:
         raise ValidationError("stationary variances need gamma0 > 0")
@@ -120,40 +175,16 @@ def stationary_variances_position(
         raise ParameterRegimeError(
             f"dressed frequency {omega_plus} must lie well inside the bath band (0, {lam})"
         )
-    m = density.mass
-    width = max(3.0 * density.gamma0, 1e-3) * omega_plus
-    anchors = [
-        0.5 * omega_plus,
-        omega_plus - width,
-        omega_plus,
-        omega_plus + width,
-        2.0 * omega_plus,
-        0.5 * lam,
-        0.999 * lam,
-    ]
-    if temperature > 0.0:
-        anchors.append(min(2.0 * temperature, 0.9 * lam))
-    points = sorted({p for p in anchors if 0.0 < p < lam})
-
-    def integrate(weight):
-        def f(w):
-            return (
-                weight(w)
-                * _coth_half(w, temperature)
-                * float(ohmic_susceptibility_im(w, density, omega_plus))
-                / math.pi
-            )
-
-        val, err = quad(f, 0.0, lam, points=points, limit=500, epsrel=rel_tol, epsabs=0.0)
-        if val <= 0.0 or err > 1e-5 * abs(val):
+    fine, coarse = _position_rules(density, omega_plus)
+    values = _thermal_sums(*fine, temperature)
+    errors = np.abs(values - _thermal_sums(*coarse, temperature))
+    for val, err in zip(values.tolist(), errors.tolist()):
+        if not (val > 0.0 and err <= 1e-5 * val):
             raise NumericsError(
                 f"stationary-variance quadrature failed (value {val:.3e}, error {err:.3e})",
                 achieved=err / max(abs(val), 1e-300),
             )
-        return val
-
-    dx2 = integrate(lambda w: 1.0)
-    dp2 = integrate(lambda w: m * m * w * w)
+    dx2, dp2 = values.tolist()
     return math.sqrt(dx2), math.sqrt(dp2)
 
 
@@ -248,14 +279,25 @@ def envelope_band(e_mean: float, e_amp: float) -> tuple[float, float]:
     return max(0.0, e_mean - e_amp), max(0.0, e_mean + e_amp)
 
 
+def phase_slacks(r: float, r_crit_value: float, s_crit_value: float) -> tuple[float, float]:
+    """Slacks of the two phase inequalities.
+
+    (||r| - |r_crit|| - S_crit, |r| + |r_crit| - S_crit): NSD where the first
+    is positive, SD where the second is not, SDR in between.
+    """
+    return (
+        abs(abs(r) - abs(r_crit_value)) - s_crit_value,
+        abs(r) + abs(r_crit_value) - s_crit_value,
+    )
+
+
 def classify(r: float, r_crit_value: float, s_crit_value: float, tie_tol: float = PHASE_TIE_TOL) -> Phase:
     """Three-way phase label from the envelope inequalities.
 
     Boundary cases within ``tie_tol`` resolve toward the less entangled phase,
     so NSD is never claimed on roundoff.
     """
-    lo = abs(abs(r) - abs(r_crit_value)) - s_crit_value
-    hi = abs(r) + abs(r_crit_value) - s_crit_value
+    lo, hi = phase_slacks(r, r_crit_value, s_crit_value)
     if hi <= tie_tol:
         return Phase.SD
     if lo > tie_tol:

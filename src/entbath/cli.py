@@ -47,7 +47,7 @@ def _format_value(value) -> str:
         return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return _FMT % float(value)
+    return _FMT % (float(value) + 0.0)  # + 0.0 turns IEEE -0.0 into 0.0
 
 
 def write_csv(path: Path, columns, rows, header_comments=(), footer_comments=()):

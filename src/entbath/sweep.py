@@ -3,9 +3,9 @@
 Grid points are independent: the expensive part of each point (the stationary
 dispersions of the (+) mode) depends only on (temperature, coupling), so the
 sweep first evaluates the unique heavy keys, optionally in parallel and backed
-by an on-disk cache keyed by the full configuration digest, then assembles the
-per-point summaries in canonical row-major order regardless of completion
-order.
+by an on-disk cache keyed by the package version, the stationary route and the
+physical parameters of the key, then assembles the per-point summaries in
+canonical row-major order regardless of completion order.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from . import __version__
 from .asymptotics import (
     Phase,
     envelope_band,
+    phase_slacks,
     stationary_variances_position,
     stationary_variances_symmetric,
     summarize,
@@ -41,6 +42,9 @@ PHASE_COLUMNS = (
 #: coefficient-trace horizon used for symmetric-coupling stationary values
 _SYMMETRIC_TRACE_T = 40.0
 _BOUNDARY_MARGIN = 0.05
+#: names the numerical routes behind a cached stationary point; change it with
+#: either route, so that no cache serves numbers computed by an older one
+_STATIONARY_ROUTE = "position: fixed-node Gauss-Legendre 24/12; symmetric: coefficient trace"
 
 
 def _variance_payload(config: RunConfig, temperature: float, c12: float) -> dict:
@@ -116,24 +120,33 @@ def _stationary_point(payload: dict) -> dict:
     }
 
 
-def _cache_key(config: RunConfig, payload: dict) -> str:
-    body = {"version": __version__, "point": payload}
+def _cache_key(payload: dict) -> str:
+    body = {"version": __version__, "route": _STATIONARY_ROUTE, "point": payload}
     return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()[:32]
 
 
-def _stationary_point_cached(config: RunConfig, payload: dict, cache_dir: Path | None) -> dict:
-    if cache_dir is not None:
-        path = cache_dir / f"{_cache_key(config, payload)}.json"
-        if path.is_file():
-            try:
-                return json.loads(path.read_text())
-            except (OSError, json.JSONDecodeError):
-                pass
-    result = _stationary_point(payload)
+def _read_cache(cache_dir: Path | None, payload: dict) -> dict | None:
+    """The cached stationary point of ``payload``; None when absent or unreadable."""
+    if cache_dir is None:
+        return None
+    try:
+        return json.loads((cache_dir / f"{_cache_key(payload)}.json").read_text())
+    except (OSError, json.JSONDecodeError):
+        return None
+
+
+def _write_cache(cache_dir: Path | None, payload: dict, result: dict) -> None:
     if cache_dir is not None:
         cache_dir.mkdir(parents=True, exist_ok=True)
-        path = cache_dir / f"{_cache_key(config, payload)}.json"
+        path = cache_dir / f"{_cache_key(payload)}.json"
         path.write_text(json.dumps(result, sort_keys=True))
+
+
+def _stationary_point_cached(payload: dict, cache_dir: Path | None) -> dict:
+    result = _read_cache(cache_dir, payload)
+    if result is None:
+        result = _stationary_point(payload)
+        _write_cache(cache_dir, payload, result)
     return result
 
 
@@ -155,7 +168,8 @@ def run_phase_sweep(
 
     Returns (rows, info); each row carries the PHASE_COLUMNS fields, with
     phase = "ERROR" marking points whose stationary-variance evaluation failed
-    (the sweep never aborts on a single point).
+    (the sweep never aborts on a single point).  ``info["errors"]`` gives the
+    reason of each failed (T, C12) key.
     """
     temps, squeezings, c12s, purities = sweep_axes(config)
     heavy_keys = [(t, c) for t in temps for c in c12s]
@@ -165,15 +179,11 @@ def run_phase_sweep(
     results: dict[tuple, dict | EntbathError] = {}
     uncached = []
     for key, payload in payloads.items():
-        if cache_dir is not None:
-            path = cache_dir / f"{_cache_key(config, payload)}.json"
-            if path.is_file():
-                try:
-                    results[key] = json.loads(path.read_text())
-                    continue
-                except (OSError, json.JSONDecodeError):
-                    pass
-        uncached.append(key)
+        cached = _read_cache(cache_dir, payload)
+        if cached is None:
+            uncached.append(key)
+        else:
+            results[key] = cached
 
     if workers > 1 and len(uncached) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -189,12 +199,9 @@ def run_phase_sweep(
                 results[key] = _stationary_point(payloads[key])
             except EntbathError as exc:
                 results[key] = exc
-    if cache_dir is not None:
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        for key in uncached:
-            if isinstance(results[key], dict):
-                path = cache_dir / f"{_cache_key(config, payloads[key])}.json"
-                path.write_text(json.dumps(results[key], sort_keys=True))
+    for key in uncached:
+        if isinstance(results[key], dict):
+            _write_cache(cache_dir, payloads[key], results[key])
 
     rows = []
     n_errors = 0
@@ -232,6 +239,11 @@ def run_phase_sweep(
         "version": __version__,
         "n_points": len(rows),
         "n_errors": n_errors,
+        "errors": [
+            {"T": t, "C12": c12, "reason": f"{type(results[t, c12]).__name__}: {results[t, c12]}"}
+            for t, c12 in heavy_keys
+            if isinstance(results[t, c12], EntbathError)
+        ],
         "wall_time_s": time.monotonic() - t0,
     }
     return rows, info
@@ -241,37 +253,15 @@ def run_phase_sweep(
 # phase boundaries
 
 
-def _phase_functions(config: RunConfig, c12: float, purity: float, cache_dir: Path | None):
-    """Continuous inequality slacks (f_nsd, f_sd) as functions of (T, r)."""
-
-    def slacks(temperature: float, r: float) -> tuple[float, float]:
-        point = _stationary_point_cached(
-            config, _variance_payload(config, temperature, c12), cache_dir
-        )
-        minus = ModeSpec(point["minus_mass"], point["minus_freq"])
-        summary = summarize(point["dx_plus"], point["dp_plus"], r, minus, purity_product=purity)
-        lo = abs(abs(summary.r) - abs(summary.r_crit)) - summary.s_crit
-        hi = abs(summary.r) + abs(summary.r_crit) - summary.s_crit
-        return lo, hi
-
-    return slacks
-
-
-def _bisect_edge(f, a: float, b: float, tol: float = 1e-4, max_iter: int = 60) -> float:
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0.0:
-        raise ValidationError("no sign change along edge")
+def _bisect_edge(f, a: float, b: float, fa: float, tol: float, max_iter: int = 60) -> float:
+    """Crossing of f on [a, b], given f(a) = fa and that f(b) has the other sign."""
     while b - a > tol and max_iter > 0:
         mid = 0.5 * (a + b)
         fm = f(mid)
         if fm == 0.0:
             return mid
         if fa * fm < 0.0:
-            b, fb = mid, fm
+            b = mid
         else:
             a, fa = mid, fm
         max_iter -= 1
@@ -281,45 +271,65 @@ def _bisect_edge(f, a: float, b: float, tol: float = 1e-4, max_iter: int = 60) -
 def phase_boundaries(
     config: RunConfig, rows: list[dict], cache_dir: Path | None = None
 ) -> dict:
-    """Boundary polylines located by bisection along grid edges.
+    """Boundary polylines of each (c12, purity) slice of the phase grid.
 
-    For each (c12, purity) slice, scans adjacent grid points in the (T, r)
-    plane; wherever the sign of an inequality slack flips, the crossing is
-    bisected along that edge.  Keys: "nsd_sdr" (||r|-|r_crit|| = S_crit) and
-    "sdr_sd" (|r|+|r_crit| = S_crit).
+    Keys: "nsd_sdr" (||r|-|r_crit|| = S_crit) and "sdr_sd" (|r|+|r_crit| =
+    S_crit).  Neither r_crit nor S_crit depends on r, so at each grid
+    temperature the crossings along r follow in closed form from that
+    temperature's rows: |r| = |r_crit| +- S_crit and |r| = S_crit - |r_crit|,
+    each non-negative root emitted with every sign that keeps it inside the
+    r-axis range.  Along T, every grid edge whose end slacks (read from
+    ``rows``) differ in sign is bisected to 1e-3 max(1, dT); each midpoint
+    temperature is evaluated once per call.  ERROR rows, and edges whose
+    bisection fails, are skipped.
     """
     temps, squeezings, c12s, purities = sweep_axes(config)
+    r_lo, r_hi = min(squeezings), max(squeezings)
+    by_point = {(row["T"], row["r"], row["C12"], row["purity"]): row for row in rows}
+    evaluated: dict[tuple, dict] = {}
+
+    def slack(t: float, r: float, c12: float, purity: float, which: int) -> float:
+        if (t, c12) not in evaluated:
+            evaluated[t, c12] = _stationary_point_cached(
+                _variance_payload(config, t, c12), cache_dir
+            )
+        point = evaluated[t, c12]
+        minus = ModeSpec(point["minus_mass"], point["minus_freq"])
+        summary = summarize(point["dx_plus"], point["dp_plus"], r, minus, purity_product=purity)
+        return phase_slacks(r, summary.r_crit, summary.s_crit)[which]
+
     out = {}
     for c12 in c12s:
         for pur in purities:
-            slacks = _phase_functions(config, c12, pur, cache_dir)
+            grid = [[by_point[t, r, c12, pur] for r in squeezings] for t in temps]
             points: dict[str, list] = {"nsd_sdr": [], "sdr_sd": []}
-            # r-direction edges (cheap: variances shared along the edge)
-            for t in temps:
-                lo_f = lambda r, t=t: slacks(t, r)[0]
-                hi_f = lambda r, t=t: slacks(t, r)[1]
-                for r0, r1 in zip(squeezings[:-1], squeezings[1:]):
-                    for name, func in (("nsd_sdr", lo_f), ("sdr_sd", hi_f)):
-                        try:
-                            v0, v1 = func(r0), func(r1)
-                            if v0 == 0.0 or v0 * v1 < 0.0:
-                                r_star = _bisect_edge(func, r0, r1)
-                                points[name].append([float(t), float(r_star)])
-                        except EntbathError:
-                            continue  # failed edge point; boundary simply skips it
-            # T-direction edges
-            for r in squeezings:
-                lo_f = lambda t, r=r: slacks(t, r)[0]
-                hi_f = lambda t, r=r: slacks(t, r)[1]
-                for t0, t1 in zip(temps[:-1], temps[1:]):
-                    for name, func in (("nsd_sdr", lo_f), ("sdr_sd", hi_f)):
-                        try:
-                            v0, v1 = func(t0), func(t1)
-                            if v0 * v1 < 0.0:
-                                t_star = _bisect_edge(func, t0, t1, tol=1e-3 * max(1.0, t1 - t0))
-                                points[name].append([float(t_star), float(r)])
-                        except EntbathError:
-                            continue
+            for t, grid_row in zip(temps, grid):
+                if grid_row[0]["phase"] == "ERROR":
+                    continue
+                rc, sc = abs(grid_row[0]["r_crit"]), grid_row[0]["s_crit"]
+                for name, roots in (
+                    ("nsd_sdr", (rc - sc, rc + sc) if sc >= 0.0 else ()),
+                    ("sdr_sd", (sc - rc,)),
+                ):
+                    found = {sign * root for root in roots if root >= 0.0 for sign in (1.0, -1.0)}
+                    points[name].extend([float(t), r] for r in found if r_lo <= r <= r_hi)
+            for j, r in enumerate(squeezings):
+                for i in range(len(temps) - 1):
+                    ends = grid[i][j], grid[i + 1][j]
+                    if any(row["phase"] == "ERROR" for row in ends):
+                        continue
+                    v0, v1 = (phase_slacks(r, row["r_crit"], row["s_crit"]) for row in ends)
+                    t0, t1 = temps[i], temps[i + 1]
+                    for which, name in enumerate(("nsd_sdr", "sdr_sd")):
+                        if v0[which] * v1[which] < 0.0:
+                            try:
+                                t_star = _bisect_edge(
+                                    lambda t: slack(t, r, c12, pur, which),
+                                    t0, t1, v0[which], tol=1e-3 * max(1.0, t1 - t0),
+                                )
+                            except EntbathError:
+                                continue  # failed midpoint; the boundary skips this edge
+                            points[name].append([float(t_star), float(r)])
             for name in points:
                 points[name].sort()
             out[f"c12={c12:g};purity={pur:g}"] = points
@@ -367,9 +377,7 @@ def verify_grid(config: RunConfig, workers: int = 1, cache_dir: Path | None = No
             n_fail += 1
             report_points.append(entry)
             continue
-        lo = abs(abs(row["r"]) - abs(row["r_crit"])) - row["s_crit"]
-        hi = abs(row["r"]) + abs(row["r_crit"]) - row["s_crit"]
-        margin = min(abs(lo), abs(hi))
+        margin = min(abs(v) for v in phase_slacks(row["r"], row["r_crit"], row["s_crit"]))
         if margin < _BOUNDARY_MARGIN:
             entry["status"] = "boundary - excluded"
             entry["margin"] = margin

@@ -10,6 +10,7 @@ from entbath.asymptotics import (
     classify,
     envelope,
     envelope_band,
+    ohmic_susceptibility_im,
     r_crit,
     renormalized_frequencies,
     resource_conditions,
@@ -17,7 +18,7 @@ from entbath.asymptotics import (
     stationary_variances_position,
     summarize,
 )
-from entbath.errors import ParameterRegimeError, ValidationError
+from entbath.errors import NumericsError, ParameterRegimeError, ValidationError
 from entbath.gaussian import ModeSpec, log_negativity, mode_squeezing
 from entbath.spectra import OhmicSpectralDensity
 
@@ -235,3 +236,41 @@ class TestStationaryVariancesPosition:
             stationary_variances_position(free, 1.0, 1.0)
         with pytest.raises(ParameterRegimeError):
             stationary_variances_position(DENSITY, 25.0, 1.0)
+
+    @pytest.mark.parametrize("gamma0", [0.01, 0.1, 0.5])
+    @pytest.mark.parametrize("omega_plus", [math.sqrt(0.5), 1.0, 15.0])
+    def test_agrees_with_adaptive_quadrature(self, gamma0, omega_plus):
+        # reference: adaptive quad over the fluctuation-dissipation integrand
+        density = OhmicSpectralDensity(gamma0=gamma0, cutoff=20.0, mass=1.0)
+        lam = density.cutoff
+        for temperature in (0.0, 0.05, 1.0, 10.0):
+            anchors = [0.5 * omega_plus, 2.0 * omega_plus, 0.5 * lam, 0.999 * lam]
+            anchors += [omega_plus + k * gamma0 for k in (-12.0, -3.0, 0.0, 3.0, 12.0)]
+            if temperature > 0.0:
+                anchors.append(min(2.0 * temperature, 0.9 * lam))
+            points = sorted({a for a in anchors if 0.0 < a < lam})
+
+            def integrand(w, power):
+                coth = 1.0 if temperature == 0.0 else 1.0 / math.tanh(w / (2.0 * temperature))
+                chi = float(ohmic_susceptibility_im(w, density, omega_plus))
+                return w**power * coth * chi / math.pi
+
+            want = [
+                math.sqrt(quad(integrand, 0.0, lam, args=(power,), points=points,
+                               limit=500, epsrel=1e-12, epsabs=0.0)[0])
+                for power in (0, 2)
+            ]
+            got = stationary_variances_position(density, omega_plus, temperature)
+            assert got[0] == pytest.approx(want[0], rel=1e-8)
+            assert got[1] == pytest.approx(want[1], rel=1e-8)
+
+    def test_error_estimate_raises(self, monkeypatch):
+        # a coarse rule that disagrees with the fine one by 1e-4 must fail the
+        # 1e-5 accuracy check
+        from entbath import asymptotics
+
+        fine, (nodes, weights) = asymptotics._position_rules(DENSITY, 1.0)
+        off = (fine, (nodes, weights * (1.0 + 1e-4)))
+        monkeypatch.setattr(asymptotics, "_position_rules", lambda density, omega: off)
+        with pytest.raises(NumericsError):
+            stationary_variances_position(DENSITY, 1.0, 1.0)

@@ -1,11 +1,16 @@
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
+from entbath import __version__, sweep
+from entbath.asymptotics import stationary_variances_position
 from entbath.cli import main
 from entbath.config import load_config
-from entbath.sweep import run_phase_sweep, sweep_axes, verify_grid
+from entbath.spectra import OhmicSpectralDensity
+from entbath.sweep import phase_boundaries, run_phase_sweep, sweep_axes, verify_grid
 
 BASE = """
 [model]
@@ -117,6 +122,10 @@ class TestCoeffsCommand:
         assert kernel
         for column in ("re_eta", "im_eta", "re_eta_discrete", "im_eta_discrete"):
             assert all(float(r[column]) == 0.0 for r in kernel)
+        for name in ("coefficients.csv", "kernel.csv"):
+            lines = (tmp_path / "o" / name).read_text().splitlines()
+            fields = [f for line in lines if not line.startswith("#") for f in line.split(",")]
+            assert "-0.00000000000e+00" not in fields  # no IEEE signed zeros
 
     def test_position_coupling_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE)
@@ -153,15 +162,41 @@ class TestPhaseDiagramCommand:
         rows2, _ = run_phase_sweep(cfg, workers=2)
         assert rows1 == rows2
 
-    def test_cache_reuse(self, tmp_path):
+    def test_cache_reuse(self, tmp_path, monkeypatch):
+        calls = []
+        compute = sweep._stationary_point
+
+        def counted(payload):
+            calls.append(payload)
+            return compute(payload)
+
+        monkeypatch.setattr(sweep, "_stationary_point", counted)
         cfg = load_config(write_cfg(tmp_path, SWEEP))
         cache = tmp_path / "cache"
         rows1, info1 = run_phase_sweep(cfg, workers=1, cache_dir=cache)
         n_cached = len(list(cache.glob("*.json")))
         assert n_cached == 3  # one per unique (T, c12)
+        assert len(calls) == 3
         rows2, info2 = run_phase_sweep(cfg, workers=1, cache_dir=cache)
         assert rows1 == rows2
+        assert len(calls) == 3  # the second run computes nothing
         assert info2["wall_time_s"] <= info1["wall_time_s"]
+
+    def test_cache_ignores_entries_of_an_older_route(self, tmp_path):
+        # an entry under the key of the previous key layout (version and
+        # payload only) holds numbers of an older route and must not be read
+        cfg = load_config(write_cfg(tmp_path, SWEEP))
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        for t in (0.5, 4.0, 10.0):
+            body = {"version": __version__, "point": sweep._variance_payload(cfg, t, 0.0)}
+            old_key = hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()[:32]
+            stale = {"dx_plus": 7.0, "dp_plus": 7.0, "omega_plus": 1.0,
+                     "minus_mass": 1.0, "minus_freq": 1.0}
+            (cache / f"{old_key}.json").write_text(json.dumps(stale))
+        rows, _ = run_phase_sweep(cfg, workers=1, cache_dir=cache)
+        assert rows == run_phase_sweep(cfg, workers=1)[0]
+        assert all(row["dx_plus"] != 7.0 for row in rows)
 
     def test_failed_point_marks_row_and_continues(self, tmp_path):
         # gamma0 = 0 makes the stationary quadrature impossible: every row is
@@ -172,6 +207,9 @@ class TestPhaseDiagramCommand:
         rows = read_csv(tmp_path / "o" / "phase_diagram.csv")
         assert len(rows) == 9
         assert all(r["phase"] == "ERROR" for r in rows)
+        info = json.loads((tmp_path / "o" / "run_info.json").read_text())
+        assert [(e["T"], e["C12"]) for e in info["errors"]] == [(0.5, 0.0), (4.0, 0.0), (10.0, 0.0)]
+        assert all("gamma0 > 0" in e["reason"] for e in info["errors"])
 
     def test_mixed_minus_mode_shrinks_nsd_region(self, tmp_path):
         text = BASE + """
@@ -189,6 +227,64 @@ purity_values = 0.5, 1.0
             (r["T"], r["r"]) for r in rows if r["purity"] == 1.0 and r["phase"] == "NSD"
         }
         assert nsd_mixed < nsd_pure  # strict shrinkage on this grid
+
+
+def _slacks(r, r_crit, s_crit):
+    return {"nsd_sdr": abs(abs(r) - abs(r_crit)) - s_crit, "sdr_sd": abs(r) + abs(r_crit) - s_crit}
+
+
+class TestPhaseBoundaries:
+    # fig2_left and fig5 cut to 6 x 6
+    GRID = BASE + """
+[sweep]
+temperatures = 0.05:10:6
+squeezings = 0:3:6
+"""
+
+    @pytest.mark.parametrize("c12", [0.0, -0.5])
+    def test_boundary_points_are_crossings(self, tmp_path, c12):
+        cfg = load_config(write_cfg(tmp_path, self.GRID.replace("c12 = 0.0", f"c12 = {c12}")))
+        rows, info = run_phase_sweep(cfg, workers=1)
+        assert info["n_errors"] == 0
+        curves = phase_boundaries(cfg, rows)[f"c12={c12:g};purity=0.5"]
+        temps, rs, _, _ = sweep_axes(cfg)
+        row_at = {(row["T"], row["r"]): row for row in rows}
+        density = OhmicSpectralDensity(gamma0=0.1, cutoff=20.0)
+        omega_plus, omega_minus = math.sqrt(1.0 + c12), math.sqrt(1.0 - c12)
+
+        def slack(name, t, r):
+            dx, dp = stationary_variances_position(density, omega_plus, t)
+            r_crit = 0.5 * math.log(omega_minus * dx / dp)
+            s_crit = 0.5 * math.log(2.0 * dx * dp)  # pure (-) mode: dx- dp- = 1/2
+            return _slacks(r, r_crit, s_crit)[name]
+
+        n_r_edge = n_t_edge = 0
+        for name, points in curves.items():
+            for t, r in points:
+                if t in temps:  # closed form along r at a grid temperature
+                    row = row_at[t, rs[0]]
+                    below = _slacks(r - 1e-6, row["r_crit"], row["s_crit"])[name]
+                    above = _slacks(r + 1e-6, row["r_crit"], row["s_crit"])[name]
+                    n_r_edge += 1
+                else:  # bisected along T at a grid r
+                    assert r in rs
+                    i = next(i for i in range(len(temps) - 1) if temps[i] < t < temps[i + 1])
+                    tol = 1e-3 * max(1.0, temps[i + 1] - temps[i])
+                    below, above = slack(name, t - tol, r), slack(name, t + tol, r)
+                    n_t_edge += 1
+                assert below * above < 0.0, (name, t, r)
+            # every grid edge whose end slacks differ in sign holds a point
+            values = {(t, r): _slacks(r, row["r_crit"], row["s_crit"])[name]
+                      for (t, r), row in row_at.items()}
+            for t in temps:
+                for r0, r1 in zip(rs[:-1], rs[1:]):
+                    if values[t, r0] * values[t, r1] < 0.0:
+                        assert any(pt == t and r0 <= pr <= r1 for pt, pr in points)
+            for r in rs:
+                for t0, t1 in zip(temps[:-1], temps[1:]):
+                    if values[t0, r] * values[t1, r] < 0.0:
+                        assert any(pr == r and t0 < pt < t1 for pt, pr in points)
+        assert n_r_edge and n_t_edge
 
 
 class TestSymmetricSweep:
