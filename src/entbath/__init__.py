@@ -16,7 +16,6 @@ from .asymptotics import (
     envelope,
     envelope_band,
     r_crit,
-    renormalized_frequencies,
     resource_conditions,
     s_crit,
     stationary_variances_position,

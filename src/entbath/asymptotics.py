@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericsError, ParameterRegimeError, ValidationError
-from .gaussian import GaussianState, ModeSpec, state_from_virtual_blocks
+from .gaussian import GaussianState, ModeSpec, mode_squeezing, state_from_virtual_blocks
 from .rwa import CoefficientTrace
 from .spectra import OhmicSpectralDensity
 
@@ -38,7 +38,6 @@ class Phase(enum.Enum):
         return self.value
 
 
-FrequencySet = namedtuple("FrequencySet", "omega_plus omega_minus omega_r c12_renorm")
 ResourceFlags = namedtuple("ResourceFlags", "coherent_entangles environment_amplifies")
 
 
@@ -226,29 +225,12 @@ def stationary_variances_symmetric(
 # envelope and phases
 
 
-def r_crit(
-    dx_plus: float,
-    dp_plus: float,
-    minus_mode: ModeSpec,
-    omega_plus: float | None = None,
-    interacting: bool = False,
-) -> float:
+def r_crit(dx_plus: float, dp_plus: float, minus_mode: ModeSpec) -> float:
     """Squeezing of the (+)-mode equilibrium state, measured in (-)-mode units.
 
-    r_crit = (1/2) ln[m_- omega_- dx+ / dp+].  With ``interacting=True`` the
-    same value is assembled from the (+)-frequency form
-    (1/2) ln[m Omega dx+/dp+] + (1/2) ln[omega_-/Omega]; the split is exact for
-    equal masses and the two routes always coincide when omega_- = Omega.
+    r_crit = (1/2) ln[m_- omega_- dx+ / dp+].
     """
-    if not (dx_plus > 0.0 and dp_plus > 0.0):
-        raise ValidationError("dispersions must be positive")
-    if interacting:
-        if omega_plus is None:
-            raise ValidationError("interacting r_crit needs the dressed (+) frequency")
-        return 0.5 * math.log(
-            minus_mode.mass * omega_plus * dx_plus / dp_plus
-        ) + 0.5 * math.log(minus_mode.frequency / omega_plus)
-    return 0.5 * math.log(minus_mode.xp_scale * dx_plus / dp_plus)
+    return mode_squeezing(dx_plus, dp_plus, minus_mode)
 
 
 def s_crit(dx_plus: float, dp_plus: float, dx_minus: float, dp_minus: float) -> float:
@@ -323,36 +305,6 @@ def resource_conditions(
     coherent = abs(r_crit_value) > 0.5 * math.log(2.0 * dx_plus * dp_plus)
     amplifies = abs(r_crit_value) - s_crit_value >= 2.0 * abs(r)
     return ResourceFlags(bool(coherent), bool(amplifies))
-
-
-def renormalized_frequencies(
-    omega0: float, c12: float, delta_omega_sq: float, coupling_type: str = "position"
-) -> FrequencySet:
-    """Dressed frequencies and couplings from the bare constants.
-
-    Position coupling: Omega+^2 = omega0^2 + c12 + d(omega^2), omega-^2 =
-    omega0^2 - c12, Omega_R^2 = omega0^2 + d(omega^2)/2 and C12 = c12 +
-    d(omega^2)/2.  Symmetric coupling uses the multiplicative ladder analogues.
-    """
-    if coupling_type == "position":
-        op2 = omega0**2 + c12 + delta_omega_sq
-        om2 = omega0**2 - c12
-        if op2 <= 0.0 or om2 <= 0.0:
-            raise ParameterRegimeError(
-                f"dressed frequencies not positive: Omega+^2={op2:.6g}, omega-^2={om2:.6g}"
-            )
-        omega_plus = math.sqrt(op2)
-        omega_minus = math.sqrt(om2)
-    elif coupling_type == "symmetric":
-        omega_plus = omega0 + (c12 + delta_omega_sq) / omega0
-        omega_minus = omega0 - c12 / omega0
-        if omega_plus <= 0.0 or omega_minus <= 0.0:
-            raise ParameterRegimeError("dressed ladder frequencies not positive")
-    else:
-        raise ValidationError("coupling_type must be 'position' or 'symmetric'")
-    omega_r = math.sqrt(0.5 * (omega_plus**2 + omega_minus**2))
-    c12_renorm = 0.5 * (omega_plus**2 - omega_minus**2)
-    return FrequencySet(omega_plus, omega_minus, omega_r, c12_renorm)
 
 
 def asymptotic_state(

@@ -37,6 +37,7 @@ from .gaussian import (
     state_from_virtual_blocks,
     symplectic_form,
 )
+from .rwa import _one_excitation_matrix
 from .spectra import DiscretizedBath, OhmicSpectralDensity, discretize
 
 POSITION = "position"
@@ -183,11 +184,6 @@ class FullModel:
         )
 
     # -- derived quantities -------------------------------------------------
-
-    @property
-    def c12_tilde(self) -> float:
-        """Momentum-momentum system coupling: equals c12 for symmetric coupling, else 0."""
-        return self.c12 if self.coupling_type == SYMMETRIC else 0.0
 
     @property
     def omega_minus(self) -> float:
@@ -399,15 +395,7 @@ class _PlusSectorLadder:
 
     def __init__(self, model: FullModel):
         bath = model.bath
-        n = bath.n_modes
-        g = np.zeros((n + 1, n + 1))
-        g[0, 0] = model.omega_plus_bare
-        gk = bath.ladder_couplings
-        g[0, 1:] = gk
-        g[1:, 0] = gk
-        idx = np.arange(1, n + 1)
-        g[idx, idx] = bath.frequencies
-        lam, modes = np.linalg.eigh(g)
+        lam, modes = np.linalg.eigh(_one_excitation_matrix(bath, model.omega_plus_bare))
         self.lam = lam
         self.modes = modes
         self.scales = np.sqrt(
@@ -512,9 +500,6 @@ class Trajectory:
     def covariances(self) -> np.ndarray:
         return np.stack([s.cov for s in self.states])
 
-    def means(self) -> np.ndarray:
-        return np.stack([s.mean for s in self.states])
-
     def entanglement(self) -> np.ndarray:
         return np.array([log_negativity(s) for s in self.states])
 
@@ -612,7 +597,9 @@ def entanglement_trajectory(
 # initial states
 
 
-_STATE_KINDS = ("two-mode-squeezed", "squeezed-product", "coherent-product", "explicit-covariance")
+#: initial states that (r, purity_product) alone define, as a config file can
+#: name them; an explicit covariance has to be passed in
+STANDARD_STATE_KINDS = ("two-mode-squeezed", "squeezed-product", "coherent-product")
 
 
 def initial_state(
@@ -634,7 +621,7 @@ def initial_state(
         if cov is None:
             raise ValidationError("explicit-covariance initial state needs a covariance")
         return GaussianState(np.zeros(4) if mean is None else mean, cov)
-    if kind not in _STATE_KINDS:
+    if kind not in STANDARD_STATE_KINDS:
         raise ValidationError(f"unknown initial state kind {kind!r}")
     minus = squeezed_cov(r, model.minus_mode, area_product=purity_product)
     if kind == "two-mode-squeezed":

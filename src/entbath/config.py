@@ -13,19 +13,17 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .bathsim import BARE, POSITION, RENORMALIZED, SYMMETRIC, FullModel
+from .bathsim import BARE, POSITION, RENORMALIZED, STANDARD_STATE_KINDS, SYMMETRIC, FullModel
 from .errors import ConfigError
 from .spectra import OhmicSpectralDensity
 
 WORKERS_ENV_VAR = "ENTBATH_WORKERS"
-
-_STATE_KINDS = ("two-mode-squeezed", "squeezed-product", "coherent-product", "explicit-covariance")
 
 
 def _parse_float_list(text: str):
@@ -124,29 +122,36 @@ class RunConfig:
     def recurrence_time(self) -> float:
         return 2.0 * math.pi * self.modes / self.cutoff
 
-    @property
-    def horizon(self) -> float:
-        return 0.5 * self.recurrence_time
-
     def density(self) -> OhmicSpectralDensity:
         return OhmicSpectralDensity(gamma0=self.gamma0, cutoff=self.cutoff, mass=self.mass)
 
-    def build_model(self, temperature: float | None = None, c12: float | None = None) -> FullModel:
-        """FullModel at the configured point, optionally overriding sweep axes."""
+    def build_model(
+        self,
+        temperature: float | None = None,
+        c12: float | None = None,
+        modes: int | None = None,
+    ) -> FullModel:
+        """FullModel at the configured point, optionally overriding sweep axes
+        and the number of bath modes."""
         t = self.temperature if temperature is None else temperature
         c = self.c12 if c12 is None else c12
+        n = self.modes if modes is None else modes
         if self.renormalization == RENORMALIZED:
             return FullModel.renormalized(
-                self.density(), self.modes, t, omega_r=self.omega_r, c12=c,
+                self.density(), n, t, omega_r=self.omega_r, c12=c,
                 coupling_type=self.coupling,
             )
         return FullModel.bare(
-            self.density(), self.modes, t, omega0=self.omega0, c12=c,
+            self.density(), n, t, omega0=self.omega0, c12=c,
             coupling_type=self.coupling,
         )
 
     def resolve_workers(self, cli_value: int | None = None) -> int:
-        if cli_value is not None and cli_value > 0:
+        """Worker count: a positive --workers, then [run] workers, then the
+        environment, then 1."""
+        if cli_value is not None and cli_value < 0:
+            raise ConfigError([f"--workers must be >= 0, got {cli_value}"])
+        if cli_value:
             return cli_value
         if self.workers > 0:
             return self.workers
@@ -161,18 +166,12 @@ class RunConfig:
         return 1
 
     def as_dict(self) -> dict:
+        """Every configured value (the source path is not one), tuples as lists."""
         out = {}
-        for name in (
-            "coupling", "renormalization", "mass", "omega_r", "omega0", "c12",
-            "gamma0", "cutoff", "temperature", "modes", "kind", "r",
-            "purity_product", "t_max", "dt", "dt_out", "temperatures",
-            "squeezings", "c12_values", "purity_values", "workers", "out_dir",
-            "override_horizon",
-        ):
-            value = getattr(self, name)
-            if isinstance(value, tuple):
-                value = list(value)
-            out[name] = value
+        for f in fields(self):
+            if f.name != "source_path":
+                value = getattr(self, f.name)
+                out[f.name] = list(value) if isinstance(value, tuple) else value
         return out
 
     def digest(self) -> str:
@@ -244,7 +243,10 @@ def load_config(path) -> RunConfig:
         check(values["temperature"] >= 0, "[bath] temperature must be non-negative")
     if values.get("modes") is not None:
         check(values["modes"] >= 1, "[bath] modes must be at least 1")
-    check(values.get("kind") in _STATE_KINDS, f"[initial] kind must be one of {_STATE_KINDS}")
+    check(
+        values.get("kind") in STANDARD_STATE_KINDS,
+        f"[initial] kind must be one of {STANDARD_STATE_KINDS}",
+    )
     if values.get("purity_product") is not None:
         check(values["purity_product"] >= 0.5 - 1e-12, "[initial] purity_product must be >= 1/2")
     for key in ("t_max", "dt", "dt_out"):
@@ -278,33 +280,11 @@ def load_config(path) -> RunConfig:
     if problems:
         raise ConfigError(problems)
 
-    def tup(key):
-        v = values[key]
-        return None if v is None else tuple(v)
-
     return RunConfig(
-        coupling=values["coupling"],
-        renormalization=values["renormalization"],
-        mass=values["mass"],
-        omega_r=values["omega_r"],
-        omega0=values["omega0"],
-        c12=values["c12"],
-        gamma0=values["gamma0"],
-        cutoff=values["cutoff"],
-        temperature=values["temperature"],
-        modes=values["modes"],
-        kind=values["kind"],
-        r=values["r"],
-        purity_product=values["purity_product"],
-        t_max=values["t_max"],
-        dt=values["dt"],
-        dt_out=values["dt_out"],
-        temperatures=tup("temperatures"),
-        squeezings=tup("squeezings"),
-        c12_values=tup("c12_values"),
-        purity_values=tup("purity_values"),
-        workers=values["workers"],
-        out_dir=values["out_dir"],
-        override_horizon=values["override_horizon"],
+        **{
+            f.name: tuple(values[f.name]) if isinstance(values[f.name], list) else values[f.name]
+            for f in fields(RunConfig)
+            if f.name != "source_path"
+        },
         source_path=str(path),
     )

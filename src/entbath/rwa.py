@@ -16,7 +16,6 @@ accumulators per time).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -54,46 +53,26 @@ def _validate_grid(bath: DiscretizedBath, times: np.ndarray) -> np.ndarray:
 class AmplitudeSolution:
     """System amplitude and bath-mode amplitudes of the one-excitation sector.
 
-    ``u`` follows the requested ``rotation_sign`` (+1: free limit u = e^{+i w t};
-    -1: the conventional e^{-i w t}).  Internally the standard branch is stored;
-    the two are related by complex conjugation, under which |u| and all
-    master-equation coefficients are invariant.
+    ``u`` is on the printed rotation branch (free limit u = e^{+i w t}), the
+    complex conjugate of the standard branch that the eigenbasis propagates;
+    |u| and all master-equation coefficients are the same on both.
     """
 
     times: np.ndarray
     omega: float
     bath: DiscretizedBath
-    rotation_sign: int
-    _u_std: np.ndarray = field(repr=False)
+    u: np.ndarray
     _eigvals: np.ndarray = field(repr=False)
     _eigvecs: np.ndarray = field(repr=False)
     mode_norm: np.ndarray = field(repr=False)
 
-    @property
-    def u(self) -> np.ndarray:
-        return self._u_std.conj() if self.rotation_sign > 0 else self._u_std
-
     def unitarity_defect(self) -> np.ndarray:
         """|u|^2 + sum_n |p_n|^2 - 1 on the grid (zero for exact evolution)."""
-        return np.abs(self._u_std) ** 2 + self.mode_norm - 1.0
+        return np.abs(self.u) ** 2 + self.mode_norm - 1.0
 
     def _propagator(self, t: float) -> np.ndarray:
         phases = np.exp(-1j * self._eigvals * t)
         return (self._eigvecs * phases) @ self._eigvecs.T
-
-    def mode_amplitudes(self, t: float) -> np.ndarray:
-        """Bath amplitudes p_n(t), in the requested rotation convention."""
-        p = self._propagator(t)[0, 1:]
-        return -p.conj() if self.rotation_sign > 0 else p
-
-    def d_coefficients(self, t: float) -> np.ndarray:
-        """Coefficients d_k(t) of a(t) in the bath-operator solutions."""
-        prop = self._propagator(t)
-        u_std = complex(prop[0, 0])
-        if abs(u_std) < 1e-12:
-            raise NumericsError(f"|u({t})| too small to form d_k")
-        d = prop[1:, 0] / u_std
-        return -d.conj() if self.rotation_sign > 0 else d
 
     def constraint_residual(self, t: float) -> float:
         """Max |d_k + sum_n q_kn p_n^*| at time t (commutator preservation).
@@ -124,15 +103,8 @@ def _one_excitation_matrix(bath: DiscretizedBath, omega: float) -> np.ndarray:
     return m
 
 
-def solve_amplitude(
-    bath: DiscretizedBath,
-    omega: float,
-    times,
-    rotation_sign: int = +1,
-) -> AmplitudeSolution:
+def solve_amplitude(bath: DiscretizedBath, omega: float, times) -> AmplitudeSolution:
     """Exact amplitude solution on the grid via the one-excitation eigenbasis."""
-    if rotation_sign not in (+1, -1):
-        raise ValidationError("rotation_sign must be +1 or -1")
     times = _validate_grid(bath, times)
     lam, vecs = np.linalg.eigh(_one_excitation_matrix(bath, omega))
     w0 = vecs[0] ** 2
@@ -149,20 +121,14 @@ def solve_amplitude(
         times=times,
         omega=omega,
         bath=bath,
-        rotation_sign=rotation_sign,
-        _u_std=u,
+        u=u.conj(),
         _eigvals=lam,
         _eigvecs=vecs,
         mode_norm=norm,
     )
 
 
-def solve_amplitude_stepping(
-    bath: DiscretizedBath,
-    omega: float,
-    times,
-    rotation_sign: int = +1,
-) -> np.ndarray:
+def solve_amplitude_stepping(bath: DiscretizedBath, omega: float, times) -> np.ndarray:
     """Trapezoidal predictor-corrector solution of the amplitude Volterra equation.
 
     Direct time-domain stepping with the stored discrete-mode memory kernel,
@@ -174,8 +140,7 @@ def solve_amplitude_stepping(
         raise ValidationError("stepping solver needs a uniform grid")
     h = float(dt[0])
     g2 = bath.ladder_couplings**2
-    sgn = -1.0  # standard branch internally
-    kernel = np.exp(sgn * 1j * np.outer(times, bath.frequencies)) @ g2
+    kernel = np.exp(1j * np.outer(times, bath.frequencies)) @ g2
     u = np.zeros(times.size, dtype=complex)
     u[0] = 1.0
 
@@ -188,14 +153,14 @@ def solve_amplitude_stepping(
                 + np.dot(kernel[n - 1 : 0 : -1], u[1:n])
                 + 0.5 * kernel[0] * un
             )
-        return sgn * 1j * omega * un - mem
+        return 1j * omega * un - mem
 
     for n in range(times.size - 1):
         f0 = rhs(n, u[n])
         pred = u[n] + h * f0
         f1 = rhs(n + 1, pred)
         u[n + 1] = u[n] + 0.5 * h * (f0 + f1)
-    return u.conj() if rotation_sign > 0 else u
+    return u
 
 
 @dataclass
@@ -216,7 +181,6 @@ class CoefficientTrace:
     diffusion: np.ndarray
     omega: float
     cutoff: float
-    rotation_sign: int
     amplitude_mod: np.ndarray
 
     @cached_property
@@ -253,57 +217,8 @@ class CoefficientTrace:
     def t_valid(self) -> float:
         return float(self.times[self.valid_until_index - 1])
 
-    def smoothed(self, series: np.ndarray) -> np.ndarray:
-        """Series averaged over the band-edge breathing period.
 
-        The exact coefficients of a hard-cutoff bath carry a persistent
-        oscillation at the edge beat frequencies (around cutoff +- omega and
-        omega itself); their physical asymptotic values are the averages over
-        that breathing.
-        """
-        dt = float(self.times[1] - self.times[0])
-        freqs = [f for f in (self.omega, self.cutoff - self.omega) if f > 1e-9]
-        period = 2.0 * math.pi / min(freqs) if freqs else 0.0
-        width = int(round(2.0 * period / dt))
-        width = min(max(width, 1), max(1, self.times.size // 4))
-        if width <= 1:
-            return series.copy()
-        kernel = np.ones(width) / width
-        return np.convolve(series, kernel, mode="valid")
-
-    def asymptotic_values(self, window_fraction: float = 0.25, max_drift: float = 0.01):
-        """Late-window means of (gamma, diffusion, delta_omega2).
-
-        Each series is first coarse-grained over the edge-breathing period (see
-        :meth:`smoothed`); the window is the trailing ``window_fraction`` of the
-        valid part of the grid, and a relative drift above ``max_drift`` there
-        raises a validation error (non-constant trace).
-        """
-        stop = self.valid_until_index
-        if stop < 8:
-            raise ValidationError("trace too short for an asymptotic window")
-        out = []
-        for series in (self.gamma, self.diffusion):
-            sm = self.smoothed(series[:stop])
-            start = sm.size - max(4, int(window_fraction * sm.size))
-            if start < 1:
-                raise ValidationError("trace too short for an asymptotic window")
-            win = sm[start:]
-            mean = float(win.mean())
-            drift = float((win.max() - win.min()) / max(abs(mean), 1e-300))
-            if drift > max_drift:
-                raise ValidationError(
-                    f"coefficients not asymptotically constant (drift {drift:.3g} "
-                    f"over the final window)"
-                )
-            out.append(mean)
-        sm_shift = self.smoothed(self.delta_omega2[:stop])
-        start = sm_shift.size - max(4, int(window_fraction * sm_shift.size))
-        out.append(float(sm_shift[start:].mean()))
-        return tuple(out)
-
-
-def extract_coefficients(sol: AmplitudeSolution, bath: DiscretizedBath | None = None) -> CoefficientTrace:
+def extract_coefficients(sol: AmplitudeSolution) -> CoefficientTrace:
     """Master-equation coefficient series from an amplitude solution.
 
     gamma(t)       = (i/4) sum_k g_k (d_k - d_k^*)
@@ -314,12 +229,7 @@ def extract_coefficients(sol: AmplitudeSolution, bath: DiscretizedBath | None = 
     their conjugates, leaving gamma and D unchanged).  The double sum is
     contracted analytically to O(N) per time.
     """
-    bath = bath or sol.bath
-    if bath is not sol.bath:
-        if bath.n_modes != sol.bath.n_modes or not np.allclose(
-            bath.frequencies, sol.bath.frequencies
-        ):
-            raise ValidationError("bath does not match the one the solution was built with")
+    bath = sol.bath
     defect = np.abs(sol.unitarity_defect()).max()
     if defect > UNITARITY_TOL:
         raise ValidationError(f"amplitude solution violates unitarity by {defect:.3e}")
@@ -363,7 +273,6 @@ def extract_coefficients(sol: AmplitudeSolution, bath: DiscretizedBath | None = 
         diffusion=diff,
         omega=omega,
         cutoff=float(bath.frequencies[-1] + 0.5 * bath.spacing),
-        rotation_sign=sol.rotation_sign,
         amplitude_mod=umod,
     )
 
@@ -385,7 +294,7 @@ def evolve_moments_me(
 ) -> MomentEvolution:
     """Integrate the master-equation moment ODEs with the extracted coefficients.
 
-    d<a>/dt = -(2 gamma(t) + i Omega_R(t)) <a>,  Omega_R = omega + delta_omega2/omega^2
+    d<a>/dt = (-2 gamma(t) + i Omega_R(t)) <a>,  Omega_R = omega + delta_omega2/omega^2
     d<s>/dt = -4 gamma(t) <s> + 4 D(t)/(m omega)
 
     Both equations are integrated with exact integrating factors and
@@ -405,9 +314,7 @@ def evolve_moments_me(
 
     gamma_int = cumtrapz(trace.gamma)
     phase_int = cumtrapz(omega_r)
-    # phase rotates as e^{-i phase} on the standard branch, conjugate otherwise
-    rot = (1j if trace.rotation_sign > 0 else -1j) * phase_int
-    mean_a = mean_a0 * np.exp(-2.0 * gamma_int + rot)
+    mean_a = mean_a0 * np.exp(-2.0 * gamma_int + 1j * phase_int)
 
     factor = np.exp(4.0 * gamma_int)
     drive = cumtrapz(4.0 * trace.diffusion * factor)

@@ -3,9 +3,10 @@
 Grid points are independent: the expensive part of each point (the stationary
 dispersions of the (+) mode) depends only on (temperature, coupling), so the
 sweep first evaluates the unique heavy keys, optionally in parallel and backed
-by an on-disk cache keyed by the package version, the stationary route and the
-physical parameters of the key, then assembles the per-point summaries in
-canonical row-major order regardless of completion order.
+by one cache file per output directory whose entries are keyed by the package
+version, the stationary route and the physical parameters of the key, then
+assembles the per-point summaries in canonical row-major order regardless of
+completion order.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -28,9 +30,9 @@ from .asymptotics import (
     stationary_variances_symmetric,
     summarize,
 )
-from .bathsim import POSITION, RENORMALIZED, SYMMETRIC, entanglement_trajectory, initial_state
+from .bathsim import POSITION, entanglement_trajectory, initial_state
 from .config import RunConfig
-from .errors import EntbathError, HorizonError, ValidationError
+from .errors import EntbathError, HorizonError, ParameterRegimeError, ValidationError
 from .gaussian import ModeSpec
 from .rwa import extract_coefficients, solve_amplitude
 
@@ -47,107 +49,93 @@ _BOUNDARY_MARGIN = 0.05
 _STATIONARY_ROUTE = "position: fixed-node Gauss-Legendre 24/12; symmetric: coefficient trace"
 
 
-def _variance_payload(config: RunConfig, temperature: float, c12: float) -> dict:
-    return {
-        "coupling": config.coupling,
-        "renormalization": config.renormalization,
-        "mass": config.mass,
-        "omega_r": config.omega_r,
-        "omega0": config.omega0,
-        "gamma0": config.gamma0,
-        "cutoff": config.cutoff,
-        "temperature": temperature,
-        "c12": c12,
-    }
+#: file, under a sweep's cache directory, that maps ``_cache_key`` to stationary points
+_CACHE_FILE = "stationary.json"
+#: the config fields that, with (T, C12), fix a stationary point
+_MODEL_FIELDS = ("coupling", "renormalization", "mass", "omega_r", "omega0", "gamma0", "cutoff")
 
 
-def _stationary_point(payload: dict) -> dict:
+def _variance_payload(config: RunConfig, temperature: float, c12: float) -> tuple:
+    """The (config, T, C12) key of one stationary point.
+
+    ``_stationary_point`` evaluates it and ``_cache_key`` names it; a plain
+    tuple, so that process pools can pickle it.
+    """
+    return config, temperature, c12
+
+
+@lru_cache(maxsize=64)
+def _position_frequencies(config: RunConfig, c12: float) -> tuple[float, ModeSpec]:
+    """Dressed Omega+ and the (-) mode of the configured model at ``c12``.
+
+    Neither depends on the temperature, so a sweep derives them once per C12.
+    """
+    model = config.build_model(c12=c12)
+    if model.omega_plus_dressed is None:
+        raise ParameterRegimeError(f"dressed (+) frequency not positive at c12={c12}")
+    return model.omega_plus_dressed, model.minus_mode
+
+
+def _stationary_point(payload: tuple) -> dict:
     """Stationary (+) dispersions and mode data for one (T, c12) key.
 
     Module-level so process pools can pickle it.
     """
-    from .bathsim import FullModel
-    from .spectra import OhmicSpectralDensity
-
-    density = OhmicSpectralDensity(
-        gamma0=payload["gamma0"], cutoff=payload["cutoff"], mass=payload["mass"]
-    )
-    coupling = payload["coupling"]
-    temperature = payload["temperature"]
-    c12 = payload["c12"]
-    if coupling == POSITION:
-        if payload["renormalization"] == RENORMALIZED:
-            om_plus_sq = payload["omega_r"] ** 2 + c12
-            om_minus_sq = payload["omega_r"] ** 2 - c12
-        else:
-            om_plus_sq = payload["omega0"] ** 2 + c12 + density.delta_omega_sq
-            om_minus_sq = payload["omega0"] ** 2 - c12
-        if om_plus_sq <= 0.0 or om_minus_sq <= 0.0:
-            raise ValidationError(
-                f"virtual frequencies not positive at T={temperature}, c12={c12}"
-            )
-        omega_plus = math.sqrt(om_plus_sq)
-        dx, dp = stationary_variances_position(density, omega_plus, temperature)
-        minus_mass, minus_freq = payload["mass"], math.sqrt(om_minus_sq)
+    config, temperature, c12 = payload
+    if config.coupling == POSITION:
+        omega_plus, minus = _position_frequencies(config, c12)
+        dx, dp = stationary_variances_position(config.density(), omega_plus, temperature)
     else:
-        n_modes = max(320, int(math.ceil(density.cutoff * _SYMMETRIC_TRACE_T / math.pi)) + 1)
-        if payload["renormalization"] == RENORMALIZED:
-            model = FullModel.renormalized(
-                density, n_modes, temperature,
-                omega_r=payload["omega_r"], c12=c12, coupling_type=SYMMETRIC,
-            )
-        else:
-            model = FullModel.bare(
-                density, n_modes, temperature,
-                omega0=payload["omega0"], c12=c12, coupling_type=SYMMETRIC,
-            )
-        dt = 0.05 / density.cutoff
+        n_modes = max(320, int(math.ceil(config.cutoff * _SYMMETRIC_TRACE_T / math.pi)) + 1)
+        model = config.build_model(temperature=temperature, c12=c12, modes=n_modes)
+        dt = 0.05 / config.cutoff
         times = np.arange(0.0, _SYMMETRIC_TRACE_T + dt / 2, dt)
         trace = extract_coefficients(
             solve_amplitude(model.bath, model.omega_plus_bare, times)
         )
-        mass_omega = model.mass * model.omega0
-        dx, dp = stationary_variances_symmetric(trace, mass_omega)
+        dx, dp = stationary_variances_symmetric(trace, model.mass * model.omega0)
         omega_plus = model.omega_plus_dressed or model.omega_plus_bare
-        minus_mass = model.minus_mode.mass
-        minus_freq = model.minus_mode.frequency
+        minus = model.minus_mode
     return {
         "dx_plus": dx,
         "dp_plus": dp,
         "omega_plus": omega_plus,
-        "minus_mass": minus_mass,
-        "minus_freq": minus_freq,
+        "minus_mass": minus.mass,
+        "minus_freq": minus.frequency,
     }
 
 
-def _cache_key(payload: dict) -> str:
-    body = {"version": __version__, "route": _STATIONARY_ROUTE, "point": payload}
+def _cache_key(payload: tuple) -> str:
+    config, temperature, c12 = payload
+    point = {name: getattr(config, name) for name in _MODEL_FIELDS}
+    point.update(temperature=temperature, c12=c12)
+    body = {"version": __version__, "route": _STATIONARY_ROUTE, "point": point}
     return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()[:32]
 
 
-def _read_cache(cache_dir: Path | None, payload: dict) -> dict | None:
-    """The cached stationary point of ``payload``; None when absent or unreadable."""
+def _load_cache(cache_dir: Path | None) -> dict:
+    """Stationary points stored under ``cache_dir`` by cache key; {} when absent or unreadable."""
     if cache_dir is None:
-        return None
+        return {}
     try:
-        return json.loads((cache_dir / f"{_cache_key(payload)}.json").read_text())
+        cache = json.loads((cache_dir / _CACHE_FILE).read_text())
     except (OSError, json.JSONDecodeError):
-        return None
+        return {}
+    return cache if isinstance(cache, dict) else {}
 
 
-def _write_cache(cache_dir: Path | None, payload: dict, result: dict) -> None:
-    if cache_dir is not None:
+def _save_cache(cache_dir: Path | None, cache: dict, n_loaded: int) -> None:
+    """Store ``cache`` if it gained entries since ``_load_cache`` gave ``n_loaded``."""
+    if cache_dir is not None and len(cache) > n_loaded:
         cache_dir.mkdir(parents=True, exist_ok=True)
-        path = cache_dir / f"{_cache_key(payload)}.json"
-        path.write_text(json.dumps(result, sort_keys=True))
+        (cache_dir / _CACHE_FILE).write_text(json.dumps(cache, sort_keys=True))
 
 
-def _stationary_point_cached(payload: dict, cache_dir: Path | None) -> dict:
-    result = _read_cache(cache_dir, payload)
-    if result is None:
-        result = _stationary_point(payload)
-        _write_cache(cache_dir, payload, result)
-    return result
+def _stationary_point_cached(payload: tuple, cache: dict) -> dict:
+    key = _cache_key(payload)
+    if key not in cache:
+        cache[key] = _stationary_point(payload)
+    return cache[key]
 
 
 def sweep_axes(config: RunConfig):
@@ -176,17 +164,18 @@ def run_phase_sweep(
     payloads = {key: _variance_payload(config, *key) for key in heavy_keys}
 
     t0 = time.monotonic()
-    results: dict[tuple, dict | EntbathError] = {}
-    uncached = []
-    for key, payload in payloads.items():
-        cached = _read_cache(cache_dir, payload)
-        if cached is None:
-            uncached.append(key)
-        else:
-            results[key] = cached
+    cache = _load_cache(cache_dir)
+    n_loaded = len(cache)
+    cache_keys = {key: _cache_key(payload) for key, payload in payloads.items()}
+    results: dict[tuple, dict | EntbathError] = {
+        key: cache[name] for key, name in cache_keys.items() if name in cache
+    }
+    uncached = [key for key in payloads if key not in results]
 
-    if workers > 1 and len(uncached) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    # a forking pool starts all its workers at the first submit
+    n_workers = min(workers, len(uncached))
+    if n_workers > 1:
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
             futures = {key: pool.submit(_stationary_point, payloads[key]) for key in uncached}
             for key, fut in futures.items():
                 try:
@@ -201,7 +190,8 @@ def run_phase_sweep(
                 results[key] = exc
     for key in uncached:
         if isinstance(results[key], dict):
-            _write_cache(cache_dir, payloads[key], results[key])
+            cache[cache_keys[key]] = results[key]
+    _save_cache(cache_dir, cache, n_loaded)
 
     rows = []
     n_errors = 0
@@ -280,20 +270,17 @@ def phase_boundaries(
     each non-negative root emitted with every sign that keeps it inside the
     r-axis range.  Along T, every grid edge whose end slacks (read from
     ``rows``) differ in sign is bisected to 1e-3 max(1, dT); each midpoint
-    temperature is evaluated once per call.  ERROR rows, and edges whose
-    bisection fails, are skipped.
+    temperature is evaluated once, through the sweep cache.  ERROR rows, and
+    edges whose bisection fails, are skipped.
     """
     temps, squeezings, c12s, purities = sweep_axes(config)
     r_lo, r_hi = min(squeezings), max(squeezings)
     by_point = {(row["T"], row["r"], row["C12"], row["purity"]): row for row in rows}
-    evaluated: dict[tuple, dict] = {}
+    cache = _load_cache(cache_dir)
+    n_loaded = len(cache)
 
     def slack(t: float, r: float, c12: float, purity: float, which: int) -> float:
-        if (t, c12) not in evaluated:
-            evaluated[t, c12] = _stationary_point_cached(
-                _variance_payload(config, t, c12), cache_dir
-            )
-        point = evaluated[t, c12]
+        point = _stationary_point_cached(_variance_payload(config, t, c12), cache)
         minus = ModeSpec(point["minus_mass"], point["minus_freq"])
         summary = summarize(point["dx_plus"], point["dp_plus"], r, minus, purity_product=purity)
         return phase_slacks(r, summary.r_crit, summary.s_crit)[which]
@@ -333,6 +320,7 @@ def phase_boundaries(
             for name in points:
                 points[name].sort()
             out[f"c12={c12:g};purity={pur:g}"] = points
+    _save_cache(cache_dir, cache, n_loaded)
     return out
 
 
@@ -421,17 +409,7 @@ def _simulate_point(config: RunConfig, row: dict) -> tuple[str, float]:
     # enlarge the bath if the configured mode count cannot host the window
     needed = int(math.ceil(1.05 * t_end * config.cutoff / math.pi))
     if needed > config.modes:
-        density = config.density()
-        if config.renormalization == RENORMALIZED:
-            model = type(model).renormalized(
-                density, needed, row["T"], omega_r=config.omega_r,
-                c12=row["C12"], coupling_type=config.coupling,
-            )
-        else:
-            model = type(model).bare(
-                density, needed, row["T"], omega0=config.omega0,
-                c12=row["C12"], coupling_type=config.coupling,
-            )
+        model = config.build_model(temperature=row["T"], c12=row["C12"], modes=needed)
     state = initial_state(
         model, config.kind, r=row["r"], purity_product=row["purity"]
     )

@@ -12,7 +12,6 @@ from entbath.asymptotics import (
     envelope_band,
     ohmic_susceptibility_im,
     r_crit,
-    renormalized_frequencies,
     resource_conditions,
     s_crit,
     stationary_variances_position,
@@ -30,14 +29,6 @@ class TestCriticalQuantities:
     def test_r_crit_balanced_is_zero(self):
         assert r_crit(1.0, 1.0, UNIT) == 0.0
 
-    def test_r_crit_two_routes_coincide(self):
-        # the (+)-frequency split reassembles the same value for equal masses
-        mode = ModeSpec(1.0, 1.3)
-        for omega_plus in (0.7, 1.3, 2.1):
-            direct = r_crit(0.8, 1.1, mode)
-            split = r_crit(0.8, 1.1, mode, omega_plus=omega_plus, interacting=True)
-            assert split == pytest.approx(direct, abs=1e-14)
-
     def test_s_crit_values(self):
         assert s_crit(1.0, 0.5, 1.0, 0.5) == 0.0
         # equilibrium area e^2/2 against a pure minus mode
@@ -54,8 +45,6 @@ class TestCriticalQuantities:
             r_crit(-1.0, 1.0, UNIT)
         with pytest.raises(ValidationError):
             s_crit(1.0, 1.0, 0.0, 1.0)
-        with pytest.raises(ValidationError):
-            r_crit(1.0, 1.0, UNIT, interacting=True)  # needs omega_plus
 
 
 class TestEnvelopeAndPhases:
@@ -153,14 +142,24 @@ def _pure_minus(mode):
 
 class TestRenormalizedFrequencies:
     def test_trivial(self):
-        f = renormalized_frequencies(1.0, 0.0, 0.0)
-        assert (f.omega_plus, f.omega_minus, f.omega_r, f.c12_renorm) == (1.0, 1.0, 1.0, 0.0)
+        # without a bath the bare constants are the virtual frequencies
+        from entbath.bathsim import FullModel
+
+        free = OhmicSpectralDensity(gamma0=0.0, cutoff=20.0)
+        model = FullModel.bare(free, 8, 0.0, omega0=1.0)
+        assert (model.omega_plus_dressed, model.minus_mode.frequency) == (1.0, 1.0)
 
     def test_bare_coupling_zero_still_couples(self):
-        dos = -1.2
-        f = renormalized_frequencies(2.0, 0.0, dos)
-        assert f.c12_renorm == pytest.approx(dos / 2.0)
-        assert f.omega_minus == 2.0
+        # the static bath shift acts on the (+) mode only, so a vanishing bare
+        # c12 leaves the virtual frequencies split by Omega+^2 - omega-^2 = d(omega^2)
+        from entbath.bathsim import FullModel
+
+        model = FullModel.bare(DENSITY, 8, 0.0, omega0=2.0)
+        dos = DENSITY.delta_omega_sq
+        assert model.minus_mode.frequency == 2.0
+        assert model.omega_plus_dressed**2 - model.minus_mode.frequency**2 == pytest.approx(
+            dos, rel=1e-12
+        )
 
     def test_static_shift_value_against_quadrature(self):
         # delta omega^2 = -(2/m) int J/w dw
@@ -168,10 +167,6 @@ class TestRenormalizedFrequencies:
         want = -2.0 * numeric / DENSITY.mass
         assert DENSITY.delta_omega_sq == pytest.approx(want, rel=1e-9)
         assert DENSITY.delta_omega_sq == pytest.approx(-4 * 0.1 * 20 / math.pi, rel=1e-12)
-
-    def test_rejects_unstable(self):
-        with pytest.raises(ParameterRegimeError):
-            renormalized_frequencies(1.0, 0.0, -1.5)
 
 
 class TestStationarySymmetric:

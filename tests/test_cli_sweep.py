@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,8 +176,9 @@ class TestPhaseDiagramCommand:
         cfg = load_config(write_cfg(tmp_path, SWEEP))
         cache = tmp_path / "cache"
         rows1, info1 = run_phase_sweep(cfg, workers=1, cache_dir=cache)
-        n_cached = len(list(cache.glob("*.json")))
-        assert n_cached == 3  # one per unique (T, c12)
+        assert [path.name for path in cache.iterdir()] == ["stationary.json"]
+        stored = json.loads((cache / "stationary.json").read_text())
+        assert len(stored) == 3  # one entry per unique (T, c12)
         assert len(calls) == 3
         rows2, info2 = run_phase_sweep(cfg, workers=1, cache_dir=cache)
         assert rows1 == rows2
@@ -183,20 +186,102 @@ class TestPhaseDiagramCommand:
         assert info2["wall_time_s"] <= info1["wall_time_s"]
 
     def test_cache_ignores_entries_of_an_older_route(self, tmp_path):
-        # an entry under the key of the previous key layout (version and
-        # payload only) holds numbers of an older route and must not be read
+        # entries under the keys of older routes (the layout without a route
+        # tag, and the tag of the adaptive-quadrature route) hold numbers of
+        # an older route and must not be read
         cfg = load_config(write_cfg(tmp_path, SWEEP))
         cache = tmp_path / "cache"
         cache.mkdir()
+        stale = {"dx_plus": 7.0, "dp_plus": 7.0, "omega_plus": 1.0,
+                 "minus_mass": 1.0, "minus_freq": 1.0}
+        planted = {}
         for t in (0.5, 4.0, 10.0):
-            body = {"version": __version__, "point": sweep._variance_payload(cfg, t, 0.0)}
-            old_key = hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()[:32]
-            stale = {"dx_plus": 7.0, "dp_plus": 7.0, "omega_plus": 1.0,
-                     "minus_mass": 1.0, "minus_freq": 1.0}
-            (cache / f"{old_key}.json").write_text(json.dumps(stale))
+            point = {name: getattr(cfg, name) for name in (
+                "coupling", "renormalization", "mass", "omega_r", "omega0", "gamma0", "cutoff",
+            )}
+            point.update(temperature=t, c12=0.0)
+            for tag in ({}, {"route": "position: adaptive quad; symmetric: coefficient trace"}):
+                body = {"version": __version__, "point": point, **tag}
+                old_key = hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()[:32]
+                planted[old_key] = stale
+        (cache / "stationary.json").write_text(json.dumps(planted))
         rows, _ = run_phase_sweep(cfg, workers=1, cache_dir=cache)
         assert rows == run_phase_sweep(cfg, workers=1)[0]
         assert all(row["dx_plus"] != 7.0 for row in rows)
+        # the same entry under the current key is served
+        planted[sweep._cache_key(sweep._variance_payload(cfg, 0.5, 0.0))] = stale
+        (cache / "stationary.json").write_text(json.dumps(planted))
+        rows, _ = run_phase_sweep(cfg, workers=1, cache_dir=cache)
+        assert [row["dx_plus"] == 7.0 for row in rows] == [True] * 3 + [False] * 6
+
+    def test_cold_run_writes_the_cache_file_at_most_twice(self, tmp_path, monkeypatch):
+        writes = []
+        write_text = Path.write_text
+
+        def recorded(path, *args, **kwargs):
+            writes.append(path.name)
+            return write_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", recorded)
+        cfg = write_cfg(tmp_path, SWEEP)
+        out = tmp_path / "o"
+        argv = ["phase-diagram", "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 0
+        assert 1 <= writes.count("stationary.json") <= 2
+        assert [path.name for path in (out / ".cache").iterdir()] == ["stationary.json"]
+        artifacts = {name: (out / name).read_bytes()
+                     for name in ("phase_diagram.csv", "phase_boundaries.json")}
+
+        calls = []
+        compute = sweep._stationary_point
+        monkeypatch.setattr(sweep, "_stationary_point", lambda p: calls.append(p) or compute(p))
+        writes.clear()
+        assert main(argv) == 0
+        assert calls == []  # grid and boundary points all come from the cache
+        assert "stationary.json" not in writes
+        assert all((out / name).read_bytes() == data for name, data in artifacts.items())
+
+    def test_pool_size_is_capped_by_the_points_to_compute(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class InlinePool:
+            """Records its size and runs each task at submit; starts no process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                try:
+                    future.set_result(fn(*args))
+                except Exception as exc:
+                    future.set_exception(exc)
+                return future
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", InlinePool)
+        cfg = load_config(write_cfg(tmp_path, SWEEP))
+        rows, _ = run_phase_sweep(cfg, workers=64)
+        assert sizes == [3]  # three unique (T, c12) keys
+        assert rows == run_phase_sweep(cfg, workers=1)[0]
+        single = load_config(write_cfg(tmp_path, BASE, "single.cfg"))
+        run_phase_sweep(single, workers=64)
+        assert sizes == [3]  # one key is computed in process
+
+    def test_unstable_bare_frequencies_are_a_regime_error(self, tmp_path):
+        # bare omega0 = 1 under gamma0 = 0.1, cutoff = 20: the static shift
+        # -8/pi outweighs omega0^2, so no dressed (+) frequency exists
+        text = SWEEP.replace("renormalization = renormalized", "renormalization = bare")
+        cfg = load_config(write_cfg(tmp_path, text.replace("omega_r = 1.0", "omega0 = 1.0")))
+        rows, info = run_phase_sweep(cfg, workers=1)
+        assert all(row["phase"] == "ERROR" for row in rows)
+        assert len(info["errors"]) == 3
+        assert all(e["reason"].startswith("ParameterRegimeError:") for e in info["errors"])
 
     def test_failed_point_marks_row_and_continues(self, tmp_path):
         # gamma0 = 0 makes the stationary quadrature impossible: every row is

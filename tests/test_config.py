@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from entbath.cli import main
 from entbath.config import RunConfig, load_config
 from entbath.errors import ConfigError
 
@@ -102,6 +103,13 @@ dt = -0.1
         assert cfg.temperatures == (1.0, 2.0, 3.5)
         assert cfg.squeezings == (0.0, 0.5, 1.0, 1.5, 2.0)
 
+    def test_explicit_covariance_kind_rejected(self, tmp_path):
+        # no config key can supply a covariance, so the kind could never run
+        path = write(tmp_path, MINIMAL.replace("r = 3.0", "kind = explicit-covariance\nr = 3.0"))
+        with pytest.raises(ConfigError, match="kind"):
+            load_config(path)
+        assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
     def test_empty_axis_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(write(tmp_path, MINIMAL + "\n[sweep]\ntemperatures = ,\n"))
@@ -125,6 +133,13 @@ class TestDigestAndWorkers:
         monkeypatch.setenv("ENTBATH_WORKERS", "zebra")
         with pytest.raises(ConfigError):
             cfg.resolve_workers()
+
+    def test_negative_workers_flag_rejected(self, tmp_path):
+        path = write(tmp_path, MINIMAL)
+        with pytest.raises(ConfigError):
+            load_config(path).resolve_workers(cli_value=-3)
+        argv = ["evolve", "--config", str(path), "--workers", "-3", "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
 
     def test_recurrence_time(self, tmp_path):
         cfg = load_config(write(tmp_path, MINIMAL))

@@ -36,8 +36,6 @@ class TestAmplitude:
         times = grid(3.0)
         sol = solve_amplitude(bath, 1.3, times)
         assert np.allclose(sol.u, np.exp(1j * 1.3 * times), atol=1e-12)
-        std = solve_amplitude(bath, 1.3, times, rotation_sign=-1)
-        assert np.allclose(std.u, np.exp(-1j * 1.3 * times), atol=1e-12)
 
     def test_single_resonant_mode_rabi_oscillation(self):
         # one bath mode exactly at the system frequency: |u| = |cos(g t)|
@@ -81,8 +79,6 @@ class TestAmplitude:
             solve_amplitude(bath, 1.0, np.arange(0.0, 5.0, 0.1))  # too coarse
         with pytest.raises(ValidationError):
             solve_amplitude(bath, 1.0, np.arange(1.0, 2.0, 0.002))  # misses t=0
-        with pytest.raises(ValidationError):
-            solve_amplitude(bath, 1.0, grid(3.0), rotation_sign=0)
 
     def test_stepping_solver_cross_check(self):
         bath = ohmic_bath(n=60, temperature=0.0)
@@ -121,33 +117,6 @@ class TestCoefficients:
         inner = (times > 2.0) & (times < 8.0)
         assert np.abs(fd[inner] - trace.gamma[inner]).max() < 1e-4
 
-    def test_rotation_flip_leaves_observables_unchanged(self):
-        bath = ohmic_bath(n=120, temperature=1.0)
-        times = grid(6.0)
-        printed = solve_amplitude(bath, 1.0, times, rotation_sign=+1)
-        standard = solve_amplitude(bath, 1.0, times, rotation_sign=-1)
-        assert np.allclose(np.abs(printed.u), np.abs(standard.u), atol=1e-13)
-        tr_p = extract_coefficients(printed)
-        tr_s = extract_coefficients(standard)
-        assert np.allclose(tr_p.gamma, tr_s.gamma, atol=1e-13)
-        assert np.allclose(tr_p.diffusion, tr_s.diffusion, atol=1e-13)
-        assert np.allclose(tr_p.delta_omega2, tr_s.delta_omega2, atol=1e-12)
-
-    def test_weak_coupling_trace_is_asymptotically_constant(self):
-        bath = discretize(OhmicSpectralDensity(0.01, 5.0), 200, 0.5, ladder_scale=1.0)
-        trace = extract_coefficients(solve_amplitude(bath, 1.0, grid(25.0, cutoff=5.0)))
-        gamma_inf, diff_inf, shift_inf = trace.asymptotic_values(max_drift=0.01)
-        # Markov estimate: pi * J_ladder(omega) / 2 = 2 gamma0 * omega
-        assert gamma_inf == pytest.approx(2 * 0.01, rel=0.15)
-        assert diff_inf > gamma_inf  # finite temperature
-        assert math.isfinite(shift_inf)
-
-    def test_bath_mismatch_rejected(self):
-        sol = solve_amplitude(ohmic_bath(n=50), 1.0, grid(3.0))
-        other = ohmic_bath(n=51)
-        with pytest.raises(ValidationError):
-            extract_coefficients(sol, other)
-
 
 class TestMomentEvolution:
     def test_pure_rotation_without_coefficients(self):
@@ -157,11 +126,11 @@ class TestMomentEvolution:
             gamma=np.zeros_like(times),
             delta_omega2=np.zeros_like(times),
             diffusion=np.zeros_like(times),
-            omega=1.5, cutoff=20.0, rotation_sign=-1,
+            omega=1.5, cutoff=20.0,
             amplitude_mod=np.ones_like(times),
         )
         moments = evolve_moments_me(trace, mean_a0=1.0 + 0.0j, sym_occupation0=3.0)
-        assert np.allclose(moments.mean_a, np.exp(-1.5j * times), atol=1e-12)
+        assert np.allclose(moments.mean_a, np.exp(1.5j * times), atol=1e-12)
         assert np.allclose(moments.sym_occupation, 3.0, atol=1e-14)
 
     def test_stationary_value_is_coefficient_ratio(self):
@@ -201,7 +170,7 @@ class TestMomentEvolution:
         times = grid(2.0)
         trace = CoefficientTrace(
             times=times, gamma=np.zeros_like(times), delta_omega2=np.zeros_like(times),
-            diffusion=np.zeros_like(times), omega=1.0, cutoff=20.0, rotation_sign=-1,
+            diffusion=np.zeros_like(times), omega=1.0, cutoff=20.0,
             amplitude_mod=np.ones_like(times),
         )
         with pytest.raises(ValidationError):
