@@ -18,6 +18,7 @@ from .asymptotics import (
     r_crit,
     resource_conditions,
     s_crit,
+    stationary_variances_ladder,
     stationary_variances_position,
     stationary_variances_symmetric,
     summarize,

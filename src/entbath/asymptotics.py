@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import NumericsError, ParameterRegimeError, ValidationError
 from .gaussian import GaussianState, ModeSpec, mode_squeezing, state_from_virtual_blocks
@@ -118,6 +119,19 @@ def _panel_edges(density: OhmicSpectralDensity, omega_plus: float) -> np.ndarray
     return np.unique([p for p in points if 0.0 <= p <= lam])
 
 
+def _composite_rules(edges: np.ndarray) -> list:
+    """Nodes and weights of the fine and the coarse composite rule on ``edges``."""
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    return [((mid + half * x).ravel(), (half * w).ravel()) for x, w in (_GAUSS_FINE, _GAUSS_COARSE)]
+
+
+def _frozen(nodes: np.ndarray, weights: np.ndarray) -> tuple:
+    """The rule (nodes, weights), read-only because every caller shares it."""
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 @lru_cache(maxsize=16)
 def _position_rules(density: OhmicSpectralDensity, omega_plus: float) -> tuple:
     """Temperature-independent part of the stationary quadrature.
@@ -125,19 +139,11 @@ def _position_rules(density: OhmicSpectralDensity, omega_plus: float) -> tuple:
     For the fine and the coarse rule: the nodes w and a (2, n) array holding
     the rule weights times Im chi(w)/pi, and those times m^2 w^2, so that
     dx+^2 and dp+^2 at any temperature are sums against coth(w/2T).
-    Read-only, because every caller shares them.
     """
-    edges = _panel_edges(density, omega_plus)
-    half = 0.5 * np.diff(edges)[:, None]
-    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
     rules = []
-    for x, w in (_GAUSS_FINE, _GAUSS_COARSE):
-        nodes = (mid + half * x).ravel()
-        base = (half * w).ravel() * ohmic_susceptibility_im(nodes, density, omega_plus) / math.pi
-        weights = np.stack([base, (density.mass * nodes) ** 2 * base])
-        nodes.flags.writeable = False
-        weights.flags.writeable = False
-        rules.append((nodes, weights))
+    for nodes, w in _composite_rules(_panel_edges(density, omega_plus)):
+        base = w * ohmic_susceptibility_im(nodes, density, omega_plus) / math.pi
+        rules.append(_frozen(nodes, np.stack([base, (density.mass * nodes) ** 2 * base])))
     return tuple(rules)
 
 
@@ -148,10 +154,33 @@ def _thermal_sums(nodes: np.ndarray, weights: np.ndarray, temperature: float) ->
     return (weights / np.tanh(nodes / (2.0 * temperature))).sum(axis=1)
 
 
+def _stationary_dispersions(rules: tuple, temperature: float, diagnostics: dict | None) -> tuple:
+    """(dx+, dp+) from (fine, coarse) rules whose weight rows give dx+^2 and dp+^2.
+
+    Their distance estimates the error, which must stay below 1e-5 relative;
+    ``diagnostics``, when given, receives the larger estimate as ``quad_error``.
+    """
+    if temperature < 0.0:
+        raise ValidationError("temperature must be non-negative")
+    fine, coarse = rules
+    values = _thermal_sums(*fine, temperature)
+    errors = np.abs(values - _thermal_sums(*coarse, temperature)).tolist()
+    values = values.tolist()
+    for val, err in zip(values, errors):
+        if not (val > 0.0 and err <= 1e-5 * val):
+            raise NumericsError(
+                f"stationary-variance quadrature failed (value {val:.3e}, error {err:.3e})",
+                achieved=err / max(abs(val), 1e-300),
+            )
+    if diagnostics is not None:
+        diagnostics["quad_error"] = max(errors[0] / values[0], errors[1] / values[1])
+    dx2, dp2 = values
+    return math.sqrt(dx2), math.sqrt(dp2)
+
+
 def stationary_variances_position(
-    density: OhmicSpectralDensity,
-    omega_plus: float,
-    temperature: float,
+    density: OhmicSpectralDensity, omega_plus: float, temperature: float,
+    diagnostics: dict | None = None,
 ) -> tuple[float, float]:
     """Exact stationary dispersions (dx+, dp+) for position coupling.
 
@@ -163,28 +192,95 @@ def stationary_variances_position(
     The rule is a fixed composite Gauss-Legendre one (24 nodes per panel,
     panels from ``_panel_edges``) whose Im chi weights are built once per
     (density, omega_plus); the 12-node rule on the same panels estimates
-    its error.
+    its error (see ``_stationary_dispersions`` for ``diagnostics``).
     """
     if density.gamma0 <= 0.0:
         raise ValidationError("stationary variances need gamma0 > 0")
-    if temperature < 0.0:
-        raise ValidationError("temperature must be non-negative")
     lam = density.cutoff
     if not 0.0 < omega_plus < 0.98 * lam:
         raise ParameterRegimeError(
             f"dressed frequency {omega_plus} must lie well inside the bath band (0, {lam})"
         )
-    fine, coarse = _position_rules(density, omega_plus)
-    values = _thermal_sums(*fine, temperature)
-    errors = np.abs(values - _thermal_sums(*coarse, temperature))
-    for val, err in zip(values.tolist(), errors.tolist()):
-        if not (val > 0.0 and err <= 1e-5 * val):
-            raise NumericsError(
-                f"stationary-variance quadrature failed (value {val:.3e}, error {err:.3e})",
-                achieved=err / max(abs(val), 1e-300),
-            )
-    dx2, dp2 = values.tolist()
-    return math.sqrt(dx2), math.sqrt(dp2)
+    return _stationary_dispersions(_position_rules(density, omega_plus), temperature, diagnostics)
+
+
+def ladder_spectral_function(w, density: OhmicSpectralDensity, omega_plus: float, omega0: float):
+    """In-band spectral function A(w) = J_l / ((w - omega_plus - Delta(w))^2 + pi^2 J_l^2)
+    of the (+) ladder level: J_l = 4 gamma0 w / (pi omega0), Delta from
+    ``OhmicSpectralDensity.ladder_level_shift``, ``omega_plus`` the bare (+) frequency."""
+    w = np.asarray(w, dtype=float)
+    j = 4.0 * density.gamma0 * w / (math.pi * omega0)
+    with np.errstate(divide="ignore"):  # a node rounded onto the cutoff, where A = 0
+        detuning = w - omega_plus - density.ladder_level_shift(w, omega0)
+    return j / (detuning**2 + (math.pi * j) ** 2)
+
+
+def ladder_bound_state(density: OhmicSpectralDensity, omega_plus: float, omega0: float) -> tuple:
+    """Frequency and weight (omega_b, Z) of the (+) level's state above the cutoff L.
+
+    There the level shift is Delta_out(w) = (4 gamma0 / pi omega0)(-L + w ln(w / (w - L))),
+    and omega_b = L + d solves w - omega_plus - Delta_out(w) = 0; the root is
+    found for ln d, which for weak coupling lies below the smallest double
+    (d is then that double and Z is 0).  Z = 1 / (1 - Delta_out'(omega_b)),
+    with Delta_out' = (4 gamma0 / pi omega0)(ln(omega_b / d) - L / d).
+    """
+    lam = density.cutoff
+    pref = 4.0 * density.gamma0 / (math.pi * omega0)
+
+    def gap(u: float) -> float:
+        d = math.exp(u)
+        return lam + d - omega_plus - pref * (-lam + (lam + d) * math.log1p(lam / d))
+
+    # Delta_out(L + d) <= pref L^2 / d, so the gap is positive at d = omega_plus + pref L
+    lo, hi = math.log(5e-324), math.log(omega_plus + pref * lam)
+    u = lo if gap(lo) >= 0.0 else brentq(gap, lo, hi, xtol=1e-15, rtol=1e-15)
+    d = math.exp(u)
+    return lam + d, 1.0 / (1.0 - pref * (math.log1p(lam / d) - lam / d))
+
+
+@lru_cache(maxsize=16)
+def _ladder_rules(density: OhmicSpectralDensity, omega_plus: float, omega0: float, centre: float):
+    """Temperature-independent part of the symmetric stationary quadrature.
+
+    The fine and the coarse rule on ``_panel_edges(density, centre)`` with the
+    bound state appended as one node (omega_b, weight Z); the rows are the
+    weights times A(w), scaled by 1/(2 m omega0) (dx+^2) and m omega0/2 (dp+^2).
+    Also returns Z and the sum-rule residual sum(fine weights x A) + Z - 1.
+    """
+    args = (density, omega_plus, omega0)
+    omega_b, z = ladder_bound_state(*args)
+    parts = [(np.append(x, omega_b), np.append(w * ladder_spectral_function(x, *args), z))
+             for x, w in _composite_rules(_panel_edges(density, centre))]
+    residual = float(parts[0][1].sum()) - 1.0
+    if not abs(residual) <= 1e-8:
+        message = f"ladder spectral sum rule fails by {residual:.3e} (bound-state weight {z:.3e})"
+        raise NumericsError(message, achieved=abs(residual))
+    mw = density.mass * omega0
+    rules = tuple(_frozen(x, np.stack([a / (2.0 * mw), 0.5 * mw * a])) for x, a in parts)
+    return rules, z, residual
+
+
+def stationary_variances_ladder(
+    density: OhmicSpectralDensity, omega_plus: float, omega0: float, centre: float,
+    temperature: float, diagnostics: dict | None = None,
+) -> tuple[float, float]:
+    """Exact stationary dispersions (dx+, dp+) for symmetric coupling.
+
+    Fluctuation-dissipation sum over the (+) ladder level's spectral function:
+    the symmetrized occupation s(T) = int_0^L A(w) coth(w/2T) dw + Z coth(omega_b/2T)
+    gives dp+^2 = m omega0 s/2 and dx+^2 = s/(2 m omega0).  ``omega_plus`` and
+    ``omega0`` are the bare (+) and oscillator frequencies; ``centre`` is where
+    A peaks (the panels grade around it): the dressed frequency when known.
+    ``diagnostics`` also receives ``bound_weight`` (Z) and ``sum_rule_residual``.
+    """
+    if density.gamma0 <= 0.0:
+        raise ValidationError("stationary variances need gamma0 > 0")
+    if 4.0 * density.gamma0 * density.cutoff / (math.pi * omega0) >= omega_plus:
+        raise ParameterRegimeError(f"the bath pulls the (+) ladder level {omega_plus} below 0")
+    rules, z, residual = _ladder_rules(density, omega_plus, omega0, centre)
+    if diagnostics is not None:
+        diagnostics.update(bound_weight=z, sum_rule_residual=residual)
+    return _stationary_dispersions(rules, temperature, diagnostics)
 
 
 def stationary_variances_symmetric(

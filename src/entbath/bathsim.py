@@ -20,7 +20,6 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     HorizonError,
@@ -48,20 +47,6 @@ RENORMALIZED = "renormalized"
 BARE = "bare"
 
 _TIME_CHUNK = 512
-
-
-def _ohmic_level_shift(w: float, density: OhmicSpectralDensity, ladder_omega: float) -> float:
-    """Principal-value level shift of the ladder model at frequency w.
-
-    P int J_ladder(w')/(w - w') dw' with J_ladder = 2 J / (m omega).
-    """
-    lam = density.cutoff
-    if not 0.0 < w < lam:
-        raise ParameterRegimeError(
-            f"dressed frequency {w} must lie inside the bath band (0, {lam})"
-        )
-    pref = 4.0 * density.gamma0 / (math.pi * ladder_omega)
-    return pref * (-lam + w * math.log(w / (lam - w)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,8 +127,8 @@ class FullModel:
                     "renormalized virtual frequencies must be positive: "
                     f"Omega+={om_plus_t}, omega-={om_minus_t}"
                 )
-            omega0 = _solve_symmetric_bare_frequency(density, om_plus_t, om_minus_t)
-            om_plus_bare = om_plus_t - _ohmic_level_shift(om_plus_t, density, omega0)
+            omega0 = _symmetric_bare_frequency(density, om_plus_t, om_minus_t)
+            om_plus_bare = om_plus_t - density.ladder_level_shift(om_plus_t, omega0)
             c12_bare = omega0 * (om_plus_bare - omega0)
         else:
             raise ValidationError(f"coupling_type must be one of {_COUPLINGS}")
@@ -242,26 +227,24 @@ class FullModel:
         return 0.5 * self.bath.recurrence_time
 
 
-def _solve_symmetric_bare_frequency(
+def _symmetric_bare_frequency(
     density: OhmicSpectralDensity, om_plus_t: float, om_minus_t: float
 ) -> float:
     """Bare omega0 of the symmetric model whose dressed frequencies hit the targets.
 
-    The level shift scales with 1/omega0 through the ladder couplings, so the
-    bare frequency solves a scalar fixed-point equation.
+    The level shift Delta(Omega+) scales as 1/omega0 through the ladder
+    couplings, so omega0 = (Omega+ - Delta(Omega+) + omega-)/2 is the quadratic
+    omega0^2 - a omega0 + c = 0, with a the mean target and c = omega0 Delta/2.
+    Its weak-coupling root (omega0 -> a as gamma0 -> 0) is (a + sqrt(a^2 - 4c))/2.
     """
-
-    def gap(om0):
-        om_plus_bare = om_plus_t - _ohmic_level_shift(om_plus_t, density, om0)
-        return om0 - 0.5 * (om_plus_bare + om_minus_t)
-
-    lo = 1e-6
-    hi = om_plus_t + om_minus_t + 1.0
-    while gap(hi) < 0.0:
-        hi *= 2.0
-        if hi > 1e8:
-            raise ParameterRegimeError("no bare frequency reproduces the requested targets")
-    return brentq(gap, lo, hi, xtol=1e-13, rtol=1e-14)
+    lam = density.cutoff
+    if not 0.0 < om_plus_t < lam:
+        raise ParameterRegimeError(f"dressed frequency {om_plus_t} outside the band (0, {lam})")
+    a = 0.5 * (om_plus_t + om_minus_t)
+    c = 0.5 * density.ladder_level_shift(om_plus_t, 1.0)
+    if a * a < 4.0 * c:
+        raise ParameterRegimeError("no bare frequency reproduces the requested targets")
+    return 0.5 * (a + math.sqrt(a * a - 4.0 * c))
 
 
 # ---------------------------------------------------------------------------

@@ -217,13 +217,13 @@ def cmd_phase_diagram(config: RunConfig, out_dir: Path, workers: int, override: 
         ),
         footer_comments=(f"errors {info['n_errors']} of {info['n_points']} points",),
     )
-    boundaries = phase_boundaries(config, rows, cache_dir=cache_dir)
+    boundaries = phase_boundaries(config, rows, cache_dir=cache_dir, info=info)
     write_json(out_dir / "phase_boundaries.json", {
         "config_digest": config.digest(),
         "version": __version__,
         "boundaries": boundaries,
     })
-    write_json(out_dir / "run_info.json", info)  # wall time; not byte-stable
+    write_json(out_dir / "run_info.json", info)  # wall time and diagnostics; not byte-stable
     (out_dir / "plot_phase_diagram.py").write_text(_PHASE_PLOT_SCRIPT)
     print(f"wrote {out_csv} ({info['n_points']} points, {info['n_errors']} errors)")
     return EXIT_OK

@@ -26,17 +26,24 @@ from .spectra import OhmicSpectralDensity
 WORKERS_ENV_VAR = "ENTBATH_WORKERS"
 
 
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("value must be finite")
+    return value
+
+
 def _parse_float_list(text: str):
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError("range syntax is start:stop:count")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        start, stop, count = _parse_float(parts[0]), _parse_float(parts[1]), int(parts[2])
         if count < 1:
             raise ValueError("range count must be >= 1")
         return [float(v) for v in np.linspace(start, stop, count)]
-    return [float(v) for v in text.split(",") if v.strip() != ""]
+    return [_parse_float(v) for v in text.split(",") if v.strip() != ""]
 
 
 def _parse_bool(text: str) -> bool:
@@ -54,26 +61,26 @@ _SCHEMA = {
     "model": {
         "coupling": (str.strip, POSITION),
         "renormalization": (str.strip, RENORMALIZED),
-        "mass": (float, 1.0),
-        "omega_r": (float, None),
-        "omega0": (float, None),
-        "c12": (float, 0.0),
+        "mass": (_parse_float, 1.0),
+        "omega_r": (_parse_float, None),
+        "omega0": (_parse_float, None),
+        "c12": (_parse_float, 0.0),
     },
     "bath": {
-        "gamma0": (float, _REQUIRED),
-        "cutoff": (float, _REQUIRED),
-        "temperature": (float, _REQUIRED),
+        "gamma0": (_parse_float, _REQUIRED),
+        "cutoff": (_parse_float, _REQUIRED),
+        "temperature": (_parse_float, _REQUIRED),
         "modes": (int, 1000),
     },
     "initial": {
         "kind": (str.strip, "two-mode-squeezed"),
-        "r": (float, 0.0),
-        "purity_product": (float, 0.5),
+        "r": (_parse_float, 0.0),
+        "purity_product": (_parse_float, 0.5),
     },
     "grid": {
-        "t_max": (float, 100.0),
-        "dt": (float, 0.005),
-        "dt_out": (float, 0.05),
+        "t_max": (_parse_float, 100.0),
+        "dt": (_parse_float, 0.005),
+        "dt_out": (_parse_float, 0.05),
     },
     "sweep": {
         "temperatures": (_parse_float_list, None),

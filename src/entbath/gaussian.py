@@ -207,11 +207,6 @@ def thermal_cov(nbar: float, mode: ModeSpec) -> np.ndarray:
     return squeezed_cov(0.0, mode, area_product=nbar + 0.5)
 
 
-def vacuum_cov(mode: ModeSpec) -> np.ndarray:
-    """2x2 covariance of the vacuum of ``mode``."""
-    return squeezed_cov(0.0, mode)
-
-
 def state_from_virtual_blocks(
     plus_cov: np.ndarray,
     minus_cov: np.ndarray,
@@ -250,7 +245,6 @@ def squeezed_product_state(r: float, mode: ModeSpec, area_product: float = 0.5) 
 def coherent_product_state(mode: ModeSpec, mean: np.ndarray | None = None) -> GaussianState:
     """Product of coherent states (vacuum covariance, optional displacement)."""
     v = np.zeros((4, 4))
-    v[:2, :2] = vacuum_cov(mode)
-    v[2:, 2:] = vacuum_cov(mode)
+    v[:2, :2] = v[2:, 2:] = squeezed_cov(0.0, mode)  # vacuum
     mu = np.zeros(4) if mean is None else np.asarray(mean, dtype=float)
     return GaussianState(mu, v)

@@ -35,9 +35,6 @@ class OhmicSpectralDensity:
         if not self.mass > 0.0:
             raise ValidationError("mass must be positive")
 
-    def __call__(self, w):
-        return self.j(w)
-
     def j(self, w):
         """Density value(s) at frequency ``w`` (zero above the cutoff)."""
         w = np.asarray(w, dtype=float)
@@ -61,6 +58,14 @@ class OhmicSpectralDensity:
         """Static frequency-squared shift -(2/m) * integral J/w = -4 gamma0 cutoff / pi."""
         return -2.0 * self.static_self_energy / self.mass
 
+    def ladder_level_shift(self, w, ladder_omega: float):
+        """Ladder level shift P int J_ladder(w')/(w - w') dw', J_ladder = 2 J / (m omega),
+        at 0 < w < cutoff: (4 gamma0 / pi omega)(-cutoff + w ln(w / (cutoff - w)))."""
+        w = np.asarray(w, dtype=float)
+        lam = self.cutoff
+        out = 4.0 * self.gamma0 / (math.pi * ladder_omega) * (-lam + w * np.log(w / (lam - w)))
+        return float(out) if out.ndim == 0 else out
+
 
 def thermal_occupation(w: float, temperature: float):
     """Bose occupation 1/(exp(w/T) - 1); zero at T = 0."""
@@ -69,10 +74,7 @@ def thermal_occupation(w: float, temperature: float):
         raise ValidationError("frequency must be positive for a thermal occupation")
     if temperature < 0.0:
         raise ValidationError("temperature must be non-negative")
-    if temperature == 0.0:
-        out = np.zeros_like(w_arr)
-    else:
-        out = 1.0 / np.expm1(w_arr / temperature)
+    out = np.zeros_like(w_arr) if temperature == 0.0 else 1.0 / np.expm1(w_arr / temperature)
     return float(out) if out.ndim == 0 else out
 
 
@@ -111,9 +113,7 @@ class DiscretizedBath:
 
     @cached_property
     def occupations(self) -> np.ndarray:
-        if self.temperature == 0.0:
-            return np.zeros(self.n_modes)
-        return 1.0 / np.expm1(self.frequencies / self.temperature)
+        return thermal_occupation(self.frequencies, self.temperature)
 
     @cached_property
     def ladder_couplings(self) -> np.ndarray:

@@ -26,27 +26,26 @@ from .asymptotics import (
     Phase,
     envelope_band,
     phase_slacks,
+    stationary_variances_ladder,
     stationary_variances_position,
-    stationary_variances_symmetric,
     summarize,
 )
 from .bathsim import POSITION, entanglement_trajectory, initial_state
 from .config import RunConfig
 from .errors import EntbathError, HorizonError, ParameterRegimeError, ValidationError
 from .gaussian import ModeSpec
-from .rwa import extract_coefficients, solve_amplitude
+# unused here: kept so that the benchmark tracer can patch them in this namespace
+from .rwa import extract_coefficients, solve_amplitude  # noqa: F401
 
 PHASE_COLUMNS = (
     "T", "r", "C12", "purity",
     "dx_plus", "dp_plus", "r_crit", "s_crit", "e_mean", "e_amp", "phase",
 )
 
-#: coefficient-trace horizon used for symmetric-coupling stationary values
-_SYMMETRIC_TRACE_T = 40.0
 _BOUNDARY_MARGIN = 0.05
 #: names the numerical routes behind a cached stationary point; change it with
 #: either route, so that no cache serves numbers computed by an older one
-_STATIONARY_ROUTE = "position: fixed-node Gauss-Legendre 24/12; symmetric: coefficient trace"
+_STATIONARY_ROUTE = "GL 24/12; position: Im chi; symmetric: ladder spectral function + bound state"
 
 
 #: file, under a sweep's cache directory, that maps ``_cache_key`` to stationary points
@@ -65,44 +64,34 @@ def _variance_payload(config: RunConfig, temperature: float, c12: float) -> tupl
 
 
 @lru_cache(maxsize=64)
-def _position_frequencies(config: RunConfig, c12: float) -> tuple[float, ModeSpec]:
-    """Dressed Omega+ and the (-) mode of the configured model at ``c12``.
-
-    Neither depends on the temperature, so a sweep derives them once per C12.
-    """
+def _frequencies(config: RunConfig, c12: float) -> tuple[float, float, float, ModeSpec]:
+    """(Omega+, bare Omega+, omega0, (-) mode) of the configured model at ``c12``;
+    none depends on the temperature, so a sweep derives them once per C12.  Omega+
+    is the dressed frequency, or for symmetric coupling the bare one when unknown."""
     model = config.build_model(c12=c12)
-    if model.omega_plus_dressed is None:
+    omega_plus = model.omega_plus_dressed
+    if omega_plus is None and config.coupling == POSITION:
         raise ParameterRegimeError(f"dressed (+) frequency not positive at c12={c12}")
-    return model.omega_plus_dressed, model.minus_mode
+    bare = model.omega_plus_bare
+    return omega_plus or bare, bare, model.omega0, model.minus_mode
 
 
 def _stationary_point(payload: tuple) -> dict:
-    """Stationary (+) dispersions and mode data for one (T, c12) key.
-
-    Module-level so process pools can pickle it.
-    """
+    """Stationary (+) dispersions, mode data and quadrature health for one
+    (T, c12) key; module-level so process pools can pickle it."""
     config, temperature, c12 = payload
+    omega_plus, bare_plus, omega0, minus = _frequencies(config, c12)
+    health: dict = {}
     if config.coupling == POSITION:
-        omega_plus, minus = _position_frequencies(config, c12)
-        dx, dp = stationary_variances_position(config.density(), omega_plus, temperature)
-    else:
-        n_modes = max(320, int(math.ceil(config.cutoff * _SYMMETRIC_TRACE_T / math.pi)) + 1)
-        model = config.build_model(temperature=temperature, c12=c12, modes=n_modes)
-        dt = 0.05 / config.cutoff
-        times = np.arange(0.0, _SYMMETRIC_TRACE_T + dt / 2, dt)
-        trace = extract_coefficients(
-            solve_amplitude(model.bath, model.omega_plus_bare, times)
+        dx, dp = stationary_variances_position(
+            config.density(), omega_plus, temperature, diagnostics=health
         )
-        dx, dp = stationary_variances_symmetric(trace, model.mass * model.omega0)
-        omega_plus = model.omega_plus_dressed or model.omega_plus_bare
-        minus = model.minus_mode
-    return {
-        "dx_plus": dx,
-        "dp_plus": dp,
-        "omega_plus": omega_plus,
-        "minus_mass": minus.mass,
-        "minus_freq": minus.frequency,
-    }
+    else:
+        dx, dp = stationary_variances_ladder(
+            config.density(), bare_plus, omega0, omega_plus, temperature, diagnostics=health
+        )
+    return dict(dx_plus=dx, dp_plus=dp, omega_plus=omega_plus,
+                minus_mass=minus.mass, minus_freq=minus.frequency, **health)
 
 
 def _cache_key(payload: tuple) -> str:
@@ -129,6 +118,21 @@ def _save_cache(cache_dir: Path | None, cache: dict, n_loaded: int) -> None:
     if cache_dir is not None and len(cache) > n_loaded:
         cache_dir.mkdir(parents=True, exist_ok=True)
         (cache_dir / _CACHE_FILE).write_text(json.dumps(cache, sort_keys=True))
+
+
+def _record_health(info: dict, points: dict) -> None:
+    """Fold the health of ``points`` ({(T, C12): point or error}) into the
+    ``info["stationary"]`` of ``run_phase_sweep``: the count, the worst 24-vs-12
+    error estimate and, for symmetric coupling, Z and the sum-rule residual per C12."""
+    health = info["stationary"]
+    for (_, c12), point in points.items():
+        if isinstance(point, dict):
+            health["points"] += 1
+            # an entry planted in the cache file may lack quad_error
+            health["max_quad_error"] = max(health["max_quad_error"], point.get("quad_error", 0.0))
+            if "bound_weight" in point:
+                health.setdefault("bound_state", {})[f"c12={c12:g}"] = {
+                    k: point[k] for k in ("bound_weight", "sum_rule_residual")}
 
 
 def _stationary_point_cached(payload: tuple, cache: dict) -> dict:
@@ -203,26 +207,16 @@ def run_phase_sweep(
                     row = {"T": t, "r": r, "C12": c12, "purity": pur}
                     if isinstance(point, EntbathError):
                         n_errors += 1
-                        row.update(
-                            {k: float("nan") for k in PHASE_COLUMNS[4:-1]}
-                        )
-                        row["phase"] = "ERROR"
+                        row.update({k: float("nan") for k in PHASE_COLUMNS[4:-1]}, phase="ERROR")
                     else:
                         minus = ModeSpec(point["minus_mass"], point["minus_freq"])
                         summary = summarize(
                             point["dx_plus"], point["dp_plus"], r, minus, purity_product=pur
                         )
-                        row.update(
-                            {
-                                "dx_plus": summary.dx_plus,
-                                "dp_plus": summary.dp_plus,
-                                "r_crit": summary.r_crit,
-                                "s_crit": summary.s_crit,
-                                "e_mean": summary.e_mean,
-                                "e_amp": summary.e_amp,
-                                "phase": summary.phase.value,
-                            }
-                        )
+                        row.update(dx_plus=summary.dx_plus, dp_plus=summary.dp_plus,
+                                   r_crit=summary.r_crit, s_crit=summary.s_crit,
+                                   e_mean=summary.e_mean, e_amp=summary.e_amp,
+                                   phase=summary.phase.value)
                     rows.append(row)
     info = {
         "config_digest": config.digest(),
@@ -235,7 +229,9 @@ def run_phase_sweep(
             if isinstance(results[t, c12], EntbathError)
         ],
         "wall_time_s": time.monotonic() - t0,
+        "stationary": {"route": _STATIONARY_ROUTE, "points": 0, "max_quad_error": 0.0},
     }
+    _record_health(info, results)
     return rows, info
 
 
@@ -259,7 +255,7 @@ def _bisect_edge(f, a: float, b: float, fa: float, tol: float, max_iter: int = 6
 
 
 def phase_boundaries(
-    config: RunConfig, rows: list[dict], cache_dir: Path | None = None
+    config: RunConfig, rows: list[dict], cache_dir: Path | None = None, info: dict | None = None
 ) -> dict:
     """Boundary polylines of each (c12, purity) slice of the phase grid.
 
@@ -271,16 +267,19 @@ def phase_boundaries(
     r-axis range.  Along T, every grid edge whose end slacks (read from
     ``rows``) differ in sign is bisected to 1e-3 max(1, dT); each midpoint
     temperature is evaluated once, through the sweep cache.  ERROR rows, and
-    edges whose bisection fails, are skipped.
+    edges whose bisection fails, are skipped.  When ``info`` (of the sweep that
+    gave ``rows``) is given, the health of the midpoints is folded into it.
     """
     temps, squeezings, c12s, purities = sweep_axes(config)
     r_lo, r_hi = min(squeezings), max(squeezings)
     by_point = {(row["T"], row["r"], row["C12"], row["purity"]): row for row in rows}
     cache = _load_cache(cache_dir)
     n_loaded = len(cache)
+    midpoints: dict[tuple, dict] = {}
 
     def slack(t: float, r: float, c12: float, purity: float, which: int) -> float:
         point = _stationary_point_cached(_variance_payload(config, t, c12), cache)
+        midpoints[t, c12] = point
         minus = ModeSpec(point["minus_mass"], point["minus_freq"])
         summary = summarize(point["dx_plus"], point["dp_plus"], r, minus, purity_product=purity)
         return phase_slacks(r, summary.r_crit, summary.s_crit)[which]
@@ -321,6 +320,8 @@ def phase_boundaries(
                 points[name].sort()
             out[f"c12={c12:g};purity={pur:g}"] = points
     _save_cache(cache_dir, cache, n_loaded)
+    if info is not None:
+        _record_health(info, midpoints)
     return out
 
 

@@ -10,13 +10,18 @@ from entbath.asymptotics import (
     classify,
     envelope,
     envelope_band,
+    ladder_bound_state,
+    ladder_spectral_function,
     ohmic_susceptibility_im,
     r_crit,
     resource_conditions,
     s_crit,
+    stationary_variances_ladder,
     stationary_variances_position,
+    stationary_variances_symmetric,
     summarize,
 )
+from entbath.bathsim import FullModel, equilibrium_variances_sim
 from entbath.errors import NumericsError, ParameterRegimeError, ValidationError
 from entbath.gaussian import ModeSpec, log_negativity, mode_squeezing
 from entbath.spectra import OhmicSpectralDensity
@@ -269,3 +274,114 @@ class TestStationaryVariancesPosition:
         monkeypatch.setattr(asymptotics, "_position_rules", lambda density, omega: off)
         with pytest.raises(NumericsError):
             stationary_variances_position(DENSITY, 1.0, 1.0)
+
+
+def _symmetric_model(gamma0=0.1, c12=0.0, temperature=0.0, modes=10):
+    density = OhmicSpectralDensity(gamma0=gamma0, cutoff=20.0, mass=1.0)
+    model = FullModel.renormalized(
+        density, modes, temperature, omega_r=1.0, c12=c12, coupling_type="symmetric"
+    )
+    return density, model
+
+
+def _ladder(density, model, temperature, **kwargs):
+    return stationary_variances_ladder(
+        density, model.omega_plus_bare, model.omega0, model.omega_plus_dressed, temperature,
+        **kwargs,
+    )
+
+
+class TestStationaryVariancesLadder:
+    @pytest.mark.parametrize("temperature", [0.05, 10.0])
+    def test_agrees_with_coefficient_trace(self, temperature):
+        # the independent route: D/gamma off a 40-time-unit exact coefficient trace
+        from entbath.rwa import extract_coefficients, solve_amplitude
+
+        density, model = _symmetric_model(temperature=temperature, modes=320)
+        dt = 0.05 / density.cutoff
+        times = np.arange(0.0, 40.0 + dt / 2, dt)
+        trace = extract_coefficients(solve_amplitude(model.bath, model.omega_plus_bare, times))
+        want = stationary_variances_symmetric(trace, model.mass * model.omega0)
+        got = _ladder(density, model, temperature)
+        assert got == pytest.approx(want, rel=1e-5)
+
+    @pytest.mark.parametrize("gamma0, c12", [(0.5, 0.0), (0.1, -0.5)])
+    def test_agrees_with_exact_simulation(self, gamma0, c12):
+        # gamma0 = 0.5, T = 1 is a point where the trace route does not settle
+        density, model = _symmetric_model(gamma0, c12, temperature=1.0, modes=1000)
+        want = equilibrium_variances_sim(model)
+        assert _ladder(density, model, 1.0) == pytest.approx(want, rel=1e-4)
+
+    @pytest.mark.parametrize("gamma0", [0.01, 0.05, 0.1, 0.2, 0.5])
+    def test_sum_rule(self, gamma0):
+        density, model = _symmetric_model(gamma0)
+        args = (density, model.omega_plus_bare, model.omega0)
+        omega_b, z = ladder_bound_state(*args)
+        # adaptive quadrature of A, independent of the fixed-node rule
+        peak = model.omega_plus_dressed
+        points = [peak + k * gamma0 for k in (-8.0, -1.0, 0.0, 1.0, 8.0)] + [10.0, 19.0, 19.99]
+        area = quad(lambda w: float(ladder_spectral_function(w, *args)), 0.0, 20.0,
+                    points=sorted(p for p in points if 0.0 < p < 20.0),
+                    limit=500, epsabs=1e-13, epsrel=1e-13)[0]
+        assert area + z == pytest.approx(1.0, abs=1e-9)
+        health = {}
+        _ladder(density, model, 1.0, diagnostics=health)
+        assert health["bound_weight"] == z
+        assert abs(health["sum_rule_residual"]) <= 1e-9
+        assert 0.0 < health["quad_error"] < 1e-7
+
+    @pytest.mark.parametrize("gamma0", [0.01, 0.1, 0.5])
+    def test_bound_state_solves_its_pole_equation(self, gamma0):
+        density, model = _symmetric_model(gamma0)
+        lam, wp, w0 = density.cutoff, model.omega_plus_bare, model.omega0
+        omega_b, z = ladder_bound_state(density, wp, w0)
+        d = omega_b - lam
+        pref = 4.0 * gamma0 / (math.pi * w0)
+
+        def shift_out(d):  # Delta_out at w = L + d, written in d: L + d loses d
+            return pref * (-lam + (lam + d) * math.log((lam + d) / d))
+
+        if gamma0 == 0.01:
+            assert z < 1e-30  # d ~ 1e-32: omega_b rounds onto the cutoff
+        else:
+            assert lam + d - wp - shift_out(d) == pytest.approx(0.0, abs=1e-12 * omega_b)
+            h = 1e-4 * d
+            slope = (shift_out(d + h) - shift_out(d - h)) / (2.0 * h)
+            assert z == pytest.approx(1.0 / (1.0 - slope), rel=1e-6)
+
+    def test_zero_temperature_state_is_pure_and_balanced(self):
+        density, model = _symmetric_model(0.2)
+        dx, dp = _ladder(density, model, 0.0)
+        assert dx * dp == pytest.approx(0.5, rel=1e-12)
+        assert dp / (model.mass * model.omega0 * dx) == pytest.approx(1.0, rel=1e-12)
+
+    def test_error_estimate_raises(self, monkeypatch):
+        from entbath import asymptotics
+
+        density, model = _symmetric_model(0.1)
+        (fine, (nodes, weights)), z, residual = asymptotics._ladder_rules(
+            density, model.omega_plus_bare, model.omega0, model.omega_plus_dressed
+        )
+        off = ((fine, (nodes, weights * (1.0 + 1e-4))), z, residual)
+        monkeypatch.setattr(asymptotics, "_ladder_rules", lambda *args: off)
+        with pytest.raises(NumericsError):
+            _ladder(density, model, 1.0)
+
+    def test_coarse_panels_fail_the_sum_rule(self, monkeypatch):
+        from entbath import asymptotics
+
+        density, model = _symmetric_model(0.3)
+        monkeypatch.setattr(
+            asymptotics, "_panel_edges", lambda density, centre: np.array([0.0, density.cutoff])
+        )
+        with pytest.raises(NumericsError, match="sum rule"):
+            _ladder(density, model, 1.0)
+
+    def test_rejects_free_bath_and_level_pulled_below_zero(self):
+        free, model = _symmetric_model(0.0)
+        with pytest.raises(ValidationError):
+            _ladder(free, model, 1.0)
+        density = OhmicSpectralDensity(gamma0=0.5, cutoff=20.0)
+        # 4 gamma0 L / (pi omega0) = 12.7 >= omega_plus
+        with pytest.raises(ParameterRegimeError):
+            stationary_variances_ladder(density, 5.0, 1.0, 5.0, 1.0)

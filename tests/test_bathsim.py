@@ -237,6 +237,29 @@ class TestModelConstruction:
         minus = model.minus_mode
         assert minus.xp_scale == pytest.approx(model.mass * model.omega0, rel=1e-12)
 
+    @pytest.mark.parametrize("gamma0, cutoff, c12", [
+        (0.1, 20.0, 0.0), (0.5, 20.0, -0.5), (0.01, 20.0, 0.99), (0.1, 2.5, 0.99),
+    ])
+    def test_symmetric_bare_frequency_solves_the_gap_equation(self, gamma0, cutoff, c12):
+        # omega0 = (Omega+ - Delta(Omega+; omega0) + omega-)/2, Delta ~ 1/omega0; at
+        # cutoff 2.5, C12 = 0.99 the shift at Omega+ = 1.99 is positive
+        density = OhmicSpectralDensity(gamma0=gamma0, cutoff=cutoff)
+        model = FullModel.renormalized(density, 16, 0.0, omega_r=1.0, c12=c12,
+                                       coupling_type="symmetric")
+        om_plus, om_minus = 1.0 + c12, 1.0 - c12
+        shift = density.ladder_level_shift(om_plus, model.omega0)
+        gap = model.omega0 - 0.5 * (om_plus - shift + om_minus)
+        assert abs(gap) <= 1e-12 * model.omega0
+        assert model.omega_plus_bare == pytest.approx(om_plus - shift, rel=1e-12)
+        assert model.minus_mode.frequency == pytest.approx(om_minus, rel=1e-12)
+
+    def test_symmetric_targets_without_a_bare_frequency_rejected(self):
+        # gamma0 = 0.5, cutoff 1.5, C12 = 0.3: a^2 < 4c, no weak-coupling root
+        density = OhmicSpectralDensity(gamma0=0.5, cutoff=1.5)
+        with pytest.raises(ParameterRegimeError, match="bare frequency"):
+            FullModel.renormalized(density, 16, 0.0, omega_r=1.0, c12=0.3,
+                                   coupling_type="symmetric")
+
     def test_invalid_virtual_frequency_rejected(self):
         with pytest.raises(ParameterRegimeError):
             FullModel.renormalized(DENSITY, 16, 0.0, omega_r=1.0, c12=1.5)

@@ -388,6 +388,75 @@ squeezings = 0.5, 2.5
         assert {r["phase"] for r in rows} <= {"NSD", "SD"}
 
 
+class TestSymmetricStationaryRoute:
+    SYM = BASE.replace("coupling = position", "coupling = symmetric")
+
+    @pytest.mark.parametrize("gamma0", [0.01, 0.05, 0.1, 0.2, 0.5])
+    def test_physical_grid_has_no_error_rows(self, tmp_path, gamma0):
+        # the coefficient-trace route left 32 of these 60 points ERROR
+        text = self.SYM.replace("gamma0 = 0.1", f"gamma0 = {gamma0}") + """
+[sweep]
+temperatures = 0, 0.05, 1, 10
+squeezings = 1.0
+c12_values = 0, 0.99, -0.5
+"""
+        rows, info = run_phase_sweep(load_config(write_cfg(tmp_path, text)), workers=1)
+        assert len(rows) == 12
+        assert info["n_errors"] == 0 and info["errors"] == []
+
+    def test_level_outside_the_band_is_a_regime_error_row(self, tmp_path):
+        # cutoff 1.5, C12 = 0.99: the dressed Omega+ = 1.99 lies above the band
+        text = self.SYM.replace("cutoff = 20.0", "cutoff = 1.5") + """
+[sweep]
+temperatures = 1.0
+squeezings = 1.0
+c12_values = 0.0, 0.99
+"""
+        rows, info = run_phase_sweep(load_config(write_cfg(tmp_path, text)), workers=1)
+        assert [row["phase"] == "ERROR" for row in rows] == [False, True]
+        assert [(e["C12"], e["reason"].split(":")[0]) for e in info["errors"]] == [
+            (0.99, "ParameterRegimeError")
+        ]
+
+    @pytest.mark.parametrize("command", ["phase-diagram", "evolve", "coeffs"])
+    def test_level_near_the_cutoff_runs(self, tmp_path, command):
+        # cutoff 2.5, C12 = 0.99: the level shift at Omega+ = 1.99 is positive,
+        # which the bracketed search for the bare frequency did not allow (exit 5)
+        text = self.SYM.replace("cutoff = 20.0", "cutoff = 2.5").replace(
+            "c12 = 0.0", "c12 = 0.99").replace("modes = 300", "modes = 200").replace(
+            "t_max = 30.0", "t_max = 10.0") + """
+[sweep]
+temperatures = 0.05, 1, 10
+squeezings = 0, 1.5, 3
+"""
+        cfg = write_cfg(tmp_path, text)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+    def test_run_info_records_the_route_and_its_health(self, tmp_path):
+        text = self.SYM + """
+[sweep]
+temperatures = 0.5, 4.0
+squeezings = 0.0, 1.5
+c12_values = 0.0, -0.5
+"""
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "o"
+        assert main(["phase-diagram", "--config", str(cfg), "--out", str(out)]) == 0
+        health = json.loads((out / "run_info.json").read_text())["stationary"]
+        assert health["route"] == sweep._STATIONARY_ROUTE
+        assert health["points"] >= 4  # grid keys, plus any boundary midpoints
+        assert 0.0 < health["max_quad_error"] < 1e-5
+        assert set(health["bound_state"]) == {"c12=0", "c12=-0.5"}
+        for entry in health["bound_state"].values():
+            assert 0.0 < entry["bound_weight"] < 1e-3
+            assert abs(entry["sum_rule_residual"]) <= 1e-8
+        position = tmp_path / "p"
+        assert main(["phase-diagram", "--config", str(write_cfg(tmp_path, SWEEP, "p.cfg")),
+                     "--out", str(position)]) == 0
+        health = json.loads((position / "run_info.json").read_text())["stationary"]
+        assert set(health) == {"route", "points", "max_quad_error"}
+
+
 class TestVerifyCommand:
     def test_small_grid_passes(self, tmp_path):
         text = BASE + """

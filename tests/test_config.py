@@ -110,6 +110,42 @@ dt = -0.1
             load_config(path)
         assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
+    FLOAT_KEYS = (
+        ("model", "mass"), ("model", "omega_r"), ("model", "omega0"), ("model", "c12"),
+        ("bath", "gamma0"), ("bath", "cutoff"), ("bath", "temperature"),
+        ("initial", "r"), ("initial", "purity_product"),
+        ("grid", "t_max"), ("grid", "dt"), ("grid", "dt_out"),
+        ("sweep", "temperatures"), ("sweep", "squeezings"), ("sweep", "c12_values"),
+        ("sweep", "purity_values"),
+    )
+
+    def test_float_keys_cover_the_schema(self):
+        from entbath.config import _SCHEMA, _parse_float, _parse_float_list
+
+        floats = {(section, key) for section, keys in _SCHEMA.items()
+                  for key, (parse, _) in keys.items() if parse in (_parse_float, _parse_float_list)}
+        assert floats == set(self.FLOAT_KEYS)
+
+    @pytest.mark.parametrize("section, key", FLOAT_KEYS)
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, section, key, value):
+        values = {"model": {"omega_r": "1.0"},
+                  "bath": {"gamma0": "0.1", "cutoff": "20.0", "temperature": "1.0"},
+                  "initial": {"r": "1.0"}, "grid": {}, "sweep": {}}
+        if section == "sweep":
+            value = f"0.5, {value}"
+        values[section][key] = value
+        text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in entries.items())
+                       for name, entries in values.items())
+        path = write(tmp_path, text)
+        with pytest.raises(ConfigError, match=rf"\] {key}: cannot parse .* must be finite"):
+            load_config(path)
+        assert main(["phase-diagram", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+    def test_non_finite_range_end_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="finite"):
+            load_config(write(tmp_path, MINIMAL + "\n[sweep]\ntemperatures = 0:inf:3\n"))
+
     def test_empty_axis_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(write(tmp_path, MINIMAL + "\n[sweep]\ntemperatures = ,\n"))
