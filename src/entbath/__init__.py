@@ -26,13 +26,10 @@ from .asymptotics import (
 from .bathsim import (
     FullModel,
     Trajectory,
-    build_generator,
     entanglement_trajectory,
     equilibrium_variances_sim,
     evolve,
-    full_initial_covariance,
     full_propagator,
-    hamiltonian_matrix,
     initial_state,
 )
 from .errors import (
@@ -66,7 +63,6 @@ from .rwa import (
     evolve_moments_me,
     extract_coefficients,
     solve_amplitude,
-    solve_amplitude_stepping,
 )
 from .spectra import (
     DiscretizedBath,
@@ -77,4 +73,21 @@ from .spectra import (
     thermal_occupation,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "Phase", "PhaseSummary", "asymptotic_state", "classify", "dominant_frequency",
+    "envelope", "envelope_band", "r_crit", "resource_conditions", "s_crit",
+    "stationary_variances_ladder", "stationary_variances_position",
+    "stationary_variances_symmetric", "summarize",
+    "FullModel", "Trajectory", "entanglement_trajectory", "equilibrium_variances_sim",
+    "evolve", "full_propagator", "initial_state",
+    "ConfigError", "EntbathError", "HorizonError", "NumericsError",
+    "ParameterRegimeError", "UnsupportedOperationError", "ValidationError",
+    "BEAM_SPLITTER", "SYMPLECTIC_FORM", "GaussianState", "ModeSpec", "beam_splitter",
+    "coherent_product_state", "log_negativity", "mode_squeezing", "partial_transpose",
+    "purity", "squeezed_product_state", "symplectic_eigenvalues",
+    "two_mode_squeezed_state",
+    "AmplitudeSolution", "CoefficientTrace", "MomentEvolution", "evolve_moments_me",
+    "extract_coefficients", "solve_amplitude",
+    "DiscretizedBath", "OhmicSpectralDensity", "discretize", "eta_kernel",
+    "eta_kernel_discrete", "thermal_occupation",
+]

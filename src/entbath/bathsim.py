@@ -6,7 +6,11 @@ for position coupling from the mass-weighted stiffness matrix, for symmetric
 (position-momentum) coupling from the single rotation matrix that generates
 both quadrature channels.  Only the rows of the propagator that land on the
 system are ever materialized, so the cost per output time is linear in the
-number of bath modes after one dense eigendecomposition.
+number of bath modes after one dense eigendecomposition.  Temperature enters
+only through the bath occupations and squeezing only through the initial
+state, so consecutive runs of one model physics share that eigendecomposition
+and the propagator rows of their last time grid, until
+``release_shared_solver`` (the CLI calls it when a command ends).
 
 Internally the virtual ordering (x+, p+, x-, p-, q_1, pi_1, ...) is used: the
 bath couples to the (+) mode only and the (-) mode rotates freely.  States
@@ -16,8 +20,9 @@ enter and leave in the site ordering (x1, p1, x2, p2).
 from __future__ import annotations
 
 import math
-import weakref
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +36,7 @@ from .gaussian import (
     BEAM_SPLITTER,
     GaussianState,
     ModeSpec,
+    check_states,
     log_negativity,
     squeezed_cov,
     state_from_virtual_blocks,
@@ -311,7 +317,39 @@ def build_generator(model: FullModel, basis: str = "virtual") -> np.ndarray:
 # sector solvers
 
 
-class _PlusSectorPosition:
+class _PlusSector:
+    """Propagator blocks of a (+)-sector solver, kept for its last time grid.
+
+    T enters a model only through the bath occupations and r only through the
+    initial state, so every point of a verify grid at one C12 shares one
+    normal-mode solve and, on one time grid, one set of propagator rows.
+    """
+
+    _times: np.ndarray | None = None
+    _blocks: tuple | None = None
+
+    def blocks(self, times: np.ndarray):
+        """(+)-sector propagator blocks at ``times``: the 2x2 system block
+        (T, 2, 2) and the bath rows bq = (xx, px), bp = (xp, pp), each (T, 2, n).
+        The blocks of the last grid are kept; a new grid replaces them."""
+        if self._times is not None and np.array_equal(self._times, times):
+            return self._blocks
+        self._times = self._blocks = None  # free the old rows before the new ones
+        xx, xp, px, pp = self.rows(times)
+        a2 = np.empty((times.size, 2, 2))
+        a2[:, 0, 0] = xx[:, 0]
+        a2[:, 0, 1] = xp[:, 0]
+        a2[:, 1, 0] = px[:, 0]
+        a2[:, 1, 1] = pp[:, 0]
+        bq = np.stack([xx[:, 1:], px[:, 1:]], axis=1)
+        bp = np.stack([xp[:, 1:], pp[:, 1:]], axis=1)
+        for block in (a2, bq, bp):  # every later caller on this grid gets them too
+            block.setflags(write=False)
+        self._times, self._blocks = times.copy(), (a2, bq, bp)
+        return self._blocks
+
+
+class _PlusSectorPosition(_PlusSector):
     """Normal modes of the (x+, bath) sector for position coupling."""
 
     def __init__(self, model: FullModel):
@@ -346,10 +384,11 @@ class _PlusSectorPosition:
         with np.errstate(divide="ignore", invalid="ignore"):
             s_over = np.where(self.freqs > 0.0, s / self.freqs, times[:, None])
         smu = self.smu
-        xx = ((c * o0) @ o.T) * (smu / smu[0])
+        crow = (c * o0) @ o.T
+        xx = crow * (smu / smu[0])
         xp = ((s_over * o0) @ o.T) / (smu * smu[0])
         px = -(((s * self.freqs) * o0) @ o.T) * (smu * smu[0])
-        pp = ((c * o0) @ o.T) * (smu[0] / smu)
+        pp = crow * (smu[0] / smu)
         return xx, xp, px, pp
 
     def full_blocks(self, t: float):
@@ -368,7 +407,7 @@ class _PlusSectorPosition:
         return xx, xp, px, pp
 
 
-class _PlusSectorLadder:
+class _PlusSectorLadder(_PlusSector):
     """Rotation generator of the (x+, bath) sector for symmetric coupling.
 
     In quadratures scaled by sqrt(m_i w_i) the Hamiltonian is
@@ -410,16 +449,37 @@ class _PlusSectorLadder:
         return xx, xp, px, pp
 
 
-_solver_cache: "weakref.WeakKeyDictionary[FullModel, object]" = weakref.WeakKeyDictionary()
+def _physics_key(model: FullModel) -> tuple:
+    """What the (+)-sector matrix is built from; the temperature is not part of it."""
+    bath = model.bath
+    return (
+        model.coupling_type, model.mass, model.omega0, model.c12, bath.ladder_scale,
+        bath.frequencies.tobytes(), bath.position_couplings.tobytes(), bath.masses.tobytes(),
+    )
 
 
-def _plus_solver(model: FullModel):
-    solver = _solver_cache.get(model)
-    if solver is None:
-        cls = _PlusSectorPosition if model.coupling_type == POSITION else _PlusSectorLadder
-        solver = cls(model)
-        _solver_cache[model] = solver
-    return solver
+#: (physics key, solver) of the last model evolved, or None
+_shared: tuple | None = None
+
+
+def _plus_solver(model: FullModel) -> tuple[_PlusSector, float | None]:
+    """The shared solver of ``model``'s physics, and the seconds its normal
+    modes took in this call (None when shared); a new physics replaces the last."""
+    global _shared
+    key = _physics_key(model)
+    if _shared is not None and _shared[0] == key:
+        return _shared[1], None
+    _shared = None  # free the old normal modes before the new solve
+    start = time.perf_counter()
+    solver = (_PlusSectorPosition if model.coupling_type == POSITION else _PlusSectorLadder)(model)
+    _shared = (key, solver)
+    return solver, time.perf_counter() - start
+
+
+def release_shared_solver() -> None:
+    """End the sharing of normal modes and rows; one command is its scope."""
+    global _shared
+    _shared = None
 
 
 def _minus_rotation(model: FullModel, times: np.ndarray) -> np.ndarray:
@@ -441,8 +501,7 @@ def full_propagator(model: FullModel, t: float) -> np.ndarray:
     n = model.bath.n_modes
     dim = 2 * (n + 2)
     s = np.zeros((dim, dim))
-    solver = _plus_solver(model)
-    xx, xp, px, pp = solver.full_blocks(t)
+    xx, xp, px, pp = _plus_solver(model)[0].full_blocks(t)
     # plus-sector phase indices: positions (x+, q_k) -> 0, 4+2k ; momenta 1, 5+2k
     pos = np.concatenate(([0], 4 + 2 * np.arange(n)))
     mom = pos + 1
@@ -472,19 +531,31 @@ def full_initial_covariance(model: FullModel, initial_system: GaussianState) -> 
 # trajectories
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Reduced system states on a time grid (site ordering)."""
+    """Reduced system states on a time grid (site ordering), as stacked arrays.
+
+    ``means`` is (T, 4) and ``covs`` (T, 4, 4); both are validated and
+    read-only.  ``info`` records the sizes, timings and the worst relative
+    physicality defect of the run that made it.
+    """
 
     times: np.ndarray
-    states: tuple
+    means: np.ndarray
+    covs: np.ndarray
     validity_horizon: float
+    info: dict = field(default_factory=dict)
+
+    @cached_property
+    def states(self) -> tuple:
+        """The samples as GaussianStates, built on first access."""
+        return tuple(GaussianState(m, c) for m, c in zip(self.means, self.covs))
 
     def covariances(self) -> np.ndarray:
-        return np.stack([s.cov for s in self.states])
+        return self.covs
 
     def entanglement(self) -> np.ndarray:
-        return np.array([log_negativity(s) for s in self.states])
+        return log_negativity(self.covs)
 
 
 def _validate_times(model: FullModel, times, override_horizon: bool) -> np.ndarray:
@@ -513,11 +584,12 @@ def evolve(
     """Exact reduced dynamics of the two-oscillator system.
 
     The bath starts thermal and factorized from the system.  Output states are
-    in the site ordering; each is validated for physicality as it is built.
+    in the site ordering and validated for physicality in one stacked check.
     """
     times = _validate_times(model, times, override_horizon)
     bath = model.bath
-    solver = _plus_solver(model)
+    solver, solve_s = _plus_solver(model)
+    start = time.perf_counter()
 
     sbs = BEAM_SPLITTER
     v0 = sbs @ initial_system.cov @ sbs.T
@@ -527,42 +599,42 @@ def evolve(
     var_q = occ / (bath.masses * bath.frequencies)
     var_p = occ * bath.masses * bath.frequencies
 
-    states = []
+    virtual_cov = np.empty((times.size, 4, 4))
+    virtual_mean = np.empty((times.size, 4))
     for lo in range(0, times.size, _TIME_CHUNK):
         chunk = times[lo : lo + _TIME_CHUNK]
-        xx, xp, px, pp = solver.rows(chunk)
-        a2 = np.empty((chunk.size, 2, 2))
-        a2[:, 0, 0] = xx[:, 0]
-        a2[:, 0, 1] = xp[:, 0]
-        a2[:, 1, 0] = px[:, 0]
-        a2[:, 1, 1] = pp[:, 0]
-        bq = np.stack([xx[:, 1:], px[:, 1:]], axis=1)  # (T, 2, n)
-        bp = np.stack([xp[:, 1:], pp[:, 1:]], axis=1)
+        a2, bq, bp = solver.blocks(chunk)
         r2 = _minus_rotation(model, chunk)
-
-        vpp_t = np.einsum("tik,kl,tjl->tij", a2, v_pp, a2)
-        vpp_t += np.einsum("tik,k,tjk->tij", bq, var_q, bq)
-        vpp_t += np.einsum("tik,k,tjk->tij", bp, var_p, bp)
-        vpm_t = np.einsum("tik,kl,tjl->tij", a2, v_pm, r2)
-        vmm_t = np.einsum("tik,kl,tjl->tij", r2, v_mm, r2)
-        mean_p = np.einsum("tij,j->ti", a2, m0[:2])
-        mean_m = np.einsum("tij,j->ti", r2, m0[2:])
-
-        for i, t in enumerate(chunk):
-            vv = np.empty((4, 4))
-            vv[:2, :2] = vpp_t[i]
-            vv[:2, 2:] = vpm_t[i]
-            vv[2:, :2] = vpm_t[i].T
-            vv[2:, 2:] = vmm_t[i]
-            cov_site = sbs @ vv @ sbs.T
-            mean_site = sbs @ np.concatenate([mean_p[i], mean_m[i]])
-            try:
-                states.append(GaussianState(mean_site, 0.5 * (cov_site + cov_site.T)))
-            except ValidationError as exc:
-                raise NumericsError(
-                    f"numerical instability: reduced state unphysical at t={t:.6g} ({exc})"
-                ) from exc
-    return Trajectory(times=times, states=tuple(states), validity_horizon=model.validity_horizon)
+        vv = virtual_cov[lo : lo + chunk.size]
+        vv[:, :2, :2] = np.einsum("tik,kl,tjl->tij", a2, v_pp, a2)
+        vv[:, :2, :2] += np.einsum("tik,k,tjk->tij", bq, var_q, bq)
+        vv[:, :2, :2] += np.einsum("tik,k,tjk->tij", bp, var_p, bp)
+        vv[:, :2, 2:] = np.einsum("tik,kl,tjl->tij", a2, v_pm, r2)
+        vv[:, 2:, :2] = np.swapaxes(vv[:, :2, 2:], 1, 2)
+        vv[:, 2:, 2:] = np.einsum("tik,kl,tjl->tij", r2, v_mm, r2)
+        virtual_mean[lo : lo + chunk.size, :2] = np.einsum("tij,j->ti", a2, m0[:2])
+        virtual_mean[lo : lo + chunk.size, 2:] = np.einsum("tij,j->ti", r2, m0[2:])
+    # per sample a 4x4 @ 4x4 and a 4x4 @ 4-vector, as for one state
+    cov_site = sbs @ virtual_cov @ sbs.T
+    means = (sbs @ virtual_mean[:, :, None])[:, :, 0]
+    try:
+        covs, defects = check_states(means, 0.5 * (cov_site + np.swapaxes(cov_site, 1, 2)))
+    except ValidationError as exc:
+        raise NumericsError(
+            f"numerical instability: reduced state unphysical at t={times[exc.index]:.6g} ({exc})"
+        ) from exc
+    means.setflags(write=False)
+    covs.setflags(write=False)
+    info = {
+        "bath_modes": bath.n_modes,
+        "samples": times.size,
+        "normal_mode_solves": int(solve_s is not None),
+        "normal_modes_s": solve_s or 0.0,
+        "states_s": time.perf_counter() - start,
+        "min_physicality_defect": float(defects.min()),
+    }
+    return Trajectory(times=times, means=means, covs=covs,
+                      validity_horizon=model.validity_horizon, info=info)
 
 
 def entanglement_trajectory(
@@ -573,7 +645,10 @@ def entanglement_trajectory(
 ) -> tuple[Trajectory, np.ndarray]:
     """Trajectory plus the logarithmic negativity at every grid time."""
     traj = evolve(model, initial_system, times, override_horizon=override_horizon)
-    return traj, traj.entanglement()
+    start = time.perf_counter()
+    energies = traj.entanglement()
+    traj.info["entanglement_s"] = time.perf_counter() - start
+    return traj, energies
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 Every command takes --config/--out/--workers/--override-horizon.  Numeric CSV
 output uses 12 significant digits and canonical ordering, so identical config
 digests produce byte-identical artifacts regardless of worker count.  Exit
-codes: 0 success, 2 configuration error, 3 numerical/regime error,
-4 verification failure, 5 internal error (any other exception; its traceback
-goes to stderr).
+codes: 0 success, 2 configuration error, 3 numerical/regime error (for
+verify: a point that could not be evaluated or simulated), 4 verification
+failure (a predicted and a simulated phase disagree), 5 internal error (any
+other exception; its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -13,13 +14,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 import traceback
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .bathsim import SYMMETRIC, entanglement_trajectory, initial_state
+from .bathsim import SYMMETRIC, entanglement_trajectory, initial_state, release_shared_solver
 from .config import RunConfig, load_config
 from .errors import (
     ConfigError,
@@ -93,13 +95,16 @@ plt.savefig("{csv_name}".replace(".csv", ".png"), dpi=160)
 
 
 def cmd_evolve(config: RunConfig, out_dir: Path, workers: int, override: bool) -> int:
+    start = time.perf_counter()
     model = config.build_model()
+    build_s = time.perf_counter() - start
     state = initial_state(model, config.kind, r=config.r,
                           purity_product=config.purity_product)
     times = np.arange(0.0, config.t_max + config.dt_out / 2, config.dt_out)
     traj, energies = entanglement_trajectory(
         model, state, times, override_horizon=override or config.override_horizon
     )
+    start = time.perf_counter()
     covs = traj.covariances()
     rows = []
     for i, t in enumerate(traj.times):
@@ -120,6 +125,21 @@ def cmd_evolve(config: RunConfig, out_dir: Path, workers: int, override: bool) -
     (out_dir / "plot_trajectory.py").write_text(
         _plot_script("trajectory.csv", "t", ["EN"], "entanglement trajectory")
     )
+    info = traj.info
+    write_json(out_dir / "run_info.json", {  # wall times and diagnostics; not byte-stable
+        "config_digest": config.digest(),
+        "version": __version__,
+        "bath_modes": info["bath_modes"],
+        "samples": info["samples"],
+        "min_physicality_defect": info["min_physicality_defect"],
+        "horizon_margin": float(traj.times[-1]) / traj.validity_horizon,
+        "wall_time_s": {
+            "model": build_s + info["normal_modes_s"],
+            "states": info["states_s"],
+            "entanglement": info["entanglement_s"],
+            "write": time.perf_counter() - start,
+        },
+    })
     print(f"wrote {out_csv}")
     return EXIT_OK
 
@@ -254,13 +274,20 @@ plt.savefig("phase_diagram.png", dpi=160)
 
 
 def cmd_verify(config: RunConfig, out_dir: Path, workers: int, override: bool) -> int:
+    start = time.perf_counter()
     cache_dir = out_dir / ".cache"
-    report = verify_grid(config, workers=workers, cache_dir=cache_dir)
+    info = {"config_digest": config.digest(), "version": __version__}
+    report = verify_grid(config, workers=workers, cache_dir=cache_dir, info=info)
     write_json(out_dir / "verify_report.json", report)
+    n_error = sum("reason" in point for point in report["points"])
+    info["wall_time_s"] = time.perf_counter() - start
+    write_json(out_dir / "run_info.json", info)  # wall time and diagnostics; not byte-stable
     status = "PASS" if report["passed"] else "FAIL"
-    print(f"verification {status}: {report['n_fail']} failing point(s) "
-          f"of {len(report['points'])}")
-    return EXIT_OK if report["passed"] else EXIT_VERIFY
+    print(f"verification {status}: {report['n_fail']} failing and {n_error} errored "
+          f"point(s) of {len(report['points'])}")
+    if report["n_fail"]:
+        return EXIT_VERIFY
+    return EXIT_NUMERICS if n_error else EXIT_OK
 
 
 _COMMANDS = {
@@ -315,6 +342,8 @@ def main(argv=None) -> int:
         print("error: internal error", file=sys.stderr)
         traceback.print_exc()
         return EXIT_INTERNAL
+    finally:
+        release_shared_solver()  # a command shares normal modes only with itself
 
 
 if __name__ == "__main__":

@@ -6,7 +6,14 @@ class EntbathError(Exception):
 
 
 class ValidationError(EntbathError):
-    """Invalid input: shape/symmetry violations, unphysical states, bad parameters."""
+    """Invalid input: shape/symmetry violations, unphysical states, bad parameters.
+
+    The ``index`` attribute, when set, is the first failing entry of a stacked check.
+    """
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class NumericsError(EntbathError):

@@ -91,18 +91,7 @@ class GaussianState:
             raise ValidationError(f"mean must have 4 entries, got shape {np.shape(self.mean)}")
         if cov.shape != (4, 4):
             raise ValidationError(f"covariance must be 4x4, got shape {cov.shape}")
-        if not np.all(np.isfinite(cov)) or not np.all(np.isfinite(mean)):
-            raise ValidationError("non-finite entries in state")
-        asym = np.max(np.abs(cov - cov.T))
-        scale = max(1.0, float(np.max(np.abs(cov))))
-        if asym > SYMMETRY_TOL * scale:
-            raise ValidationError(f"covariance asymmetry {asym:.3e} exceeds tolerance")
-        cov = 0.5 * (cov + cov.T)
-        defect = physicality_defect(cov)
-        if defect < -PHYSICALITY_TOL * scale:
-            raise ValidationError(
-                f"unphysical covariance: min eig of V + iJ/2 is {defect:.3e}"
-            )
+        cov, _ = check_states(mean, cov)
         mean.setflags(write=False)
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
@@ -114,49 +103,97 @@ class GaussianState:
         return cls(np.zeros(4), cov)
 
 
-def physicality_defect(cov: np.ndarray) -> float:
-    """Smallest eigenvalue of V + (i/2)J; non-negative for physical states."""
+def check_states(mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The checks of :class:`GaussianState` over a stack of states.
+
+    ``mean`` is (..., 4) and ``cov`` (..., 4, 4); every entry must be finite,
+    each covariance symmetric within ``SYMMETRY_TOL`` and physical within
+    ``PHYSICALITY_TOL``, both relative to its scale max(1, max|V|).  Returns the
+    symmetrized covariances and each state's physicality defect over its scale.
+    The first failing state in row-major order raises ValidationError with
+    that state's flat index as ``index``.
+    """
+    finite = np.isfinite(cov).all(axis=(-2, -1)) & np.isfinite(mean).all(axis=-1)
+    scale = np.maximum(1.0, np.abs(np.where(finite[..., None, None], cov, 0.0)).max(axis=(-2, -1)))
+    asym = np.abs(cov - np.swapaxes(cov, -1, -2)).max(axis=(-2, -1))
+    cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
+    defect = physicality_defect(np.where(finite[..., None, None], cov, 0.0))
+    bad_asym = finite & (asym > SYMMETRY_TOL * scale)
+    bad_defect = finite & ~bad_asym & (defect < -PHYSICALITY_TOL * scale)
+    bad = (~finite | bad_asym | bad_defect).reshape(-1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if not finite.reshape(-1)[i]:
+            message = "non-finite entries in state"
+        elif bad_asym.reshape(-1)[i]:
+            message = f"covariance asymmetry {asym.reshape(-1)[i]:.3e} exceeds tolerance"
+        else:
+            message = f"unphysical covariance: min eig of V + iJ/2 is {np.reshape(defect, -1)[i]:.3e}"
+        raise ValidationError(message, index=i)
+    return cov, defect / scale
+
+
+def physicality_defect(cov: np.ndarray):
+    """Smallest eigenvalue of V + (i/2)J; non-negative for physical states.
+
+    ``cov`` is one 4x4 covariance (a float comes back) or a stack (..., 4, 4).
+    """
     h = np.asarray(cov, dtype=complex) + 0.5j * SYMPLECTIC_FORM
-    return float(np.linalg.eigvalsh(h).min())
+    defect = np.linalg.eigvalsh(h).min(axis=-1)
+    return float(defect) if defect.ndim == 0 else defect
 
 
-def symplectic_eigenvalues(cov: np.ndarray) -> tuple[float, float]:
+def _four_by_four(cov) -> np.ndarray:
+    cov = np.asarray(cov, dtype=float)
+    if cov.shape[-2:] != (4, 4):
+        raise ValidationError(f"covariance must be 4x4, got {cov.shape}")
+    return cov
+
+
+def symplectic_eigenvalues(cov: np.ndarray):
     """Symplectic spectrum of a 4x4 covariance matrix, ascending.
 
     The two values are the moduli of the eigenvalues of iJV, which come in
-    degenerate pairs; the pairs are averaged (they agree to roundoff).
+    degenerate pairs; the pairs are averaged (they agree to roundoff).  A stack
+    (..., 4, 4) gives two arrays of shape (...), one covariance two floats.
     """
-    cov = np.asarray(cov, dtype=float)
-    if cov.shape != (4, 4):
-        raise ValidationError(f"covariance must be 4x4, got {cov.shape}")
-    scale = max(1.0, float(np.max(np.abs(cov))))
-    if np.max(np.abs(cov - cov.T)) > SYMMETRY_TOL * scale:
+    cov = _four_by_four(cov)
+    scale = np.maximum(1.0, np.abs(cov).max(axis=(-2, -1)))
+    if np.any(np.abs(cov - np.swapaxes(cov, -1, -2)).max(axis=(-2, -1)) > SYMMETRY_TOL * scale):
         raise ValidationError("covariance matrix is not symmetric")
-    mods = np.sort(np.abs(np.linalg.eigvals(1j * SYMPLECTIC_FORM @ cov)))
-    nu_minus = 0.5 * (mods[0] + mods[1])
-    nu_plus = 0.5 * (mods[2] + mods[3])
-    if mods[1] - mods[0] > DEGENERACY_RTOL * max(1.0, mods[1]) or (
-        mods[3] - mods[2] > DEGENERACY_RTOL * max(1.0, mods[3])
+    mods = np.sort(np.abs(np.linalg.eigvals(1j * SYMPLECTIC_FORM @ cov)), axis=-1)
+    m0, m1, m2, m3 = np.moveaxis(mods, -1, 0)
+    nu_minus = 0.5 * (m0 + m1)
+    nu_plus = 0.5 * (m2 + m3)
+    if np.any(m1 - m0 > DEGENERACY_RTOL * np.maximum(1.0, m1)) or np.any(
+        m3 - m2 > DEGENERACY_RTOL * np.maximum(1.0, m3)
     ):
         # pairs should be exactly degenerate; large splitting signals bad input
         raise ValidationError("symplectic spectrum does not form degenerate pairs")
-    return float(nu_minus), float(nu_plus)
+    if cov.ndim == 2:
+        return float(nu_minus), float(nu_plus)
+    return nu_minus, nu_plus
 
 
 def partial_transpose(cov: np.ndarray) -> np.ndarray:
     """Covariance of the partial transpose on mode 2 (momentum sign flip)."""
-    cov = np.asarray(cov, dtype=float)
-    if cov.shape != (4, 4):
-        raise ValidationError(f"covariance must be 4x4, got {cov.shape}")
-    return _PT @ cov @ _PT
+    return _PT @ _four_by_four(cov) @ _PT
 
 
-def log_negativity(state: GaussianState) -> float:
-    """Logarithmic negativity E_N = max{0, -ln(2 nu_min)} of the partial transpose."""
-    nu_min, _ = symplectic_eigenvalues(partial_transpose(state.cov))
-    if nu_min <= 0.0:
+def log_negativity(state):
+    """Logarithmic negativity E_N = max{0, -ln(2 nu_min)} of the partial transpose.
+
+    ``state`` is a GaussianState (a float comes back) or a stack of validated
+    covariances (..., 4, 4) (an array of shape (...) comes back).
+    """
+    cov = state.cov if isinstance(state, GaussianState) else state
+    nu_min, _ = symplectic_eigenvalues(partial_transpose(cov))
+    nu = np.asarray(nu_min)
+    if np.any(nu <= 0.0):
         raise ValidationError("vanishing symplectic eigenvalue; state is not physical")
-    return max(0.0, -math.log(2.0 * nu_min))
+    # math.log, not np.log: the two differ in the last bit
+    energies = [max(0.0, -math.log(2.0 * v)) for v in nu.reshape(-1).tolist()]
+    return energies[0] if nu.ndim == 0 else np.array(energies).reshape(nu.shape)
 
 
 def beam_splitter(state: GaussianState) -> GaussianState:

@@ -345,72 +345,83 @@ _EXPECTED_CLASS = {
 }
 
 
-def verify_grid(config: RunConfig, workers: int = 1, cache_dir: Path | None = None) -> dict:
+def verify_grid(
+    config: RunConfig, workers: int = 1, cache_dir: Path | None = None, info: dict | None = None
+) -> dict:
     """Cross-check predicted phases against late-time exact simulations.
 
     Small grids only (<= 25 points).  Points whose inequality slack is within
-    the boundary margin are excluded rather than failed.
+    the boundary margin are excluded rather than failed.  Points that could
+    not be evaluated or simulated are errors, not failures, and carry a
+    ``reason``.  The points are simulated grouped by C12, so that the points of
+    one C12 share one normal-mode solve and one set of propagator rows; the
+    report keeps the canonical row order.  When ``info`` is given, the sweep's
+    info and the sizes and health of the simulations are recorded in it.
     """
     temps, squeezings, c12s, purities = sweep_axes(config)
     n_points = len(temps) * len(squeezings) * len(c12s) * len(purities)
     if n_points > 25:
         raise ValidationError(f"verification grid has {n_points} points; limit is 25")
-    rows, _ = run_phase_sweep(config, workers=workers, cache_dir=cache_dir)
+    rows, sweep_info = run_phase_sweep(config, workers=workers, cache_dir=cache_dir)
+    reasons = {(e["T"], e["C12"]): e["reason"] for e in sweep_info["errors"]}
 
     report_points = []
-    n_fail = 0
+    to_simulate = []
     for row in rows:
         entry = {k: row[k] for k in ("T", "r", "C12", "purity", "phase")}
+        report_points.append(entry)
         if row["phase"] == "ERROR":
-            entry["status"] = "error"
-            n_fail += 1
-            report_points.append(entry)
+            entry.update(status="error", reason=reasons[row["T"], row["C12"]])
             continue
         margin = min(abs(v) for v in phase_slacks(row["r"], row["r_crit"], row["s_crit"]))
         if margin < _BOUNDARY_MARGIN:
-            entry["status"] = "boundary - excluded"
-            entry["margin"] = margin
-            report_points.append(entry)
+            entry.update(status="boundary - excluded", margin=margin)
             continue
+        to_simulate.append((row, entry))
+
+    health = {"simulated_points": 0, "normal_mode_solves": 0, "bath_modes": {},
+              "min_physicality_defect": None}
+    for row, entry in sorted(to_simulate, key=lambda pair: c12s.index(pair[0]["C12"])):
+        health["simulated_points"] += 1
         try:
-            sim_class, deviation = _simulate_point(config, row)
+            sim_class, deviation, traj_info = _simulate_point(config, row)
         except EntbathError as exc:
-            entry["status"] = f"simulation error: {exc}"
-            n_fail += 1
-            report_points.append(entry)
+            entry.update(status=f"simulation error: {exc}", reason=f"{type(exc).__name__}: {exc}")
             continue
+        health["normal_mode_solves"] += traj_info["normal_mode_solves"]
+        health["bath_modes"][f"c12={row['C12']:g}"] = traj_info["bath_modes"]
+        defect = traj_info["min_physicality_defect"]
+        if health["min_physicality_defect"] is None or defect < health["min_physicality_defect"]:
+            health["min_physicality_defect"] = defect
         expected = _EXPECTED_CLASS[Phase(row["phase"])]
-        ok = sim_class == expected
-        entry.update(
-            {
-                "simulated": sim_class,
-                "envelope_deviation": deviation,
-                "status": "pass" if ok else "fail",
-            }
-        )
-        if not ok:
-            n_fail += 1
-        report_points.append(entry)
+        entry.update(simulated=sim_class, envelope_deviation=deviation,
+                     status="pass" if sim_class == expected else "fail")
+    if info is not None:
+        info.update(sweep=sweep_info, **health)
+    n_fail = sum(entry["status"] == "fail" for entry in report_points)
+    n_error = sum("reason" in entry for entry in report_points)
     return {
         "config_digest": config.digest(),
         "version": __version__,
         "points": report_points,
         "n_fail": n_fail,
-        "passed": n_fail == 0,
+        "passed": n_fail == 0 and n_error == 0,
     }
 
 
-def _simulate_point(config: RunConfig, row: dict) -> tuple[str, float]:
-    """Late-time simulated classification and envelope deviation at one point."""
+def _simulate_point(config: RunConfig, row: dict) -> tuple[str, float, dict]:
+    """Late-time simulated classification, envelope deviation and trajectory
+    info at one point.  The window depends on gamma0 and C12 only, so the
+    points of one C12 share their times and their bath."""
     gamma_scale = max(config.gamma0, 1e-3)
     t_eq = max(30.0, 4.0 / gamma_scale)
-    model = config.build_model(temperature=row["T"], c12=row["C12"])
-    period = math.pi / model.minus_mode.frequency
+    _, _, _, minus = _frequencies(config, row["C12"])
+    period = math.pi / minus.frequency
     t_end = t_eq + 3.0 * period
     # enlarge the bath if the configured mode count cannot host the window
     needed = int(math.ceil(1.05 * t_end * config.cutoff / math.pi))
-    if needed > config.modes:
-        model = config.build_model(temperature=row["T"], c12=row["C12"], modes=needed)
+    model = config.build_model(temperature=row["T"], c12=row["C12"],
+                               modes=max(needed, config.modes))
     state = initial_state(
         model, config.kind, r=row["r"], purity_product=row["purity"]
     )
@@ -420,7 +431,7 @@ def _simulate_point(config: RunConfig, row: dict) -> tuple[str, float]:
             f"{model.validity_horizon:.3g}; increase [bath] modes"
         )
     times = np.linspace(t_eq, t_end, 360)
-    _, energies = entanglement_trajectory(model, state, times)
+    traj, energies = entanglement_trajectory(model, state, times)
     lo_band, hi_band = envelope_band(row["e_mean"], row["e_amp"])
     deviation = max(abs(energies.max() - hi_band), abs(energies.min() - lo_band))
-    return _simulated_class(energies), float(deviation)
+    return _simulated_class(energies), float(deviation), traj.info

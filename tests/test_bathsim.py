@@ -1,9 +1,11 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from entbath import bathsim
 from entbath.bathsim import (
     FullModel,
     build_generator,
@@ -16,11 +18,14 @@ from entbath.bathsim import (
     initial_state,
     plus_variance_series,
 )
-from entbath.errors import HorizonError, ParameterRegimeError, ValidationError
+from entbath.config import load_config
+from entbath.errors import HorizonError, NumericsError, ParameterRegimeError, ValidationError
 from entbath.gaussian import (
     BEAM_SPLITTER,
+    SYMPLECTIC_FORM,
     ModeSpec,
     log_negativity,
+    physicality_defect,
     squeezed_cov,
     state_from_virtual_blocks,
     symplectic_form,
@@ -213,6 +218,61 @@ class TestTrajectoryProperties:
             evolve(model, state, np.array([0.0, 0.5, 0.4]))
         with pytest.raises(ValidationError):
             evolve(model, state, np.array([-1.0, 0.5]))
+
+
+class TestStackedStates:
+    """A trajectory is held, checked and measured as stacked arrays."""
+
+    @pytest.fixture(scope="class")
+    def fig3a(self):
+        config = load_config(Path(__file__).resolve().parent.parent / "configs" / "fig3a.cfg")
+        model = config.build_model()
+        state = initial_state(model, config.kind, r=config.r,
+                              purity_product=config.purity_product)
+        times = np.linspace(0.0, config.t_max, 401)
+        return model, state, times, evolve(model, state, times)
+
+    @staticmethod
+    def reference_log_negativity(cov):
+        """One state at a time: eigenvalues of iJ times the partial transpose."""
+        flip = np.diag([1.0, 1.0, 1.0, -1.0])
+        mods = np.sort(np.abs(np.linalg.eigvals(1j * SYMPLECTIC_FORM @ (flip @ cov @ flip))))
+        return max(0.0, -math.log(2.0 * (0.5 * (mods[0] + mods[1]))))
+
+    def test_stacked_entanglement_and_defect_equal_each_state_bitwise(self, fig3a):
+        traj = fig3a[3]
+        covs = traj.covariances()
+        reference = [self.reference_log_negativity(c) for c in covs]
+        assert np.array_equal(log_negativity(covs), reference)
+        assert np.array_equal(log_negativity(covs), [log_negativity(s) for s in traj.states])
+        assert np.array_equal(physicality_defect(covs), [physicality_defect(c) for c in covs])
+        assert np.array_equal(traj.entanglement(), log_negativity(covs))
+
+    def test_states_view_the_arrays(self, fig3a):
+        traj = fig3a[3]
+        assert len(traj.states) == traj.times.size
+        for i in (0, 137, 400):
+            assert np.array_equal(traj.states[i].cov, traj.covariances()[i])
+            assert np.array_equal(traj.states[i].mean, traj.means[i])
+        assert not traj.covariances().flags.writeable
+
+    def test_one_unphysical_sample_names_its_time(self, fig3a, monkeypatch):
+        model, state, times, _ = fig3a
+        rotation = bathsim._minus_rotation
+
+        def shrunk(model, chunk):  # halves the (-) flow at t = 34.25 only
+            out = rotation(model, chunk)
+            out[chunk == times[137]] *= 0.5
+            return out
+
+        monkeypatch.setattr(bathsim, "_minus_rotation", shrunk)
+        with pytest.raises(NumericsError, match=r"unphysical at t=34\.25 \(unphysical covariance"):
+            evolve(model, state, times)
+
+    def test_info_records_sizes_and_health(self, fig3a):
+        info = fig3a[3].info
+        assert info["bath_modes"] == 1000 and info["samples"] == 401
+        assert -1e-12 < info["min_physicality_defect"] <= 1e-9
 
 
 class TestModelConstruction:

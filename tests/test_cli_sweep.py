@@ -7,10 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entbath import __version__, sweep
+from entbath import __version__, bathsim, sweep
 from entbath.asymptotics import stationary_variances_position
 from entbath.cli import main
 from entbath.config import load_config
+from entbath.errors import NumericsError
 from entbath.spectra import OhmicSpectralDensity
 from entbath.sweep import phase_boundaries, run_phase_sweep, sweep_axes, verify_grid
 
@@ -95,6 +96,75 @@ class TestEvolveCommand:
         err = capsys.readouterr().err
         assert "Traceback (most recent call last)" in err
         assert "RuntimeError: injected failure" in err
+
+
+    def test_run_info_and_byte_identical_reruns(self, tmp_path):
+        cfg = write_cfg(tmp_path, BASE)
+        for name in ("a", "b"):
+            assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        info = json.loads((tmp_path / "a" / "run_info.json").read_text())
+        assert info["bath_modes"] == 300 and info["samples"] == 121
+        assert info["horizon_margin"] == pytest.approx(30.0 / (math.pi * 300 / 20.0))
+        assert -1e-12 < info["min_physicality_defect"] <= 1e-9
+        assert set(info["wall_time_s"]) == {"model", "states", "entanglement", "write"}
+        assert_same_artifacts(tmp_path / "a", tmp_path / "b")
+
+
+def assert_same_artifacts(a: Path, b: Path):
+    """Every file but run_info.json (wall times) is byte-identical across the two runs."""
+    names = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+    assert names == sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
+    for name in names:
+        if name.name != "run_info.json":
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+class TestSharedNormalModes:
+    """A command solves the (+)-sector normal modes once per C12 and shares
+    them with no other command."""
+
+    GRID = "\n[sweep]\ntemperatures = 0.5, 8.0\nsqueezings = 0.1, 2.5\n"
+
+    @pytest.fixture
+    def eigh_calls(self, monkeypatch):
+        bathsim.release_shared_solver()  # a library call in an earlier test may have left one
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        return calls
+
+    def verify(self, tmp_path, text, name="o"):
+        cfg = write_cfg(tmp_path, text, name=f"{name}.cfg")
+        code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / name)])
+        return code, json.loads((tmp_path / name / "run_info.json").read_text())
+
+    def test_one_solve_per_command(self, tmp_path, eigh_calls):
+        code, info = self.verify(tmp_path, BASE + self.GRID)
+        assert code == 0 and info["simulated_points"] >= 2
+        assert len(eigh_calls) == 1 == info["normal_mode_solves"]
+
+    def test_one_solve_per_c12(self, tmp_path, eigh_calls):
+        code, info = self.verify(tmp_path, BASE + self.GRID + "c12_values = 0.0, -0.3\n")
+        assert code == 0 and info["simulated_points"] >= 6
+        assert len(eigh_calls) == 2 == info["normal_mode_solves"]
+        assert set(info["bath_modes"]) == {"c12=0", "c12=-0.3"}
+
+    def test_nothing_is_shared_across_commands(self, tmp_path, eigh_calls):
+        self.verify(tmp_path, BASE + self.GRID, name="a")
+        assert len(eigh_calls) == 1
+        self.verify(tmp_path, BASE + self.GRID, name="b")
+        assert len(eigh_calls) == 2
+
+    def test_symmetric_grid_shares_its_solver(self, tmp_path, eigh_calls):
+        text = BASE.replace("coupling = position", "coupling = symmetric") + self.GRID
+        code, info = self.verify(tmp_path, text)
+        assert code == 0 and info["simulated_points"] >= 2
+        assert len(eigh_calls) == 1 == info["normal_mode_solves"]
 
 
 class TestCoeffsCommand:
@@ -498,6 +568,45 @@ squeezings = 1.67
         assert point["phase"] == "SDR"
         assert point["status"] == "pass"
         assert point["simulated"] == "intermittent"
+
+    def test_points_never_simulated_are_errors_not_failures(self, tmp_path, capsys):
+        # no weak-coupling bare frequency: every stationary point is a regime error
+        text = (BASE.replace("coupling = position", "coupling = symmetric")
+                .replace("c12 = 0.0", "c12 = 0.3").replace("gamma0 = 0.1", "gamma0 = 0.5")
+                .replace("cutoff = 20.0", "cutoff = 1.5").replace("modes = 300", "modes = 200")
+                + "\n[sweep]\ntemperatures = 0.5, 1.0, 2.0\nsqueezings = 0.5, 1.0, 1.5\n")
+        cfg = write_cfg(tmp_path, text)
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        report = json.loads((tmp_path / "o" / "verify_report.json").read_text())
+        assert report["n_fail"] == 0 and report["passed"] is False
+        assert len(report["points"]) == 9
+        for point in report["points"]:
+            assert point["status"] == "error"
+            assert point["reason"].startswith("ParameterRegimeError: ")
+        assert "0 failing and 9 errored" in capsys.readouterr().out
+
+    def test_simulation_error_carries_its_reason(self, tmp_path, monkeypatch):
+        def fail(config, row):
+            raise NumericsError("injected")
+
+        monkeypatch.setattr(sweep, "_simulate_point", fail)
+        cfg = write_cfg(tmp_path, BASE)
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        point, = json.loads((tmp_path / "o" / "verify_report.json").read_text())["points"]
+        assert point["status"] == "simulation error: injected"
+        assert point["reason"] == "NumericsError: injected"
+
+    def test_run_info_and_byte_identical_reruns(self, tmp_path):
+        cfg = write_cfg(tmp_path, BASE + "\n[sweep]\ntemperatures = 0.5, 8.0\n")
+        for name in ("a", "b"):
+            assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        info = json.loads((tmp_path / "a" / "run_info.json").read_text())
+        assert info["simulated_points"] == 2 and info["normal_mode_solves"] == 1
+        assert info["bath_modes"] == {"c12=0": 331}
+        assert -1e-12 < info["min_physicality_defect"] <= 1e-9
+        assert info["sweep"]["stationary"]["route"] == sweep._STATIONARY_ROUTE
+        assert info["sweep"]["n_points"] == 2 and info["wall_time_s"] > 0.0
+        assert_same_artifacts(tmp_path / "a", tmp_path / "b")
 
     def test_grid_size_limit(self, tmp_path):
         text = BASE + """
