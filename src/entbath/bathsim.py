@@ -4,13 +4,16 @@ The full model is Gaussian and time-independent, so the flow exp(A t) is
 evaluated in closed form from the normal modes of the quadratic Hamiltonian:
 for position coupling from the mass-weighted stiffness matrix, for symmetric
 (position-momentum) coupling from the single rotation matrix that generates
-both quadrature channels.  Only the rows of the propagator that land on the
-system are ever materialized, so the cost per output time is linear in the
-number of bath modes after one dense eigendecomposition.  Temperature enters
-only through the bath occupations and squeezing only through the initial
-state, so consecutive runs of one model physics share that eigendecomposition
-and the propagator rows of their last time grid, until
-``release_shared_solver`` (the CLI calls it when a command ends).
+both quadrature channels.  Both are arrowheads (a diagonal bath plus the row
+and column of x+), so the normal modes come from an O(N^2) secular solve
+(``spectra.arrowhead_eigh``), not a dense eigendecomposition.  Only the rows
+of the propagator that land on the system are ever materialized: a cosine and
+a sine row per output time, two (T, N) x (N, N) products; the momentum row
+follows from the sine row in O(N).  Temperature enters only through the bath
+occupations and squeezing only through the initial state, so consecutive runs
+of one model physics share the normal modes and the propagator rows of their
+last time grid, until ``release_shared_solver`` (the CLI calls it when a
+command ends).
 
 Internally the virtual ordering (x+, p+, x-, p-, q_1, pi_1, ...) is used: the
 bath couples to the (+) mode only and the (-) mode rotates freely.  States
@@ -42,8 +45,7 @@ from .gaussian import (
     state_from_virtual_blocks,
     symplectic_form,
 )
-from .rwa import _one_excitation_matrix
-from .spectra import DiscretizedBath, OhmicSpectralDensity, discretize
+from .spectra import DiscretizedBath, OhmicSpectralDensity, arrowhead_eigh, discretize
 
 POSITION = "position"
 SYMMETRIC = "symmetric"
@@ -318,135 +320,91 @@ def build_generator(model: FullModel, basis: str = "virtual") -> np.ndarray:
 
 
 class _PlusSector:
-    """Propagator blocks of a (+)-sector solver, kept for its last time grid.
+    """Normal modes of the (x+, bath) sector, and its propagator rows for the
+    last time grid.
+
+    Both couplings make the sector matrix an arrowhead (a diagonal bath plus
+    the row and column of x+), which ``arrowhead_eigh`` diagonalizes in
+    O(N^2).  Position coupling: the mass-weighted stiffness
+    K = [[w+^2, z], [z, w_k^2]], z_k = c_k / sqrt(m m_k), has the squared
+    normal frequencies as eigenvalues.  Symmetric coupling: in quadratures
+    scaled by sqrt(m_i w_i) the Hamiltonian is (X^T G X + P^T G P)/2 with the
+    one-excitation matrix G = [[w+, g], [g, w_k]], so the flow is the rotation
+    generated by G acting identically on both quadrature channels.
 
     T enters a model only through the bath occupations and r only through the
     initial state, so every point of a verify grid at one C12 shares one
-    normal-mode solve and, on one time grid, one set of propagator rows.
+    normal-mode solve and, on one time grid, one set of rows.
     """
 
     _times: np.ndarray | None = None
     _blocks: tuple | None = None
 
+    def __init__(self, model: FullModel):
+        bath = model.bath
+        self.position = model.coupling_type == POSITION
+        if self.position:
+            self.arrowhead = (model.omega_plus_bare**2,
+                              bath.position_couplings / np.sqrt(model.mass * bath.masses),
+                              bath.frequencies**2)
+            scales = np.concatenate(([model.mass], bath.masses))
+        else:
+            self.arrowhead = (model.omega_plus_bare, bath.ladder_couplings, bath.frequencies)
+            scales = np.concatenate(([model.mass * model.omega0], bath.masses * bath.frequencies))
+        self.scales = np.sqrt(scales)  # square roots of each coordinate's x-to-p scale
+        self.freqs, self.modes, self.health = arrowhead_eigh(*self.arrowhead)
+        if self.position:
+            w2 = self.freqs
+            if w2[0] < -1e-12 * max(1.0, float(np.abs(w2).max())):
+                raise ParameterRegimeError(
+                    "dressed (+) sector is unstable (negative normal frequency "
+                    f"{w2[0]:.3e}); the bath shift exceeds the bare stiffness"
+                )
+            self.freqs = np.sqrt(np.clip(w2, 0.0, None))
+
+    def _flow(self, phases, times, left, left_scale):
+        """Blocks (xx, xp, px, pp) of the propagator rows ``left`` (of the
+        modes) at the given phases: two products, the cosine and the sine rows."""
+        o, s = self.modes, self.scales
+        sine = np.sin(phases)
+        if self.position:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                sine = np.where(self.freqs > 0.0, sine / self.freqs, times)
+        crow = (np.cos(phases) * left) @ o.T
+        srow = (sine * left) @ o.T
+        mom = srow
+        if self.position:  # p = -K sin(wt)/w x0, as K commutes with the flow; O(T n)
+            a, z, d = self.arrowhead
+            mom = srow * np.concatenate(([a], d))
+            mom[..., 0] += srow[..., 1:] @ z
+            mom[..., 1:] += srow[..., :1] * z
+        sl = left_scale
+        return crow * (s / sl), srow / (s * sl), mom * -(s * sl), crow * (sl / s)
+
+    def rows(self, times: np.ndarray):
+        """Propagator rows of (x+, p+) over the sector inputs, shape (T, n+1) each."""
+        return self._flow(np.outer(times, self.freqs), times[:, None], self.modes[0], self.scales[0])
+
+    def full_blocks(self, t: float):
+        """Dense cos/sin blocks of the sector propagator at one time."""
+        return self._flow(self.freqs * t, t, self.modes, self.scales[:, None])
+
     def blocks(self, times: np.ndarray):
         """(+)-sector propagator blocks at ``times``: the 2x2 system block
-        (T, 2, 2) and the bath rows bq = (xx, px), bp = (xp, pp), each (T, 2, n).
+        (T, 2, 2), and the bath rows of (x+, p+) over the bath positions,
+        bq = (xx, px), and momenta, bp = (xp, pp), each a (T, n) view.
         The blocks of the last grid are kept; a new grid replaces them."""
         if self._times is not None and np.array_equal(self._times, times):
             return self._blocks
         self._times = self._blocks = None  # free the old rows before the new ones
         xx, xp, px, pp = self.rows(times)
-        a2 = np.empty((times.size, 2, 2))
-        a2[:, 0, 0] = xx[:, 0]
-        a2[:, 0, 1] = xp[:, 0]
-        a2[:, 1, 0] = px[:, 0]
-        a2[:, 1, 1] = pp[:, 0]
-        bq = np.stack([xx[:, 1:], px[:, 1:]], axis=1)
-        bp = np.stack([xp[:, 1:], pp[:, 1:]], axis=1)
-        for block in (a2, bq, bp):  # every later caller on this grid gets them too
+        a2 = np.stack([xx[:, 0], xp[:, 0], px[:, 0], pp[:, 0]], axis=1).reshape(-1, 2, 2)
+        for block in (a2, xx, xp, px, pp):  # every later caller on this grid gets them too
             block.setflags(write=False)
+        bq = (xx[:, 1:], px[:, 1:])
+        bp = (xp[:, 1:], pp[:, 1:])
         self._times, self._blocks = times.copy(), (a2, bq, bp)
         return self._blocks
-
-
-class _PlusSectorPosition(_PlusSector):
-    """Normal modes of the (x+, bath) sector for position coupling."""
-
-    def __init__(self, model: FullModel):
-        bath = model.bath
-        n = bath.n_modes
-        k = np.zeros((n + 1, n + 1))
-        k[0, 0] = model.mass * model.omega_plus_bare**2
-        k[0, 1:] = bath.position_couplings
-        k[1:, 0] = bath.position_couplings
-        idx = np.arange(1, n + 1)
-        k[idx, idx] = bath.masses * bath.frequencies**2
-        mu = np.concatenate(([model.mass], bath.masses))
-        smu = np.sqrt(mu)
-        w2, modes = np.linalg.eigh(k / smu[:, None] / smu[None, :])
-        scale = max(1.0, float(np.abs(w2).max()))
-        if w2.min() < -1e-12 * scale:
-            raise ParameterRegimeError(
-                "dressed (+) sector is unstable (negative normal frequency "
-                f"{w2.min():.3e}); the bath shift exceeds the bare stiffness"
-            )
-        self.freqs = np.sqrt(np.clip(w2, 0.0, None))
-        self.modes = modes
-        self.smu = smu
-
-    def rows(self, times: np.ndarray):
-        """Propagator rows of (x+, p+) over the sector inputs, shape (T, n+1) each."""
-        o = self.modes
-        o0 = o[0]
-        ph = np.outer(times, self.freqs)
-        c = np.cos(ph)
-        s = np.sin(ph)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s_over = np.where(self.freqs > 0.0, s / self.freqs, times[:, None])
-        smu = self.smu
-        crow = (c * o0) @ o.T
-        xx = crow * (smu / smu[0])
-        xp = ((s_over * o0) @ o.T) / (smu * smu[0])
-        px = -(((s * self.freqs) * o0) @ o.T) * (smu * smu[0])
-        pp = crow * (smu[0] / smu)
-        return xx, xp, px, pp
-
-    def full_blocks(self, t: float):
-        """Dense cos/sin blocks of the sector propagator at one time."""
-        o = self.modes
-        c = (o * np.cos(self.freqs * t)) @ o.T
-        s = (o * np.sin(self.freqs * t)) @ o.T
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sov = (o * np.where(self.freqs > 0.0, np.sin(self.freqs * t) / self.freqs, t)) @ o.T
-        sf = (o * (self.freqs * np.sin(self.freqs * t))) @ o.T
-        smu = self.smu
-        xx = c / smu[:, None] * smu[None, :]
-        xp = sov / smu[:, None] / smu[None, :]
-        px = -sf * smu[:, None] * smu[None, :]
-        pp = c * smu[:, None] / smu[None, :]
-        return xx, xp, px, pp
-
-
-class _PlusSectorLadder(_PlusSector):
-    """Rotation generator of the (x+, bath) sector for symmetric coupling.
-
-    In quadratures scaled by sqrt(m_i w_i) the Hamiltonian is
-    (X^T G X + P^T G P)/2 with one symmetric matrix G, so the flow is the
-    rotation generated by G acting identically on both quadrature channels.
-    """
-
-    def __init__(self, model: FullModel):
-        bath = model.bath
-        lam, modes = np.linalg.eigh(_one_excitation_matrix(bath, model.omega_plus_bare))
-        self.lam = lam
-        self.modes = modes
-        self.scales = np.sqrt(
-            np.concatenate(([model.mass * model.omega0], bath.masses * bath.frequencies))
-        )
-
-    def rows(self, times: np.ndarray):
-        o = self.modes
-        o0 = o[0]
-        ph = np.outer(times, self.lam)
-        crow = (np.cos(ph) * o0) @ o.T
-        srow = (np.sin(ph) * o0) @ o.T
-        s = self.scales
-        xx = crow * (s / s[0])
-        xp = srow / (s * s[0])
-        px = -srow * (s * s[0])
-        pp = crow * (s[0] / s)
-        return xx, xp, px, pp
-
-    def full_blocks(self, t: float):
-        o = self.modes
-        c = (o * np.cos(self.lam * t)) @ o.T
-        s_ = (o * np.sin(self.lam * t)) @ o.T
-        s = self.scales
-        xx = c / s[:, None] * s[None, :]
-        xp = s_ / s[:, None] / s[None, :]
-        px = -s_ * s[:, None] * s[None, :]
-        pp = c * s[:, None] / s[None, :]
-        return xx, xp, px, pp
 
 
 def _physics_key(model: FullModel) -> tuple:
@@ -471,7 +429,7 @@ def _plus_solver(model: FullModel) -> tuple[_PlusSector, float | None]:
         return _shared[1], None
     _shared = None  # free the old normal modes before the new solve
     start = time.perf_counter()
-    solver = (_PlusSectorPosition if model.coupling_type == POSITION else _PlusSectorLadder)(model)
+    solver = _PlusSector(model)
     _shared = (key, solver)
     return solver, time.perf_counter() - start
 
@@ -607,8 +565,10 @@ def evolve(
         r2 = _minus_rotation(model, chunk)
         vv = virtual_cov[lo : lo + chunk.size]
         vv[:, :2, :2] = np.einsum("tik,kl,tjl->tij", a2, v_pp, a2)
-        vv[:, :2, :2] += np.einsum("tik,k,tjk->tij", bq, var_q, bq)
-        vv[:, :2, :2] += np.einsum("tik,k,tjk->tij", bp, var_p, bp)
+        for i, j in ((0, 0), (0, 1), (1, 1)):  # the thermal bath: weighted row sums
+            vv[:, i, j] += np.einsum("tk,k,tk->t", bq[i], var_q, bq[j])
+            vv[:, i, j] += np.einsum("tk,k,tk->t", bp[i], var_p, bp[j])
+        vv[:, 1, 0] = vv[:, 0, 1]
         vv[:, :2, 2:] = np.einsum("tik,kl,tjl->tij", a2, v_pm, r2)
         vv[:, 2:, :2] = np.swapaxes(vv[:, :2, 2:], 1, 2)
         vv[:, 2:, 2:] = np.einsum("tik,kl,tjl->tij", r2, v_mm, r2)
@@ -630,6 +590,7 @@ def evolve(
         "samples": times.size,
         "normal_mode_solves": int(solve_s is not None),
         "normal_modes_s": solve_s or 0.0,
+        **solver.health,
         "states_s": time.perf_counter() - start,
         "min_physicality_defect": float(defects.min()),
     }

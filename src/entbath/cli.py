@@ -53,10 +53,15 @@ def _format_value(value) -> str:
 
 
 def write_csv(path: Path, columns, rows, header_comments=(), footer_comments=()):
+    """Write ``rows``, either a (rows, columns) float array or dicts keyed by
+    column whose values may mix strings, ints and floats."""
     lines = [f"# {c}" for c in header_comments]
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_format_value(row[c]) for c in columns))
+    if isinstance(rows, np.ndarray):
+        template = ",".join([_FMT] * len(columns))
+        lines.extend(template % tuple(row) for row in (rows + 0.0).tolist())
+    else:
+        lines.extend(",".join(_format_value(row[c]) for c in columns) for row in rows)
     lines.extend(f"# {c}" for c in footer_comments)
     path.write_text("\n".join(lines) + "\n")
 
@@ -105,18 +110,13 @@ def cmd_evolve(config: RunConfig, out_dir: Path, workers: int, override: bool) -
         model, state, times, override_horizon=override or config.override_horizon
     )
     start = time.perf_counter()
-    covs = traj.covariances()
-    rows = []
-    for i, t in enumerate(traj.times):
-        row = {"t": t, "EN": energies[i]}
-        for name, (a, b) in zip(_COV_COLUMNS, _COV_INDEX):
-            row[name] = covs[i, a, b]
-        rows.append(row)
+    rows, cols = np.array(_COV_INDEX).T
+    table = np.column_stack((traj.times, traj.covariances()[:, rows, cols], energies))
     out_csv = out_dir / "trajectory.csv"
     write_csv(
         out_csv,
         ("t", *_COV_COLUMNS, "EN"),
-        rows,
+        table,
         header_comments=(
             f"entbath {__version__} trajectory",
             f"config_digest {config.digest()}",
@@ -132,6 +132,8 @@ def cmd_evolve(config: RunConfig, out_dir: Path, workers: int, override: bool) -
         "bath_modes": info["bath_modes"],
         "samples": info["samples"],
         "min_physicality_defect": info["min_physicality_defect"],
+        "secular_iterations": info["secular_iterations"],
+        "secular_z_drift": info["secular_z_drift"],
         "horizon_margin": float(traj.times[-1]) / traj.validity_horizon,
         "wall_time_s": {
             "model": build_s + info["normal_modes_s"],
@@ -152,35 +154,28 @@ def cmd_coeffs(config: RunConfig, out_dir: Path, workers: int, override: bool) -
             "master equation are out of scope (only their stationary "
             "combinations enter, via the phase-diagram quadratures)"
         )
+    marks = [time.perf_counter()]  # ends of the stages model, amplitude, coefficients, write
     model = config.build_model()
+    marks.append(time.perf_counter())
     dt = min(config.dt, 0.05 / config.cutoff * (1 - 1e-12))
     times = np.arange(0.0, config.t_max + dt / 2, dt)
     sol = solve_amplitude(model.bath, model.omega_plus_bare, times)
+    marks.append(time.perf_counter())
     trace = extract_coefficients(sol)
     stop = trace.valid_until_index
+    marks.append(time.perf_counter())
     columns = ["t", "gamma", "delta_omega2", "diffusion"]
-    rows = []
-    for i in range(stop):
-        row = {
-            "t": trace.times[i],
-            "gamma": trace.gamma[i],
-            "delta_omega2": trace.delta_omega2[i],
-            "diffusion": trace.diffusion[i],
-        }
-        if config.temperature == 0.0:
-            row["zero_T_residual"] = abs(trace.diffusion[i] - trace.gamma[i])
-        rows.append(row)
-    if config.temperature == 0.0:
-        columns.append("zero_T_residual")
+    table = [trace.times, trace.gamma, trace.delta_omega2, trace.diffusion]
     footer = [f"valid_until {trace.t_valid:.6g} (amplitude floor {trace.amplitude_floor:.3e})"]
     if config.temperature == 0.0:
-        residual = float(np.abs(trace.diffusion[:stop] - trace.gamma[:stop]).max())
-        footer.append(f"max_zero_T_residual {residual:.6e}")
+        columns.append("zero_T_residual")
+        table.append(np.abs(trace.diffusion - trace.gamma))
+        footer.append(f"max_zero_T_residual {float(table[-1][:stop].max()):.6e}")
     out_csv = out_dir / "coefficients.csv"
     write_csv(
         out_csv,
         columns,
-        rows,
+        np.column_stack(table)[:stop],
         header_comments=(
             f"entbath {__version__} master-equation coefficients",
             f"config_digest {config.digest()}",
@@ -191,6 +186,18 @@ def cmd_coeffs(config: RunConfig, out_dir: Path, workers: int, override: bool) -
     (out_dir / "plot_coefficients.py").write_text(
         _plot_script("coefficients.csv", "t", ["gamma", "diffusion"], "exact coefficients")
     )
+    marks.append(time.perf_counter())
+    write_json(out_dir / "run_info.json", {  # wall times and diagnostics; not byte-stable
+        "config_digest": config.digest(),
+        "version": __version__,
+        "bath_modes": model.bath.n_modes,
+        "samples": int(times.size),
+        "t_valid": trace.t_valid,
+        "amplitude_floor": trace.amplitude_floor,
+        **sol.solve_health,
+        "wall_time_s": dict(zip(("model", "amplitude", "coefficients", "write"),
+                                np.diff(marks).tolist())),
+    })
     print(f"wrote {out_csv}")
     return EXIT_OK
 
@@ -202,23 +209,15 @@ def _write_kernel_csv(config: RunConfig, model, out_dir: Path, n_samples: int = 
     t_end = min(config.t_max, model.bath.recurrence_time / 10.0)
     times = np.linspace(0.0, t_end, n_samples)
     scale = 2.0 / model.bath.ladder_scale  # ladder kernel is (2/m omega) * eta
-    rows = []
-    for t in times:
+    table = np.empty((n_samples, 5))
+    for i, t in enumerate(times):
         cont = scale * eta_kernel(config.density(), float(t))
         disc = eta_kernel_discrete(model.bath, float(t))
-        rows.append(
-            {
-                "t": t,
-                "re_eta": cont.real,
-                "im_eta": cont.imag,
-                "re_eta_discrete": disc.real,
-                "im_eta_discrete": disc.imag,
-            }
-        )
+        table[i] = t, cont.real, cont.imag, disc.real, disc.imag
     write_csv(
         out_dir / "kernel.csv",
         ("t", "re_eta", "im_eta", "re_eta_discrete", "im_eta_discrete"),
-        rows,
+        table,
         header_comments=("memory kernel of the ladder convention, continuum vs discrete",),
     )
 

@@ -4,7 +4,8 @@ The system amplitude a(t) = u(t) a(0) + sum_n p_n(t) b_n(0) solves a Volterra
 equation whose memory kernel is the discrete-mode sum over the bath.  Because
 the kernel is a finite sum of exponentials, the equation is equivalent to the
 (N+1)-dimensional linear system generated by the real symmetric one-excitation
-matrix, and is propagated exactly through its eigendecomposition; a direct
+matrix, an arrowhead, and is propagated exactly through its eigendecomposition
+(an O(N^2) secular solve, ``spectra.arrowhead_eigh``); a direct
 trapezoidal time-stepping solver with the stored kernel is kept as an
 independent spot-check.
 
@@ -22,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NumericsError, ValidationError
-from .spectra import DiscretizedBath
+from .spectra import DiscretizedBath, arrowhead_eigh
 
 _MAX_GRID_PRODUCT = 0.05  # required cutoff * dt
 _FLOOR_FACTOR = 3.0
@@ -65,6 +66,7 @@ class AmplitudeSolution:
     _eigvals: np.ndarray = field(repr=False)
     _eigvecs: np.ndarray = field(repr=False)
     mode_norm: np.ndarray = field(repr=False)
+    solve_health: dict = field(default_factory=dict)
 
     def unitarity_defect(self) -> np.ndarray:
         """|u|^2 + sum_n |p_n|^2 - 1 on the grid (zero for exact evolution)."""
@@ -91,22 +93,10 @@ class AmplitudeSolution:
         return float(np.max(np.abs(d + q_dot_p)))
 
 
-def _one_excitation_matrix(bath: DiscretizedBath, omega: float) -> np.ndarray:
-    n = bath.n_modes
-    m = np.zeros((n + 1, n + 1))
-    m[0, 0] = omega
-    g = bath.ladder_couplings
-    m[0, 1:] = g
-    m[1:, 0] = g
-    idx = np.arange(1, n + 1)
-    m[idx, idx] = bath.frequencies
-    return m
-
-
 def solve_amplitude(bath: DiscretizedBath, omega: float, times) -> AmplitudeSolution:
     """Exact amplitude solution on the grid via the one-excitation eigenbasis."""
     times = _validate_grid(bath, times)
-    lam, vecs = np.linalg.eigh(_one_excitation_matrix(bath, omega))
+    lam, vecs, health = arrowhead_eigh(omega, bath.ladder_couplings, bath.frequencies)
     w0 = vecs[0] ** 2
     u = np.empty(times.size, dtype=complex)
     norm = np.empty(times.size)
@@ -125,6 +115,7 @@ def solve_amplitude(bath: DiscretizedBath, omega: float, times) -> AmplitudeSolu
         _eigvals=lam,
         _eigvecs=vecs,
         mode_norm=norm,
+        solve_health=health,
     )
 
 

@@ -5,7 +5,8 @@ N discrete modes on a midpoint grid.  Each mode carries the local spectral
 weight both in the position-coupling convention (couplings c_k, defined through
 J(w) = sum_k c_k^2 delta(w - w_k) / (2 m_k w_k)) and, when a ladder scale
 m*omega is supplied, in the ladder convention (couplings g_k, defined through
-J_ladder(w) = sum_k g_k^2 delta(w - w_k) = 2 J(w)/(m omega)).
+J_ladder(w) = sum_k g_k^2 delta(w - w_k) = 2 J(w)/(m omega)).  A bath coupled
+to one coordinate makes an arrowhead matrix, which ``arrowhead_eigh`` solves.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericsError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -193,3 +194,135 @@ def eta_kernel_discrete(bath: DiscretizedBath, s: float) -> complex:
     """Discrete-sum kernel sum_k g_k^2 exp(-i w_k s) of the ladder convention."""
     g2 = bath.ladder_couplings**2
     return complex(np.sum(g2 * np.exp(-1j * bath.frequencies * s)))
+
+
+def arrowhead_eigh(a: float, z, d) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Eigenpairs of the symmetric arrowhead [[a, z^T], [z, diag(d)]] in O(N^2).
+
+    Returns the eigenvalues (ascending), the orthonormal eigenvectors (columns;
+    row 0 is the border coordinate) and the largest iteration count of any root
+    and max |z_hat - z| / |z|.  Raises NumericsError unless d strictly increases.
+
+    The eigenvalues are the roots of f(l) = l - a + sum_k z_k^2 / (d_k - l): one
+    between each two neighbouring poles d_k, one beyond each end within the
+    Weyl bounds.  Each is solved relative to its nearer pole, so that l - d_k
+    keeps full relative accuracy, by a rational model safeguarded by bisection:
+    two poles inside ("middle way", Li 1993; LAPACK dlaed4), one pole plus the
+    linear term at the edges.  The eigenvectors [1, z_hat_k / (l - d_k)] use
+    the z_hat for which the computed roots are exact, so they are orthogonal to
+    working precision (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 172
+    (1995)).  A coupling below eps * |A| deflates: (d_k, e_k) is an eigenpair.
+    """
+    z = np.asarray(z, dtype=float)
+    d = np.asarray(d, dtype=float)
+    n = d.size
+    if np.any(np.diff(d) <= 0.0):
+        raise NumericsError("arrowhead diagonal must be strictly increasing")
+    if n == 0:
+        return np.array([float(a)]), np.ones((1, 1)), {"secular_iterations": 0, "secular_z_drift": 0.0}
+    norm = max(abs(a), abs(d[0]), abs(d[-1])) + math.sqrt(z @ z)
+    keep = np.abs(z) > np.finfo(float).eps * norm
+    if not keep.all():
+        lam, sub, health = arrowhead_eigh(a, z[keep], d[keep])
+        gone = np.flatnonzero(~keep)
+        vecs = np.zeros((n + 1, n + 1))
+        vecs[np.r_[0, 1 + np.flatnonzero(keep)], : lam.size] = sub
+        vecs[1 + gone, lam.size + np.arange(gone.size)] = 1.0
+        lam = np.concatenate((lam, d[gone]))
+        order = np.argsort(lam, kind="stable")
+        return lam[order], vecs[:, order], health
+    tau, org, iters = _secular_roots(a, z * z, d)
+    diff = np.subtract(d[org][:, None], d)  # lambda_i - d_k, accurate through the shift
+    diff += tau[:, None]
+    # Loewner: z_hat_k^2 = -prod_i (lambda_i - d_k) / prod_{j != k} (d_j - d_k),
+    # taken as a product of interlacing ratios (lambda_j - d_k) / (d_j - d_k)
+    ratio = np.empty((n + 1, n))
+    np.subtract(d[:, None], d, out=ratio[:n])
+    ratio[n] = 1.0
+    np.fill_diagonal(ratio, 1.0)
+    np.divide(diff, ratio, out=ratio)
+    zhat = np.copysign(np.sqrt(np.maximum(-ratio.prod(axis=0), 0.0)), z)
+    del ratio
+    vecs = np.empty((n + 1, n + 1))  # eigenvectors as rows
+    np.divide(zhat, diff, out=vecs[:, 1:])
+    del diff
+    vecs[:, 0] = 1.0
+    vecs /= np.sqrt(np.einsum("ij,ij->i", vecs, vecs))[:, None]
+    drift = float(np.abs(zhat / z - 1.0).max())
+    return d[org] + tau, vecs.T, {"secular_iterations": iters, "secular_z_drift": drift}
+
+
+def _secular_roots(a: float, z2: np.ndarray, d: np.ndarray):
+    """Roots lambda_i = d[org_i] + tau_i of l - a + sum z2 / (d - l), and the
+    largest iteration count."""
+    n = d.size
+    eps = np.finfo(float).eps
+    nz = math.sqrt(z2.sum())
+    org = np.minimum(np.arange(n + 1), n - 1)  # origin pole of each root
+    lo, hi = np.zeros(n + 1), np.zeros(n + 1)  # brackets, shifted to the origin
+    lo[0], hi[n] = min(a, d[0]) - nz - d[0], max(a, d[-1]) + nz - d[-1]
+    if n > 1:  # an interior root takes the pole on its side of f(mid) = 0
+        mid = 0.5 * (d[:-1] + d[1:])
+        buf = d - mid[:, None]
+        np.divide(z2, buf, out=buf)
+        left = mid - a + buf.sum(axis=1) >= 0.0
+        del buf
+        org[1:n] -= left
+        to_mid = mid - d[org[1:n]]
+        lo[1:n] = np.where(left, 0.0, to_mid)
+        hi[1:n] = np.where(left, to_mid, 0.0)
+    tau = np.where(lo == 0.0, hi, lo)  # the bracket end where f's sign is known
+    # flat buffers with one spare zero, so that reduceat sums an empty
+    # right-hand group at the end of the last row to 0
+    flat_t, flat_u = np.empty((n + 1) * n + 1), np.empty((n + 1) * n + 1)
+    active = np.arange(n + 1)  # root i lies between poles i - 1 and i
+    iters = 0
+    while active.size:
+        iters += 1
+        if iters > 100:  # bisection alone would be done in about 60
+            raise NumericsError(f"secular equation: {active.size} root(s) unconverged")
+        r, k = active.size, active
+        do, ta = d[org[k]], tau[k]
+        u = flat_u[: r * n].reshape(r, n)
+        t = flat_t[: r * n].reshape(r, n)
+        np.subtract(d, do[:, None], out=u)
+        u -= ta[:, None]  # d_j - lambda
+        np.divide(z2, u, out=t)
+        np.divide(t, u, out=u)
+        flat_t[r * n] = flat_u[r * n] = 0.0
+        starts = np.arange(r) * n
+        groups = np.column_stack((starts, starts + k)).ravel()
+        # poles left and right of the root: psi, phi and their derivatives
+        # (reduceat gives the first element for the empty left group of root 0)
+        psi, phi = np.add.reduceat(flat_t[: r * n + 1], groups).reshape(r, 2).T
+        dpsi, dphi = np.add.reduceat(flat_u[: r * n + 1], groups).reshape(r, 2).T
+        psi, dpsi = np.where(k == 0, 0.0, psi), np.where(k == 0, 0.0, dpsi)
+        f = (do - a) + ta + psi + phi
+        tol = eps * (8.0 * (phi - psi + np.abs(do - a) + np.abs(ta))
+                     + np.abs(ta) * (1.0 + dpsi + dphi))
+        lo_a = np.where(f < 0.0, ta, lo[active])
+        hi_a = np.where(f > 0.0, ta, hi[active])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inner = (k > 0) & (k < n)
+            dl = (d[np.maximum(k - 1, 0)] - do) - ta  # nearest poles minus lambda
+            dr = (d[np.minimum(k, n - 1)] - do) - ta
+            sl, sr = dl * dl * dpsi, dr * dr * (dphi + inner)
+            c = f - sl / dl - sr / dr
+            # model c + sl/(dl - eta) + sr/(dr - eta) = 0 inside; at the edges, where
+            # sl or sr is 0, f + s (1/(de - eta) - 1/de) + eta = 0: qa eta^2 - qb eta + qc
+            de = np.where(k == 0, dr, dl)
+            qa = np.where(inner, c, 1.0)
+            qb = np.where(inner, c * (dl + dr) + sl + sr, de - f + (sl + sr) / de)
+            qc = np.where(inner, dl * dr * f, -f * de)
+            root = np.sqrt(np.maximum(qb * qb - 4.0 * qa * qc, 0.0))
+            eta1 = 2.0 * qc / (qb + np.copysign(root, qb))
+            eta2 = qc / (qa * eta1)
+        t1, t2 = ta + eta1, ta + eta2  # the model root in the bracket, else bisect
+        new = np.where((lo_a < t1) & (t1 < hi_a), t1,
+                       np.where((lo_a < t2) & (t2 < hi_a), t2, 0.5 * (lo_a + hi_a)))
+        done = (np.abs(f) <= tol) | (hi_a - lo_a <= 4.0 * eps * np.maximum(-lo_a, hi_a))
+        new = np.where(done, ta, new)
+        done |= np.abs(new - ta) <= 2.0 * eps * np.abs(ta)
+        tau[active], lo[active], hi[active] = new, lo_a, hi_a
+        active = active[~done]
+    return tau, org, iters

@@ -380,7 +380,7 @@ def verify_grid(
         to_simulate.append((row, entry))
 
     health = {"simulated_points": 0, "normal_mode_solves": 0, "bath_modes": {},
-              "min_physicality_defect": None}
+              "min_physicality_defect": None, "secular_iterations": 0, "secular_z_drift": 0.0}
     for row, entry in sorted(to_simulate, key=lambda pair: c12s.index(pair[0]["C12"])):
         health["simulated_points"] += 1
         try:
@@ -390,6 +390,8 @@ def verify_grid(
             continue
         health["normal_mode_solves"] += traj_info["normal_mode_solves"]
         health["bath_modes"][f"c12={row['C12']:g}"] = traj_info["bath_modes"]
+        for key in ("secular_iterations", "secular_z_drift"):  # worst solve of the grid
+            health[key] = max(health[key], traj_info[key])
         defect = traj_info["min_physicality_defect"]
         if health["min_physicality_defect"] is None or defect < health["min_physicality_defect"]:
             health["min_physicality_defect"] = defect

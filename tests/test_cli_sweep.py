@@ -126,16 +126,16 @@ class TestSharedNormalModes:
     GRID = "\n[sweep]\ntemperatures = 0.5, 8.0\nsqueezings = 0.1, 2.5\n"
 
     @pytest.fixture
-    def eigh_calls(self, monkeypatch):
+    def solves(self, monkeypatch):
         bathsim.release_shared_solver()  # a library call in an earlier test may have left one
         calls = []
-        eigh = np.linalg.eigh
+        solve = bathsim.arrowhead_eigh
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return eigh(*args, **kwargs)
+            return solve(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh", counted)
+        monkeypatch.setattr(bathsim, "arrowhead_eigh", counted)
         return calls
 
     def verify(self, tmp_path, text, name="o"):
@@ -143,28 +143,42 @@ class TestSharedNormalModes:
         code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / name)])
         return code, json.loads((tmp_path / name / "run_info.json").read_text())
 
-    def test_one_solve_per_command(self, tmp_path, eigh_calls):
+    def test_one_solve_per_command(self, tmp_path, solves):
         code, info = self.verify(tmp_path, BASE + self.GRID)
         assert code == 0 and info["simulated_points"] >= 2
-        assert len(eigh_calls) == 1 == info["normal_mode_solves"]
+        assert len(solves) == 1 == info["normal_mode_solves"]
+        assert 0 < info["secular_iterations"] <= 30 and info["secular_z_drift"] < 1e-12
 
-    def test_one_solve_per_c12(self, tmp_path, eigh_calls):
+    def test_one_solve_per_c12(self, tmp_path, solves):
         code, info = self.verify(tmp_path, BASE + self.GRID + "c12_values = 0.0, -0.3\n")
         assert code == 0 and info["simulated_points"] >= 6
-        assert len(eigh_calls) == 2 == info["normal_mode_solves"]
+        assert len(solves) == 2 == info["normal_mode_solves"]
         assert set(info["bath_modes"]) == {"c12=0", "c12=-0.3"}
 
-    def test_nothing_is_shared_across_commands(self, tmp_path, eigh_calls):
+    def test_nothing_is_shared_across_commands(self, tmp_path, solves):
         self.verify(tmp_path, BASE + self.GRID, name="a")
-        assert len(eigh_calls) == 1
+        assert len(solves) == 1
         self.verify(tmp_path, BASE + self.GRID, name="b")
-        assert len(eigh_calls) == 2
+        assert len(solves) == 2
 
-    def test_symmetric_grid_shares_its_solver(self, tmp_path, eigh_calls):
+    def test_symmetric_grid_shares_its_solver(self, tmp_path, solves):
         text = BASE.replace("coupling = position", "coupling = symmetric") + self.GRID
         code, info = self.verify(tmp_path, text)
         assert code == 0 and info["simulated_points"] >= 2
-        assert len(eigh_calls) == 1 == info["normal_mode_solves"]
+        assert len(solves) == 1 == info["normal_mode_solves"]
+
+    @pytest.mark.parametrize("command, text", [
+        ("evolve", BASE),
+        ("verify", BASE + GRID),
+        ("coeffs", BASE.replace("coupling = position", "coupling = symmetric")),
+    ])
+    def test_no_dense_eigendecomposition(self, tmp_path, monkeypatch, command, text):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        cfg = write_cfg(tmp_path, text)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
 
 class TestCoeffsCommand:
@@ -181,6 +195,11 @@ class TestCoeffsCommand:
         assert footer and float(footer[0].split()[-1]) < 1e-6
         rows = read_csv(tmp_path / "o" / "coefficients.csv")
         assert set(rows[0]) == {"t", "gamma", "delta_omega2", "diffusion", "zero_T_residual"}
+        info = json.loads((tmp_path / "o" / "run_info.json").read_text())
+        assert info["bath_modes"] == 400 and info["samples"] >= len(rows)
+        assert info["t_valid"] == pytest.approx(float(rows[-1]["t"]), rel=1e-10)
+        assert info["amplitude_floor"] >= 0.0 and info["secular_z_drift"] < 1e-12
+        assert set(info["wall_time_s"]) == {"model", "amplitude", "coefficients", "write"}
 
     def test_free_bath_gives_zero_coefficients(self, tmp_path):
         cfg = write_cfg(tmp_path, self.SYM.replace("gamma0 = 0.1", "gamma0 = 0.0"))

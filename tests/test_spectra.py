@@ -1,13 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from entbath.errors import ValidationError
+from entbath.asymptotics import ladder_bound_state
+from entbath.bathsim import FullModel, evolve, initial_state
+from entbath.errors import NumericsError, ParameterRegimeError, ValidationError
 from entbath.spectra import (
     DiscretizedBath,
     OhmicSpectralDensity,
+    arrowhead_eigh,
     discretize,
     eta_kernel,
     eta_kernel_discrete,
@@ -160,3 +164,104 @@ class TestEtaKernel:
     def test_rejects_negative_time(self):
         with pytest.raises(ValidationError):
             eta_kernel(DENSITY, -0.1)
+
+
+def arrowhead(a, z, d):
+    m = np.diag(np.concatenate(([a], d)))
+    m[0, 1:] = m[1:, 0] = z
+    return m
+
+
+def sector(coupling, gamma0, cutoff, c12, n=1000):
+    """(a, z, d) of a model's (+)-sector arrowhead, as bathsim builds it."""
+    model = FullModel.renormalized(OhmicSpectralDensity(gamma0, cutoff), n, 0.0, omega_r=1.0,
+                                   c12=c12, coupling_type=coupling)
+    bath = model.bath
+    if coupling == "position":
+        return (model.omega_plus_bare**2, bath.position_couplings / np.sqrt(bath.masses),
+                bath.frequencies**2)
+    return model.omega_plus_bare, bath.ladder_couplings, bath.frequencies
+
+
+class TestArrowheadEigh:
+    @staticmethod
+    def assert_matches_dense(a, z, d):
+        lam, vecs, health = arrowhead_eigh(a, z, d)
+        dense = arrowhead(a, z, d)
+        ref, ref_vecs = np.linalg.eigh(dense)
+        norm = np.abs(ref).max()
+        assert np.abs(lam - ref).max() <= 1e-13 * norm
+        assert np.abs(vecs.T @ vecs - np.eye(d.size + 1)).max() <= 1e-11
+        assert np.abs(dense @ vecs - vecs * lam).max() <= 1e-11 * norm
+        assert np.abs(vecs[0] ** 2 - ref_vecs[0] ** 2).max() <= 1e-11
+        assert 0 < health["secular_iterations"] <= 30 and health["secular_z_drift"] < 1e-12
+        return lam, vecs
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 200])
+    def test_random_arrowheads(self, n):
+        rng = np.random.default_rng(n)
+        self.assert_matches_dense(rng.normal(), rng.normal(size=n), np.sort(rng.normal(size=n)))
+
+    @pytest.mark.parametrize("coupling, gamma0, cutoff, c12", [
+        ("position", 0.1, 20.0, 0.0),
+        ("position", 0.5, 2.5, -0.5),
+        ("symmetric", 0.1, 20.0, 0.0),
+        ("symmetric", 0.5, 2.5, -0.5),
+        ("symmetric", 0.1, 2.5, 0.99),
+    ])
+    def test_sector_matrices(self, coupling, gamma0, cutoff, c12):
+        self.assert_matches_dense(*sector(coupling, gamma0, cutoff, c12))
+
+    def test_bound_state_above_the_cutoff(self):
+        a, z, d = sector("symmetric", 0.1, 2.5, 0.99)
+        lam, vecs, _ = arrowhead_eigh(a, z, d)
+        model = FullModel.renormalized(OhmicSpectralDensity(0.1, 2.5), 1000, 0.0, omega_r=1.0,
+                                       c12=0.99, coupling_type="symmetric")
+        omega_b, weight = ladder_bound_state(model.density, a, model.omega0)
+        assert lam[-2] < 2.5 < lam[-1]
+        assert lam[-1] == pytest.approx(omega_b, rel=1e-5)  # 2.640
+        assert vecs[0, -1] ** 2 == pytest.approx(weight, rel=1e-4)
+
+    def test_unstable_sector_is_a_regime_error(self):
+        model = FullModel.bare(OhmicSpectralDensity(0.1, 20.0), 1000, 1.0, omega0=1.0)
+        a, z, d = model.omega_plus_bare**2, model.bath.position_couplings, model.bath.frequencies**2
+        assert arrowhead_eigh(a, z, d)[0][0] < 0.0  # the solver itself returns the root
+        with pytest.raises(ParameterRegimeError):
+            evolve(model, initial_state(model, "coherent-product"), [0.0, 1.0])
+
+    def test_free_bath_gives_the_identity(self):
+        d = np.linspace(0.5, 3.0, 6)
+        lam, vecs, health = arrowhead_eigh(1.2, np.zeros(6), d)
+        assert np.array_equal(lam, np.sort(np.append(d, 1.2)))
+        order = np.argsort(np.append(1.2, d), kind="stable")
+        assert np.array_equal(vecs, np.eye(7)[:, order])
+        assert health == {"secular_iterations": 0, "secular_z_drift": 0.0}
+
+    def test_zero_coupling_mid_band_deflates(self):
+        rng = np.random.default_rng(3)
+        d = np.sort(rng.uniform(1.0, 2.0, 40))
+        z = rng.uniform(0.01, 0.1, 40)
+        z[17] = 0.0
+        lam, vecs = self.assert_matches_dense(1.5, z, d)
+        pair = np.flatnonzero(lam == d[17])
+        assert pair.size == 1 and np.array_equal(vecs[:, pair[0]], np.eye(41)[18])
+
+    def test_one_mode(self):
+        lam, vecs = self.assert_matches_dense(1.0, np.array([0.3]), np.array([1.0]))
+        assert lam == pytest.approx([0.7, 1.3], rel=1e-15)
+
+    @pytest.mark.parametrize("d", [[1.0, 1.0, 2.0], [2.0, 1.0, 3.0]])
+    def test_diagonal_must_increase(self, d):
+        with pytest.raises(NumericsError):
+            arrowhead_eigh(0.5, np.ones(3), np.array(d))
+
+    def test_memory_stays_within_four_matrices(self):
+        a, z, d = sector("position", 0.1, 20.0, 0.0)
+        n = d.size
+        tracemalloc.start()
+        try:
+            arrowhead_eigh(a, z, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * n * (n + 1) + 2**20
