@@ -1,12 +1,13 @@
 """Command-line interface: evolve, coeffs, phase-diagram, verify.
 
-Every command takes --config/--out/--workers/--override-horizon.  Numeric CSV
-output uses 12 significant digits and canonical ordering, so identical config
-digests produce byte-identical artifacts regardless of worker count.  Exit
-codes: 0 success, 2 configuration error, 3 numerical/regime error (for
-verify: a point that could not be evaluated or simulated), 4 verification
-failure (a predicted and a simulated phase disagree), 5 internal error (any
-other exception; its traceback goes to stderr).
+Every command takes --config/--out/--workers/--override-horizon; --workers is
+validated but changes no run, since sweeps are serial.  Numeric CSV output uses
+12 significant digits and canonical ordering, so identical config digests
+produce byte-identical artifacts.  Exit codes: 0 success, 2 configuration
+error, 3 numerical/regime error (for verify: a point that could not be
+evaluated or simulated), 4 verification failure (a predicted and a simulated
+phase disagree), 5 internal error (any other exception; its traceback goes to
+stderr).
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ plt.savefig("{csv_name}".replace(".csv", ".png"), dpi=160)
 '''
 
 
-def cmd_evolve(config: RunConfig, out_dir: Path, workers: int, override: bool) -> int:
+def cmd_evolve(config: RunConfig, out_dir: Path, override: bool) -> int:
     start = time.perf_counter()
     model = config.build_model()
     build_s = time.perf_counter() - start
@@ -146,7 +147,7 @@ def cmd_evolve(config: RunConfig, out_dir: Path, workers: int, override: bool) -
     return EXIT_OK
 
 
-def cmd_coeffs(config: RunConfig, out_dir: Path, workers: int, override: bool) -> int:
+def cmd_coeffs(config: RunConfig, out_dir: Path, override: bool) -> int:
     if config.coupling != SYMMETRIC:
         raise UnsupportedOperationError(
             "coefficient traces are only defined for symmetric coupling; the "
@@ -222,9 +223,8 @@ def _write_kernel_csv(config: RunConfig, model, out_dir: Path, n_samples: int = 
     )
 
 
-def cmd_phase_diagram(config: RunConfig, out_dir: Path, workers: int, override: bool) -> int:
-    cache_dir = out_dir / ".cache"
-    rows, info = run_phase_sweep(config, workers=workers, cache_dir=cache_dir)
+def cmd_phase_diagram(config: RunConfig, out_dir: Path, override: bool) -> int:
+    rows, info = run_phase_sweep(config)
     out_csv = out_dir / "phase_diagram.csv"
     write_csv(
         out_csv,
@@ -236,7 +236,7 @@ def cmd_phase_diagram(config: RunConfig, out_dir: Path, workers: int, override: 
         ),
         footer_comments=(f"errors {info['n_errors']} of {info['n_points']} points",),
     )
-    boundaries = phase_boundaries(config, rows, cache_dir=cache_dir, info=info)
+    boundaries = phase_boundaries(config, rows, info=info)
     write_json(out_dir / "phase_boundaries.json", {
         "config_digest": config.digest(),
         "version": __version__,
@@ -272,11 +272,10 @@ plt.savefig("phase_diagram.png", dpi=160)
 '''
 
 
-def cmd_verify(config: RunConfig, out_dir: Path, workers: int, override: bool) -> int:
+def cmd_verify(config: RunConfig, out_dir: Path, override: bool) -> int:
     start = time.perf_counter()
-    cache_dir = out_dir / ".cache"
     info = {"config_digest": config.digest(), "version": __version__}
-    report = verify_grid(config, workers=workers, cache_dir=cache_dir, info=info)
+    report = verify_grid(config, info=info)
     write_json(out_dir / "verify_report.json", report)
     n_error = sum("reason" in point for point in report["points"])
     info["wall_time_s"] = time.perf_counter() - start
@@ -314,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the run configuration")
         p.add_argument("--out", default=None, help="output directory (default: [run] out_dir)")
         p.add_argument("--workers", type=int, default=None,
-                       help=f"parallel workers (default: config, then ${'{'}ENTBATH_WORKERS{'}'}, then 1)")
+                       help="accepted and validated (>= 0); sweeps are serial, so it changes no run")
         p.add_argument("--override-horizon", action="store_true",
                        help="allow times beyond half the bath recurrence time")
     return parser
@@ -326,8 +325,8 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         out_dir = Path(args.out) if args.out else Path(config.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        workers = config.resolve_workers(args.workers)
-        return _COMMANDS[args.command](config, out_dir, workers, args.override_horizon)
+        config.resolve_workers(args.workers)  # validated only: a bad value still exits 2
+        return _COMMANDS[args.command](config, out_dir, args.override_horizon)
     except (ConfigError, UnsupportedOperationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

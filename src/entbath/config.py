@@ -155,7 +155,7 @@ class RunConfig:
 
     def resolve_workers(self, cli_value: int | None = None) -> int:
         """Worker count: a positive --workers, then [run] workers, then the
-        environment, then 1."""
+        environment, then 1.  The commands validate it but run serially."""
         if cli_value is not None and cli_value < 0:
             raise ConfigError([f"--workers must be >= 0, got {cli_value}"])
         if cli_value:
@@ -283,6 +283,10 @@ def load_config(path) -> RunConfig:
     for key in ("temperatures", "squeezings", "c12_values", "purity_values"):
         if values.get(key) is not None:
             check(len(values[key]) > 0, f"[sweep] {key} must not be empty")
+    if values.get("temperatures"):
+        check(min(values["temperatures"]) >= 0, "[sweep] temperatures must be non-negative")
+    if values.get("purity_values"):
+        check(min(values["purity_values"]) >= 0.5 - 1e-12, "[sweep] purity_values must be >= 1/2")
 
     if problems:
         raise ConfigError(problems)

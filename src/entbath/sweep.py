@@ -2,22 +2,15 @@
 
 Grid points are independent: the expensive part of each point (the stationary
 dispersions of the (+) mode) depends only on (temperature, coupling), so the
-sweep first evaluates the unique heavy keys, optionally in parallel and backed
-by one cache file per output directory whose entries are keyed by the package
-version, the stationary route and the physical parameters of the key, then
-assembles the per-point summaries in canonical row-major order regardless of
-completion order.
+sweep evaluates each unique heavy key once, serially and in memory, then
+assembles the per-point summaries in canonical row-major order.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -43,23 +36,13 @@ PHASE_COLUMNS = (
 )
 
 _BOUNDARY_MARGIN = 0.05
-#: names the numerical routes behind a cached stationary point; change it with
-#: either route, so that no cache serves numbers computed by an older one
+#: names the numerical routes behind a stationary point, as ``run_info.json``
+#: reports it; change it with either route
 _STATIONARY_ROUTE = "GL 24/12; position: Im chi; symmetric: ladder spectral function + bound state"
 
 
-#: file, under a sweep's cache directory, that maps ``_cache_key`` to stationary points
-_CACHE_FILE = "stationary.json"
-#: the config fields that, with (T, C12), fix a stationary point
-_MODEL_FIELDS = ("coupling", "renormalization", "mass", "omega_r", "omega0", "gamma0", "cutoff")
-
-
 def _variance_payload(config: RunConfig, temperature: float, c12: float) -> tuple:
-    """The (config, T, C12) key of one stationary point.
-
-    ``_stationary_point`` evaluates it and ``_cache_key`` names it; a plain
-    tuple, so that process pools can pickle it.
-    """
+    """The (config, T, C12) key of one stationary point, as ``_stationary_point`` takes it."""
     return config, temperature, c12
 
 
@@ -77,8 +60,7 @@ def _frequencies(config: RunConfig, c12: float) -> tuple[float, float, float, Mo
 
 
 def _stationary_point(payload: tuple) -> dict:
-    """Stationary (+) dispersions, mode data and quadrature health for one
-    (T, c12) key; module-level so process pools can pickle it."""
+    """Stationary (+) dispersions, mode data and quadrature health for one (T, c12) key."""
     config, temperature, c12 = payload
     omega_plus, bare_plus, omega0, minus = _frequencies(config, c12)
     health: dict = {}
@@ -94,32 +76,6 @@ def _stationary_point(payload: tuple) -> dict:
                 minus_mass=minus.mass, minus_freq=minus.frequency, **health)
 
 
-def _cache_key(payload: tuple) -> str:
-    config, temperature, c12 = payload
-    point = {name: getattr(config, name) for name in _MODEL_FIELDS}
-    point.update(temperature=temperature, c12=c12)
-    body = {"version": __version__, "route": _STATIONARY_ROUTE, "point": point}
-    return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()[:32]
-
-
-def _load_cache(cache_dir: Path | None) -> dict:
-    """Stationary points stored under ``cache_dir`` by cache key; {} when absent or unreadable."""
-    if cache_dir is None:
-        return {}
-    try:
-        cache = json.loads((cache_dir / _CACHE_FILE).read_text())
-    except (OSError, json.JSONDecodeError):
-        return {}
-    return cache if isinstance(cache, dict) else {}
-
-
-def _save_cache(cache_dir: Path | None, cache: dict, n_loaded: int) -> None:
-    """Store ``cache`` if it gained entries since ``_load_cache`` gave ``n_loaded``."""
-    if cache_dir is not None and len(cache) > n_loaded:
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        (cache_dir / _CACHE_FILE).write_text(json.dumps(cache, sort_keys=True))
-
-
 def _record_health(info: dict, points: dict) -> None:
     """Fold the health of ``points`` ({(T, C12): point or error}) into the
     ``info["stationary"]`` of ``run_phase_sweep``: the count, the worst 24-vs-12
@@ -128,18 +84,18 @@ def _record_health(info: dict, points: dict) -> None:
     for (_, c12), point in points.items():
         if isinstance(point, dict):
             health["points"] += 1
-            # an entry planted in the cache file may lack quad_error
-            health["max_quad_error"] = max(health["max_quad_error"], point.get("quad_error", 0.0))
+            health["max_quad_error"] = max(health["max_quad_error"], point["quad_error"])
             if "bound_weight" in point:
                 health.setdefault("bound_state", {})[f"c12={c12:g}"] = {
                     k: point[k] for k in ("bound_weight", "sum_rule_residual")}
 
 
-def _stationary_point_cached(payload: tuple, cache: dict) -> dict:
-    key = _cache_key(payload)
-    if key not in cache:
-        cache[key] = _stationary_point(payload)
-    return cache[key]
+def _stationary_point_cached(payload: tuple, memo: dict) -> dict:
+    """``_stationary_point`` of ``payload``, computed once per (T, C12) key of ``memo``."""
+    _, temperature, c12 = payload
+    if (temperature, c12) not in memo:
+        memo[temperature, c12] = _stationary_point(payload)
+    return memo[temperature, c12]
 
 
 def sweep_axes(config: RunConfig):
@@ -151,11 +107,7 @@ def sweep_axes(config: RunConfig):
     return tuple(temps), tuple(squeezings), tuple(c12s), tuple(purities)
 
 
-def run_phase_sweep(
-    config: RunConfig,
-    workers: int = 1,
-    cache_dir: Path | None = None,
-) -> tuple[list[dict], dict]:
+def run_phase_sweep(config: RunConfig) -> tuple[list[dict], dict]:
     """Evaluate the phase grid in canonical row-major order.
 
     Returns (rows, info); each row carries the PHASE_COLUMNS fields, with
@@ -165,37 +117,15 @@ def run_phase_sweep(
     """
     temps, squeezings, c12s, purities = sweep_axes(config)
     heavy_keys = [(t, c) for t in temps for c in c12s]
-    payloads = {key: _variance_payload(config, *key) for key in heavy_keys}
 
     t0 = time.monotonic()
-    cache = _load_cache(cache_dir)
-    n_loaded = len(cache)
-    cache_keys = {key: _cache_key(payload) for key, payload in payloads.items()}
-    results: dict[tuple, dict | EntbathError] = {
-        key: cache[name] for key, name in cache_keys.items() if name in cache
-    }
-    uncached = [key for key in payloads if key not in results]
-
-    # a forking pool starts all its workers at the first submit
-    n_workers = min(workers, len(uncached))
-    if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            futures = {key: pool.submit(_stationary_point, payloads[key]) for key in uncached}
-            for key, fut in futures.items():
-                try:
-                    results[key] = fut.result()
-                except EntbathError as exc:
-                    results[key] = exc
-    else:
-        for key in uncached:
+    results: dict[tuple, dict | EntbathError] = {}
+    for key in heavy_keys:
+        if key not in results:  # repeated axis values share their key
             try:
-                results[key] = _stationary_point(payloads[key])
+                results[key] = _stationary_point(_variance_payload(config, *key))
             except EntbathError as exc:
                 results[key] = exc
-    for key in uncached:
-        if isinstance(results[key], dict):
-            cache[cache_keys[key]] = results[key]
-    _save_cache(cache_dir, cache, n_loaded)
 
     rows = []
     n_errors = 0
@@ -240,8 +170,9 @@ def run_phase_sweep(
 
 
 def _bisect_edge(f, a: float, b: float, fa: float, tol: float, max_iter: int = 60) -> float:
-    """Crossing of f on [a, b], given f(a) = fa and that f(b) has the other sign."""
-    while b - a > tol and max_iter > 0:
+    """Crossing of f between a and b (either order), given f(a) = fa and that
+    f(b) has the other sign."""
+    while abs(b - a) > tol and max_iter > 0:
         mid = 0.5 * (a + b)
         fm = f(mid)
         if fm == 0.0:
@@ -254,9 +185,7 @@ def _bisect_edge(f, a: float, b: float, fa: float, tol: float, max_iter: int = 6
     return 0.5 * (a + b)
 
 
-def phase_boundaries(
-    config: RunConfig, rows: list[dict], cache_dir: Path | None = None, info: dict | None = None
-) -> dict:
+def phase_boundaries(config: RunConfig, rows: list[dict], info: dict | None = None) -> dict:
     """Boundary polylines of each (c12, purity) slice of the phase grid.
 
     Keys: "nsd_sdr" (||r|-|r_crit|| = S_crit) and "sdr_sd" (|r|+|r_crit| =
@@ -265,21 +194,18 @@ def phase_boundaries(
     temperature's rows: |r| = |r_crit| +- S_crit and |r| = S_crit - |r_crit|,
     each non-negative root emitted with every sign that keeps it inside the
     r-axis range.  Along T, every grid edge whose end slacks (read from
-    ``rows``) differ in sign is bisected to 1e-3 max(1, dT); each midpoint
-    temperature is evaluated once, through the sweep cache.  ERROR rows, and
+    ``rows``) differ in sign is bisected to 1e-3 max(1, |dT|), on either axis
+    order; each midpoint (T, C12) is evaluated once, in memory.  ERROR rows, and
     edges whose bisection fails, are skipped.  When ``info`` (of the sweep that
     gave ``rows``) is given, the health of the midpoints is folded into it.
     """
     temps, squeezings, c12s, purities = sweep_axes(config)
     r_lo, r_hi = min(squeezings), max(squeezings)
     by_point = {(row["T"], row["r"], row["C12"], row["purity"]): row for row in rows}
-    cache = _load_cache(cache_dir)
-    n_loaded = len(cache)
-    midpoints: dict[tuple, dict] = {}
+    midpoints: dict[tuple, dict] = {}  # (T, C12) -> stationary point
 
     def slack(t: float, r: float, c12: float, purity: float, which: int) -> float:
-        point = _stationary_point_cached(_variance_payload(config, t, c12), cache)
-        midpoints[t, c12] = point
+        point = _stationary_point_cached(_variance_payload(config, t, c12), midpoints)
         minus = ModeSpec(point["minus_mass"], point["minus_freq"])
         summary = summarize(point["dx_plus"], point["dp_plus"], r, minus, purity_product=purity)
         return phase_slacks(r, summary.r_crit, summary.s_crit)[which]
@@ -311,7 +237,7 @@ def phase_boundaries(
                             try:
                                 t_star = _bisect_edge(
                                     lambda t: slack(t, r, c12, pur, which),
-                                    t0, t1, v0[which], tol=1e-3 * max(1.0, t1 - t0),
+                                    t0, t1, v0[which], tol=1e-3 * max(1.0, abs(t1 - t0)),
                                 )
                             except EntbathError:
                                 continue  # failed midpoint; the boundary skips this edge
@@ -319,7 +245,6 @@ def phase_boundaries(
             for name in points:
                 points[name].sort()
             out[f"c12={c12:g};purity={pur:g}"] = points
-    _save_cache(cache_dir, cache, n_loaded)
     if info is not None:
         _record_health(info, midpoints)
     return out
@@ -345,9 +270,7 @@ _EXPECTED_CLASS = {
 }
 
 
-def verify_grid(
-    config: RunConfig, workers: int = 1, cache_dir: Path | None = None, info: dict | None = None
-) -> dict:
+def verify_grid(config: RunConfig, info: dict | None = None) -> dict:
     """Cross-check predicted phases against late-time exact simulations.
 
     Small grids only (<= 25 points).  Points whose inequality slack is within
@@ -362,7 +285,7 @@ def verify_grid(
     n_points = len(temps) * len(squeezings) * len(c12s) * len(purities)
     if n_points > 25:
         raise ValidationError(f"verification grid has {n_points} points; limit is 25")
-    rows, sweep_info = run_phase_sweep(config, workers=workers, cache_dir=cache_dir)
+    rows, sweep_info = run_phase_sweep(config)
     reasons = {(e["T"], e["C12"]): e["reason"] for e in sweep_info["errors"]}
 
     report_points = []

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -248,126 +247,88 @@ class TestPhaseDiagramCommand:
         assert (tmp_path / "o" / "run_info.json").exists()
 
     def test_worker_count_does_not_change_output(self, tmp_path):
-        cfg = load_config(write_cfg(tmp_path, SWEEP))
-        rows1, _ = run_phase_sweep(cfg, workers=1)
-        rows2, _ = run_phase_sweep(cfg, workers=2)
-        assert rows1 == rows2
+        # --workers and [run] workers are validated but change no run; the
+        # config digest covers [run] workers, so the third run's names its own
+        cfg = write_cfg(tmp_path, SWEEP)
+        three = write_cfg(tmp_path, SWEEP + "\n[run]\nworkers = 3\n", "three.cfg")
+        for name, argv in (("w1", ["--config", str(cfg), "--workers", "1"]),
+                           ("w2", ["--config", str(cfg), "--workers", "2"]),
+                           ("w3", ["--config", str(three)])):
+            assert main(["phase-diagram", *argv, "--out", str(tmp_path / name)]) == 0
+        digests = [load_config(path).digest().encode() for path in (cfg, three)]
+        for name in ("phase_diagram.csv", "phase_boundaries.json"):
+            w1, w2, w3 = ((tmp_path / w / name).read_bytes() for w in ("w1", "w2", "w3"))
+            assert w1 == w2 == w3.replace(digests[1], digests[0]) != w3, name
 
-    def test_cache_reuse(self, tmp_path, monkeypatch):
-        calls = []
-        compute = sweep._stationary_point
+    @pytest.mark.parametrize("command, text, artifacts", [
+        ("phase-diagram", SWEEP,
+         {"phase_diagram.csv", "phase_boundaries.json", "run_info.json", "plot_phase_diagram.py"}),
+        ("verify", BASE, {"verify_report.json", "run_info.json"}),
+    ], ids=["phase-diagram", "verify"])
+    def test_out_holds_only_the_artifacts(self, tmp_path, command, text, artifacts):
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        assert {path.name for path in out.iterdir()} == artifacts  # no .cache
 
-        def counted(payload):
-            calls.append(payload)
-            return compute(payload)
-
-        monkeypatch.setattr(sweep, "_stationary_point", counted)
-        cfg = load_config(write_cfg(tmp_path, SWEEP))
-        cache = tmp_path / "cache"
-        rows1, info1 = run_phase_sweep(cfg, workers=1, cache_dir=cache)
-        assert [path.name for path in cache.iterdir()] == ["stationary.json"]
-        stored = json.loads((cache / "stationary.json").read_text())
-        assert len(stored) == 3  # one entry per unique (T, c12)
-        assert len(calls) == 3
-        rows2, info2 = run_phase_sweep(cfg, workers=1, cache_dir=cache)
-        assert rows1 == rows2
-        assert len(calls) == 3  # the second run computes nothing
-        assert info2["wall_time_s"] <= info1["wall_time_s"]
-
-    def test_cache_ignores_entries_of_an_older_route(self, tmp_path):
-        # entries under the keys of older routes (the layout without a route
-        # tag, and the tag of the adaptive-quadrature route) hold numbers of
-        # an older route and must not be read
-        cfg = load_config(write_cfg(tmp_path, SWEEP))
-        cache = tmp_path / "cache"
-        cache.mkdir()
-        stale = {"dx_plus": 7.0, "dp_plus": 7.0, "omega_plus": 1.0,
+    def test_stale_cache_file_changes_nothing(self, tmp_path):
+        # an older version kept stationary points in <out>/.cache/stationary.json,
+        # keyed by a hash of the version, the route and the point; plant a
+        # bogus entry under the key of each grid point
+        cfg = write_cfg(tmp_path, SWEEP)
+        config = load_config(cfg)
+        stale = {"dx_plus": 7.0, "dp_plus": 7.0, "omega_plus": 1.0, "quad_error": 0.0,
                  "minus_mass": 1.0, "minus_freq": 1.0}
         planted = {}
         for t in (0.5, 4.0, 10.0):
-            point = {name: getattr(cfg, name) for name in (
+            point = {name: getattr(config, name) for name in (
                 "coupling", "renormalization", "mass", "omega_r", "omega0", "gamma0", "cutoff",
             )}
             point.update(temperature=t, c12=0.0)
-            for tag in ({}, {"route": "position: adaptive quad; symmetric: coefficient trace"}):
-                body = {"version": __version__, "point": point, **tag}
-                old_key = hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()[:32]
-                planted[old_key] = stale
-        (cache / "stationary.json").write_text(json.dumps(planted))
-        rows, _ = run_phase_sweep(cfg, workers=1, cache_dir=cache)
-        assert rows == run_phase_sweep(cfg, workers=1)[0]
-        assert all(row["dx_plus"] != 7.0 for row in rows)
-        # the same entry under the current key is served
-        planted[sweep._cache_key(sweep._variance_payload(cfg, 0.5, 0.0))] = stale
-        (cache / "stationary.json").write_text(json.dumps(planted))
-        rows, _ = run_phase_sweep(cfg, workers=1, cache_dir=cache)
-        assert [row["dx_plus"] == 7.0 for row in rows] == [True] * 3 + [False] * 6
+            body = {"version": __version__, "route": sweep._STATIONARY_ROUTE, "point": point}
+            planted[hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()[:32]] = stale
+        (tmp_path / "stale" / ".cache").mkdir(parents=True)
+        (tmp_path / "stale" / ".cache" / "stationary.json").write_text(json.dumps(planted))
+        for name in ("clean", "stale"):
+            assert main(["phase-diagram", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        for name in ("phase_diagram.csv", "phase_boundaries.json", "plot_phase_diagram.py"):
+            assert (tmp_path / "clean" / name).read_bytes() == (tmp_path / "stale" / name).read_bytes()
+        rows = read_csv(tmp_path / "stale" / "phase_diagram.csv")
+        assert all(float(row["dx_plus"]) != 7.0 for row in rows)
 
-    def test_cold_run_writes_the_cache_file_at_most_twice(self, tmp_path, monkeypatch):
-        writes = []
-        write_text = Path.write_text
+    def test_each_stationary_point_is_computed_once(self, tmp_path, monkeypatch):
+        calls, lookups = [], []
+        compute, lookup = sweep._stationary_point, sweep._stationary_point_cached
 
-        def recorded(path, *args, **kwargs):
-            writes.append(path.name)
-            return write_text(path, *args, **kwargs)
+        def counted(payload):
+            calls.append(payload[1:])
+            return compute(payload)
 
-        monkeypatch.setattr(Path, "write_text", recorded)
-        cfg = write_cfg(tmp_path, SWEEP)
-        out = tmp_path / "o"
-        argv = ["phase-diagram", "--config", str(cfg), "--out", str(out)]
-        assert main(argv) == 0
-        assert 1 <= writes.count("stationary.json") <= 2
-        assert [path.name for path in (out / ".cache").iterdir()] == ["stationary.json"]
-        artifacts = {name: (out / name).read_bytes()
-                     for name in ("phase_diagram.csv", "phase_boundaries.json")}
+        def looked_up(payload, memo):
+            lookups.append(payload[1:])
+            return lookup(payload, memo)
 
-        calls = []
-        compute = sweep._stationary_point
-        monkeypatch.setattr(sweep, "_stationary_point", lambda p: calls.append(p) or compute(p))
-        writes.clear()
-        assert main(argv) == 0
-        assert calls == []  # grid and boundary points all come from the cache
-        assert "stationary.json" not in writes
-        assert all((out / name).read_bytes() == data for name, data in artifacts.items())
-
-    def test_pool_size_is_capped_by_the_points_to_compute(self, tmp_path, monkeypatch):
-        sizes = []
-
-        class InlinePool:
-            """Records its size and runs each task at submit; starts no process."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def submit(self, fn, *args):
-                future = Future()
-                try:
-                    future.set_result(fn(*args))
-                except Exception as exc:
-                    future.set_exception(exc)
-                return future
-
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", InlinePool)
-        cfg = load_config(write_cfg(tmp_path, SWEEP))
-        rows, _ = run_phase_sweep(cfg, workers=64)
-        assert sizes == [3]  # three unique (T, c12) keys
-        assert rows == run_phase_sweep(cfg, workers=1)[0]
-        single = load_config(write_cfg(tmp_path, BASE, "single.cfg"))
-        run_phase_sweep(single, workers=64)
-        assert sizes == [3]  # one key is computed in process
+        monkeypatch.setattr(sweep, "_stationary_point", counted)
+        monkeypatch.setattr(sweep, "_stationary_point_cached", looked_up)
+        text = TestPhaseBoundaries.GRID + "c12_values = 0.0, -0.5\n"
+        cfg = write_cfg(tmp_path, text)
+        assert main(["phase-diagram", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        temps, _, c12s, _ = sweep_axes(load_config(cfg))
+        grid = {(t, c) for t in temps for c in c12s}
+        assert calls[:len(grid)] == [(t, c) for t in temps for c in c12s]
+        midpoints = calls[len(grid):]
+        assert midpoints and len(set(midpoints)) == len(midpoints)  # one call per midpoint
+        assert not grid & set(midpoints) and set(lookups) == set(midpoints)
+        assert len(lookups) > len(midpoints)  # columns that bisect one edge share its midpoints
+        info = json.loads((tmp_path / "o" / "run_info.json").read_text())
+        assert info["stationary"]["points"] == len(calls)
 
     def test_unstable_bare_frequencies_are_a_regime_error(self, tmp_path):
         # bare omega0 = 1 under gamma0 = 0.1, cutoff = 20: the static shift
         # -8/pi outweighs omega0^2, so no dressed (+) frequency exists
         text = SWEEP.replace("renormalization = renormalized", "renormalization = bare")
         cfg = load_config(write_cfg(tmp_path, text.replace("omega_r = 1.0", "omega0 = 1.0")))
-        rows, info = run_phase_sweep(cfg, workers=1)
+        rows, info = run_phase_sweep(cfg)
         assert all(row["phase"] == "ERROR" for row in rows)
         assert len(info["errors"]) == 3
         assert all(e["reason"].startswith("ParameterRegimeError:") for e in info["errors"])
@@ -393,7 +354,7 @@ squeezings = 0.25, 0.75, 1.5, 2.5
 purity_values = 0.5, 1.0
 """
         cfg = load_config(write_cfg(tmp_path, text))
-        rows, _ = run_phase_sweep(cfg, workers=1)
+        rows, _ = run_phase_sweep(cfg)
         nsd_pure = {
             (r["T"], r["r"]) for r in rows if r["purity"] == 0.5 and r["phase"] == "NSD"
         }
@@ -418,7 +379,7 @@ squeezings = 0:3:6
     @pytest.mark.parametrize("c12", [0.0, -0.5])
     def test_boundary_points_are_crossings(self, tmp_path, c12):
         cfg = load_config(write_cfg(tmp_path, self.GRID.replace("c12 = 0.0", f"c12 = {c12}")))
-        rows, info = run_phase_sweep(cfg, workers=1)
+        rows, info = run_phase_sweep(cfg)
         assert info["n_errors"] == 0
         curves = phase_boundaries(cfg, rows)[f"c12={c12:g};purity=0.5"]
         temps, rs, _, _ = sweep_axes(cfg)
@@ -461,6 +422,31 @@ squeezings = 0:3:6
         assert n_r_edge and n_t_edge
 
 
+    def test_descending_temperature_axis_bisects_like_the_ascending_one(self, tmp_path):
+        # on a descending axis every T-edge runs from the higher temperature to
+        # the lower one; bisection must not read that as an empty interval
+        up = load_config(write_cfg(tmp_path, self.GRID, "up.cfg"))
+        temps, _, _, _ = sweep_axes(up)
+        listed = ", ".join(repr(t) for t in reversed(temps))
+        down = load_config(write_cfg(
+            tmp_path, self.GRID.replace("0.05:10:6", listed), "down.cfg"))
+        curves = [phase_boundaries(cfg, run_phase_sweep(cfg)[0])["c12=0;purity=0.5"]
+                  for cfg in (up, down)]
+        tol = 1e-3 * max(1.0, temps[1] - temps[0])
+        n_t_edge = 0
+        for name in ("nsd_sdr", "sdr_sd"):
+            (on_up, off_up), (on_down, off_down) = (
+                ([p for p in c[name] if p[0] in temps], [p for p in c[name] if p[0] not in temps])
+                for c in curves
+            )
+            assert on_up == on_down  # closed form along r
+            assert len(off_up) == len(off_down)
+            for (t_up, r_up), (t_down, r_down) in zip(off_up, off_down):
+                assert r_up == r_down and abs(t_up - t_down) <= 2.0 * tol
+            n_t_edge += len(off_up)
+        assert n_t_edge
+
+
 class TestSymmetricSweep:
     def test_symmetric_rows_have_no_oscillation_amplitude(self, tmp_path):
         # balanced equilibrium: r_crit = 0, so every envelope amplitude vanishes
@@ -470,7 +456,7 @@ temperatures = 1.0, 10.0
 squeezings = 0.5, 2.5
 """
         cfg = load_config(write_cfg(tmp_path, text))
-        rows, info = run_phase_sweep(cfg, workers=1)
+        rows, info = run_phase_sweep(cfg)
         assert info["n_errors"] == 0
         assert all(abs(r["e_amp"]) < 1e-3 for r in rows)
         assert all(abs(r["r_crit"]) < 1e-9 for r in rows)
@@ -489,7 +475,7 @@ temperatures = 0, 0.05, 1, 10
 squeezings = 1.0
 c12_values = 0, 0.99, -0.5
 """
-        rows, info = run_phase_sweep(load_config(write_cfg(tmp_path, text)), workers=1)
+        rows, info = run_phase_sweep(load_config(write_cfg(tmp_path, text)))
         assert len(rows) == 12
         assert info["n_errors"] == 0 and info["errors"] == []
 
@@ -501,7 +487,7 @@ temperatures = 1.0
 squeezings = 1.0
 c12_values = 0.0, 0.99
 """
-        rows, info = run_phase_sweep(load_config(write_cfg(tmp_path, text)), workers=1)
+        rows, info = run_phase_sweep(load_config(write_cfg(tmp_path, text)))
         assert [row["phase"] == "ERROR" for row in rows] == [False, True]
         assert [(e["C12"], e["reason"].split(":")[0]) for e in info["errors"]] == [
             (0.99, "ParameterRegimeError")
@@ -568,7 +554,7 @@ temperatures = 0.6, 1.0, 1.6
 squeezings = 0.6, 1.0, 1.5
 """
         cfg = load_config(write_cfg(tmp_path, text))
-        report = verify_grid(cfg, workers=1)
+        report = verify_grid(cfg)
         assert report["passed"] is True
         checked = [p for p in report["points"] if p["status"] == "pass"]
         assert checked  # at least some points sit safely off the boundaries
@@ -582,7 +568,7 @@ temperatures = 10.0
 squeezings = 1.67
 """
         cfg = load_config(write_cfg(tmp_path, text))
-        report = verify_grid(cfg, workers=1)
+        report = verify_grid(cfg)
         point = report["points"][0]
         assert point["phase"] == "SDR"
         assert point["status"] == "pass"
