@@ -1,13 +1,13 @@
 """Command-line interface: evolve, coeffs, phase-diagram, verify.
 
-Every command takes --config/--out/--workers/--override-horizon; --workers is
-validated but changes no run, since sweeps are serial.  Numeric CSV output uses
-12 significant digits and canonical ordering, so identical config digests
-produce byte-identical artifacts.  Exit codes: 0 success, 2 configuration
-error, 3 numerical/regime error (for verify: a point that could not be
-evaluated or simulated), 4 verification failure (a predicted and a simulated
-phase disagree), 5 internal error (any other exception; its traceback goes to
-stderr).
+Every command takes --config and --out and runs serially; [run]
+override_horizon lets ``evolve`` run past the validity horizon.  Numeric CSV
+output uses 12 significant digits and canonical ordering, so identical config
+digests (which cover every value outside [run]) produce byte-identical
+artifacts.  Exit codes: 0 success, 2 configuration error, 3 numerical/regime
+error (for verify: a point that could not be evaluated or simulated), 4
+verification failure (a predicted and a simulated phase disagree), 5 internal
+error (any other exception; its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -100,15 +100,21 @@ plt.savefig("{csv_name}".replace(".csv", ".png"), dpi=160)
 '''
 
 
-def cmd_evolve(config: RunConfig, out_dir: Path, override: bool) -> int:
+def _time_grid(t_max: float, step: float) -> np.ndarray:
+    """0, step, 2 step, ... up to t_max and never past it, beyond rounding."""
+    times = np.arange(0.0, t_max + step / 2, step)
+    return times[times <= t_max * (1 + 1e-12)]
+
+
+def cmd_evolve(config: RunConfig, out_dir: Path) -> int:
     start = time.perf_counter()
     model = config.build_model()
     build_s = time.perf_counter() - start
     state = initial_state(model, config.kind, r=config.r,
                           purity_product=config.purity_product)
-    times = np.arange(0.0, config.t_max + config.dt_out / 2, config.dt_out)
+    times = _time_grid(config.t_max, config.dt_out)
     traj, energies = entanglement_trajectory(
-        model, state, times, override_horizon=override or config.override_horizon
+        model, state, times, override_horizon=config.override_horizon
     )
     start = time.perf_counter()
     rows, cols = np.array(_COV_INDEX).T
@@ -147,7 +153,7 @@ def cmd_evolve(config: RunConfig, out_dir: Path, override: bool) -> int:
     return EXIT_OK
 
 
-def cmd_coeffs(config: RunConfig, out_dir: Path, override: bool) -> int:
+def cmd_coeffs(config: RunConfig, out_dir: Path) -> int:
     if config.coupling != SYMMETRIC:
         raise UnsupportedOperationError(
             "coefficient traces are only defined for symmetric coupling; the "
@@ -159,7 +165,7 @@ def cmd_coeffs(config: RunConfig, out_dir: Path, override: bool) -> int:
     model = config.build_model()
     marks.append(time.perf_counter())
     dt = min(config.dt, 0.05 / config.cutoff * (1 - 1e-12))
-    times = np.arange(0.0, config.t_max + dt / 2, dt)
+    times = _time_grid(config.t_max, dt)
     sol = solve_amplitude(model.bath, model.omega_plus_bare, times)
     marks.append(time.perf_counter())
     trace = extract_coefficients(sol)
@@ -223,7 +229,7 @@ def _write_kernel_csv(config: RunConfig, model, out_dir: Path, n_samples: int = 
     )
 
 
-def cmd_phase_diagram(config: RunConfig, out_dir: Path, override: bool) -> int:
+def cmd_phase_diagram(config: RunConfig, out_dir: Path) -> int:
     rows, info = run_phase_sweep(config)
     out_csv = out_dir / "phase_diagram.csv"
     write_csv(
@@ -272,7 +278,7 @@ plt.savefig("phase_diagram.png", dpi=160)
 '''
 
 
-def cmd_verify(config: RunConfig, out_dir: Path, override: bool) -> int:
+def cmd_verify(config: RunConfig, out_dir: Path) -> int:
     start = time.perf_counter()
     info = {"config_digest": config.digest(), "version": __version__}
     report = verify_grid(config, info=info)
@@ -312,10 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the run configuration")
         p.add_argument("--out", default=None, help="output directory (default: [run] out_dir)")
-        p.add_argument("--workers", type=int, default=None,
-                       help="accepted and validated (>= 0); sweeps are serial, so it changes no run")
-        p.add_argument("--override-horizon", action="store_true",
-                       help="allow times beyond half the bath recurrence time")
     return parser
 
 
@@ -325,8 +327,7 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         out_dir = Path(args.out) if args.out else Path(config.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        config.resolve_workers(args.workers)  # validated only: a bad value still exits 2
-        return _COMMANDS[args.command](config, out_dir, args.override_horizon)
+        return _COMMANDS[args.command](config, out_dir)
     except (ConfigError, UnsupportedOperationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

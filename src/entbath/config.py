@@ -12,7 +12,6 @@ import configparser
 import hashlib
 import json
 import math
-import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -22,8 +21,6 @@ from . import __version__
 from .bathsim import BARE, POSITION, RENORMALIZED, STANDARD_STATE_KINDS, SYMMETRIC, FullModel
 from .errors import ConfigError
 from .spectra import OhmicSpectralDensity
-
-WORKERS_ENV_VAR = "ENTBATH_WORKERS"
 
 
 def _parse_float(text: str) -> float:
@@ -89,7 +86,6 @@ _SCHEMA = {
         "purity_values": (_parse_float_list, None),
     },
     "run": {
-        "workers": (int, 0),
         "out_dir": (str.strip, "out"),
         "override_horizon": (_parse_bool, False),
     },
@@ -120,7 +116,6 @@ class RunConfig:
     squeezings: tuple | None
     c12_values: tuple | None
     purity_values: tuple | None
-    workers: int
     out_dir: str
     override_horizon: bool
     source_path: str = field(default="", compare=False)
@@ -154,36 +149,17 @@ class RunConfig:
         )
 
     def resolve_workers(self, cli_value: int | None = None) -> int:
-        """Worker count: a positive --workers, then [run] workers, then the
-        environment, then 1.  The commands validate it but run serially."""
-        if cli_value is not None and cli_value < 0:
-            raise ConfigError([f"--workers must be >= 0, got {cli_value}"])
-        if cli_value:
-            return cli_value
-        if self.workers > 0:
-            return self.workers
-        env = os.environ.get(WORKERS_ENV_VAR, "")
-        if env.strip():
-            try:
-                n = int(env)
-            except ValueError:
-                raise ConfigError([f"{WORKERS_ENV_VAR} must be an integer, got {env!r}"])
-            if n > 0:
-                return n
+        """1: every command runs serially.  Only the benchmark driver
+        (``bench/child.py``) still reads it; delete it with that call."""
         return 1
 
-    def as_dict(self) -> dict:
-        """Every configured value (the source path is not one), tuples as lists."""
-        out = {}
-        for f in fields(self):
-            if f.name != "source_path":
-                value = getattr(self, f.name)
-                out[f.name] = list(value) if isinstance(value, tuple) else value
-        return out
-
     def digest(self) -> str:
-        """Hash of the resolved configuration (and code version)."""
-        payload = {"version": __version__, "config": self.as_dict()}
+        """Hash of the code version and of the values that set the numbers:
+        every [model], [bath], [initial], [grid] and [sweep] key.  [run] says
+        how and where to run, never what, so it stays out."""
+        values = {key: getattr(self, key)
+                  for section, keys in _SCHEMA.items() if section != "run" for key in keys}
+        payload = {"version": __version__, "config": values}
         return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
@@ -259,8 +235,6 @@ def load_config(path) -> RunConfig:
     for key in ("t_max", "dt", "dt_out"):
         if values.get(key) is not None:
             check(values[key] > 0, f"[grid] {key} must be positive")
-    if values.get("workers") is not None:
-        check(values["workers"] >= 0, "[run] workers must be >= 0")
 
     if values.get("dt") and values.get("cutoff"):
         check(

@@ -62,15 +62,31 @@ class AmplitudeSolution:
     times: np.ndarray
     omega: float
     bath: DiscretizedBath
-    u: np.ndarray
     _eigvals: np.ndarray = field(repr=False)
     _eigvecs: np.ndarray = field(repr=False)
-    mode_norm: np.ndarray = field(repr=False)
     solve_health: dict = field(default_factory=dict)
+
+    def _rows(self, modes: bool = True):
+        """(slice, u, p) per chunk of the grid on the standard branch; p, the
+        bath amplitudes p_n(t), is one (T x N)(N x N) product (None unless
+        ``modes``)."""
+        b0 = self._eigvecs * self._eigvecs[0]
+        for lo in range(0, self.times.size, _TIME_CHUNK):
+            ts = self.times[lo : lo + _TIME_CHUNK]
+            phases = np.exp(-1j * np.outer(ts, self._eigvals))
+            p = phases @ b0[1:].T if modes else None
+            yield slice(lo, lo + ts.size), phases @ b0[0], p
+
+    @cached_property
+    def u(self) -> np.ndarray:
+        """System amplitude on the grid, on the printed branch."""
+        return np.concatenate([u for _, u, _ in self._rows(modes=False)]).conj()
 
     def unitarity_defect(self) -> np.ndarray:
         """|u|^2 + sum_n |p_n|^2 - 1 on the grid (zero for exact evolution)."""
-        return np.abs(self.u) ** 2 + self.mode_norm - 1.0
+        return np.concatenate([
+            np.abs(u) ** 2 + np.sum(np.abs(p) ** 2, axis=1) - 1.0 for _, u, p in self._rows()
+        ])
 
     def _propagator(self, t: float) -> np.ndarray:
         phases = np.exp(-1j * self._eigvals * t)
@@ -97,25 +113,8 @@ def solve_amplitude(bath: DiscretizedBath, omega: float, times) -> AmplitudeSolu
     """Exact amplitude solution on the grid via the one-excitation eigenbasis."""
     times = _validate_grid(bath, times)
     lam, vecs, health = arrowhead_eigh(omega, bath.ladder_couplings, bath.frequencies)
-    w0 = vecs[0] ** 2
-    u = np.empty(times.size, dtype=complex)
-    norm = np.empty(times.size)
-    b0 = vecs * vecs[0]
-    for lo in range(0, times.size, _TIME_CHUNK):
-        ts = times[lo : lo + _TIME_CHUNK]
-        phases = np.exp(-1j * np.outer(ts, lam))
-        u[lo : lo + ts.size] = phases @ w0
-        p = phases @ b0[1:].T
-        norm[lo : lo + ts.size] = np.sum(np.abs(p) ** 2, axis=1)
     return AmplitudeSolution(
-        times=times,
-        omega=omega,
-        bath=bath,
-        u=u.conj(),
-        _eigvals=lam,
-        _eigvecs=vecs,
-        mode_norm=norm,
-        solve_health=health,
+        times=times, omega=omega, bath=bath, _eigvals=lam, _eigvecs=vecs, solve_health=health,
     )
 
 
@@ -218,22 +217,13 @@ def extract_coefficients(sol: AmplitudeSolution) -> CoefficientTrace:
 
     evaluated on the standard rotation branch (the printed-branch quantities are
     their conjugates, leaving gamma and D unchanged).  The double sum is
-    contracted analytically to O(N) per time.
+    contracted analytically to O(N) per time.  The same pass over the rows
+    checks unitarity (``AmplitudeSolution.unitarity_defect``).
     """
     bath = sol.bath
-    defect = np.abs(sol.unitarity_defect()).max()
-    if defect > UNITARITY_TOL:
-        raise ValidationError(f"amplitude solution violates unitarity by {defect:.3e}")
-    for t in sol.times[:: max(1, sol.times.size // 4)][1:]:
-        res = sol.constraint_residual(float(t))
-        if res > CONSTRAINT_TOL:
-            raise ValidationError(f"commutator constraint violated by {res:.3e} at t={t:.4g}")
-
     g = bath.ladder_couplings
     w = bath.frequencies
     two_n_plus_1 = 2.0 * bath.occupations + 1.0
-    lam, vecs = sol._eigvals, sol._eigvecs
-    b0 = vecs * vecs[0]
     omega = sol.omega
 
     n_t = sol.times.size
@@ -241,22 +231,25 @@ def extract_coefficients(sol: AmplitudeSolution) -> CoefficientTrace:
     shift = np.empty(n_t)
     diff = np.empty(n_t)
     umod = np.empty(n_t)
-    for lo in range(0, n_t, _TIME_CHUNK):
-        ts = sol.times[lo : lo + _TIME_CHUNK]
-        phases = np.exp(-1j * np.outer(ts, lam))
-        u = phases @ b0[0]
-        p = phases @ b0[1:].T
+    defect = 0.0
+    for rows, u, p in sol._rows():
         if np.any(np.abs(u) < 1e-300):
             raise NumericsError("system amplitude vanished; cannot form coefficients")
+        p_sq = np.abs(p) ** 2
+        defect = max(defect, float(np.abs(np.abs(u) ** 2 + np.sum(p_sq, axis=1) - 1.0).max()))
         big_g = (p @ g) / u
         a_l = g[None, :] * u[:, None] - (omega - w)[None, :] * p
         im_ap = np.imag(a_l * p.conj())
-        gamma[lo : lo + ts.size] = -0.5 * np.imag(big_g)
-        shift[lo : lo + ts.size] = omega**2 * np.real(big_g)
-        diff[lo : lo + ts.size] = 0.5 * (
-            im_ap @ two_n_plus_1 - np.imag(big_g) * ((np.abs(p) ** 2) @ two_n_plus_1)
-        )
-        umod[lo : lo + ts.size] = np.abs(u)
+        gamma[rows] = -0.5 * np.imag(big_g)
+        shift[rows] = omega**2 * np.real(big_g)
+        diff[rows] = 0.5 * (im_ap @ two_n_plus_1 - np.imag(big_g) * (p_sq @ two_n_plus_1))
+        umod[rows] = np.abs(u)
+    if defect > UNITARITY_TOL:
+        raise ValidationError(f"amplitude solution violates unitarity by {defect:.3e}")
+    for t in sol.times[:: max(1, sol.times.size // 4)][1:]:
+        res = sol.constraint_residual(float(t))
+        if res > CONSTRAINT_TOL:
+            raise ValidationError(f"commutator constraint violated by {res:.3e} at t={t:.4g}")
     return CoefficientTrace(
         times=sol.times,
         gamma=gamma,

@@ -36,6 +36,9 @@ PHASE_COLUMNS = (
 )
 
 _BOUNDARY_MARGIN = 0.05
+#: most bath modes ``verify`` builds unless [bath] modes asks for more: the
+#: (+)-sector solve holds about 4*8*N(N+1) bytes, ~0.5 GB at N = 4000
+_VERIFY_MODE_CEILING = 4000
 #: names the numerical routes behind a stationary point, as ``run_info.json``
 #: reports it; change it with either route
 _STATIONARY_ROUTE = "GL 24/12; position: Im chi; symmetric: ladder spectral function + bound state"
@@ -345,16 +348,17 @@ def _simulate_point(config: RunConfig, row: dict) -> tuple[str, float, dict]:
     t_end = t_eq + 3.0 * period
     # enlarge the bath if the configured mode count cannot host the window
     needed = int(math.ceil(1.05 * t_end * config.cutoff / math.pi))
+    ceiling = max(config.modes, _VERIFY_MODE_CEILING)
+    if needed > ceiling:
+        raise HorizonError(
+            f"verification window [{t_eq:.3g}, {t_end:.3g}] needs {needed} bath modes, "
+            f"more than {ceiling}; set [bath] modes >= {needed} to allow it"
+        )
     model = config.build_model(temperature=row["T"], c12=row["C12"],
                                modes=max(needed, config.modes))
     state = initial_state(
         model, config.kind, r=row["r"], purity_product=row["purity"]
     )
-    if t_end > model.validity_horizon:
-        raise HorizonError(
-            f"verification window [{t_eq:.3g}, {t_end:.3g}] exceeds the horizon "
-            f"{model.validity_horizon:.3g}; increase [bath] modes"
-        )
     times = np.linspace(t_eq, t_end, 360)
     traj, energies = entanglement_trajectory(model, state, times)
     lo_band, hi_band = envelope_band(row["e_mean"], row["e_amp"])

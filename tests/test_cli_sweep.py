@@ -80,6 +80,25 @@ class TestEvolveCommand:
         assert float(rows[0]["EN"]) == pytest.approx(4.0, abs=1e-9)
         assert (tmp_path / "o" / "plot_trajectory.py").exists()
 
+    def test_grid_stops_at_t_max(self, tmp_path):
+        # t_max = 31.4 is inside the horizon pi*200/20 = 31.416, but a grid of
+        # dt_out = 0.3 rounded up to 31.5 used to run past it (exit 3)
+        text = BASE.replace("modes = 300", "modes = 200").replace(
+            "t_max = 30.0", "t_max = 31.4").replace("dt_out = 0.25", "dt_out = 0.3")
+        cfg = write_cfg(tmp_path, text)
+        assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        times = [float(row["t"]) for row in read_csv(tmp_path / "o" / "trajectory.csv")]
+        assert times[-1] <= 31.4 and len(times) == 105
+
+    def test_override_horizon_runs_past_the_horizon(self, tmp_path):
+        text = BASE.replace("modes = 300", "modes = 50")  # horizon pi*50/20 = 7.85 < t_max
+        assert main(["evolve", "--config", str(write_cfg(tmp_path, text)),
+                     "--out", str(tmp_path / "a")]) == 2
+        cfg = write_cfg(tmp_path, text + "\n[run]\noverride_horizon = true\n", "over.cfg")
+        assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
+        rows = read_csv(tmp_path / "b" / "trajectory.csv")
+        assert float(rows[-1]["t"]) == 30.0
+
     def test_config_error_exit_code(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE.replace("omega_r = 1.0", ""))
         assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -246,19 +265,15 @@ class TestPhaseDiagramCommand:
         assert (tmp_path / "o" / "phase_boundaries.json").exists()
         assert (tmp_path / "o" / "run_info.json").exists()
 
-    def test_worker_count_does_not_change_output(self, tmp_path):
-        # --workers and [run] workers are validated but change no run; the
-        # config digest covers [run] workers, so the third run's names its own
+    def test_run_section_changes_neither_output_nor_digest(self, tmp_path):
+        # [run] says how and where to run, never what: the digest leaves it out
         cfg = write_cfg(tmp_path, SWEEP)
-        three = write_cfg(tmp_path, SWEEP + "\n[run]\nworkers = 3\n", "three.cfg")
-        for name, argv in (("w1", ["--config", str(cfg), "--workers", "1"]),
-                           ("w2", ["--config", str(cfg), "--workers", "2"]),
-                           ("w3", ["--config", str(three)])):
-            assert main(["phase-diagram", *argv, "--out", str(tmp_path / name)]) == 0
-        digests = [load_config(path).digest().encode() for path in (cfg, three)]
+        other = write_cfg(tmp_path, SWEEP + "\n[run]\nout_dir = elsewhere\n"
+                          "override_horizon = true\n", "other.cfg")
+        for name, path in (("a", cfg), ("b", other)):
+            assert main(["phase-diagram", "--config", str(path), "--out", str(tmp_path / name)]) == 0
         for name in ("phase_diagram.csv", "phase_boundaries.json"):
-            w1, w2, w3 = ((tmp_path / w / name).read_bytes() for w in ("w1", "w2", "w3"))
-            assert w1 == w2 == w3.replace(digests[1], digests[0]) != w3, name
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     @pytest.mark.parametrize("command, text, artifacts", [
         ("phase-diagram", SWEEP,
@@ -600,6 +615,28 @@ squeezings = 1.67
         point, = json.loads((tmp_path / "o" / "verify_report.json").read_text())["points"]
         assert point["status"] == "simulation error: injected"
         assert point["reason"] == "NumericsError: injected"
+
+    def test_weak_damping_hits_the_bath_ceiling_before_any_solve(self, tmp_path):
+        # gamma0 = 1e-3 asks for about 1.05*(4000 + 3 pi)*20/pi = 26,800 modes
+        cfg = write_cfg(tmp_path, BASE.replace("gamma0 = 0.1", "gamma0 = 0.001")
+                        + "\n[sweep]\ntemperatures = 0.5, 8.0\n")
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        report = json.loads((tmp_path / "o" / "verify_report.json").read_text())
+        assert report["n_fail"] == 0 and len(report["points"]) == 2
+        for point in report["points"]:
+            assert point["reason"].startswith("HorizonError: ")
+            assert "needs 26802 bath modes, more than 4000" in point["reason"]
+        info = json.loads((tmp_path / "o" / "run_info.json").read_text())
+        assert info["normal_mode_solves"] == 0 and info["bath_modes"] == {}
+
+    def test_bath_modes_raise_the_ceiling(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sweep, "_VERIFY_MODE_CEILING", 100)  # the window needs 331 modes
+        for name, modes in (("low", 300), ("high", 331)):
+            cfg = write_cfg(tmp_path, BASE.replace("modes = 300", f"modes = {modes}"), f"{name}.cfg")
+            code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / name)])
+            assert code == (3 if name == "low" else 0)
+        point, = json.loads((tmp_path / "low" / "verify_report.json").read_text())["points"]
+        assert "needs 331 bath modes, more than 300" in point["reason"]
 
     def test_run_info_and_byte_identical_reruns(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE + "\n[sweep]\ntemperatures = 0.5, 8.0\n")

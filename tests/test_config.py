@@ -158,24 +158,23 @@ class TestDigestAndWorkers:
         assert a.digest() == b.digest()  # path does not enter the digest
         c = load_config(write(tmp_path, MINIMAL.replace("r = 3.0", "r = 2.0"), "c.cfg"))
         assert c.digest() != a.digest()
+        # [run] says how and where to run, never what
+        d = load_config(write(tmp_path, MINIMAL + "\n[run]\nout_dir = elsewhere\n"
+                              "override_horizon = true\n", "d.cfg"))
+        assert (d.out_dir, d.override_horizon) != (a.out_dir, a.override_horizon)
+        assert d.digest() == a.digest()
+        assert a.resolve_workers() == 1  # every command runs serially
 
-    def test_workers_resolution(self, tmp_path, monkeypatch):
-        cfg = load_config(write(tmp_path, MINIMAL))
-        monkeypatch.delenv("ENTBATH_WORKERS", raising=False)
-        assert cfg.resolve_workers() == 1
-        monkeypatch.setenv("ENTBATH_WORKERS", "3")
-        assert cfg.resolve_workers() == 3
-        assert cfg.resolve_workers(cli_value=2) == 2
-        monkeypatch.setenv("ENTBATH_WORKERS", "zebra")
-        with pytest.raises(ConfigError):
-            cfg.resolve_workers()
-
-    def test_negative_workers_flag_rejected(self, tmp_path):
+    @pytest.mark.parametrize("command", ["evolve", "coeffs", "phase-diagram", "verify"])
+    def test_workers_flag_and_key_are_rejected(self, tmp_path, command):
         path = write(tmp_path, MINIMAL)
-        with pytest.raises(ConfigError):
-            load_config(path).resolve_workers(cli_value=-3)
-        argv = ["evolve", "--config", str(path), "--workers", "-3", "--out", str(tmp_path / "o")]
-        assert main(argv) == 2
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(path), "--workers", "2"])
+        assert exc.value.code == 2
+        keyed = write(tmp_path, MINIMAL + "\n[run]\nworkers = 1\n", "keyed.cfg")
+        with pytest.raises(ConfigError, match="unknown key 'workers' in section \\[run\\]"):
+            load_config(keyed)
+        assert main([command, "--config", str(keyed), "--out", str(tmp_path / "o")]) == 2
 
     def test_recurrence_time(self, tmp_path):
         cfg = load_config(write(tmp_path, MINIMAL))
