@@ -6,14 +6,16 @@ for position coupling from the mass-weighted stiffness matrix, for symmetric
 (position-momentum) coupling from the single rotation matrix that generates
 both quadrature channels.  Both are arrowheads (a diagonal bath plus the row
 and column of x+), so the normal modes come from an O(N^2) secular solve
-(``spectra.arrowhead_eigh``), not a dense eigendecomposition.  Only the rows
-of the propagator that land on the system are ever materialized: a cosine and
-a sine row per output time, two (T, N) x (N, N) products; the momentum row
-follows from the sine row in O(N).  Temperature enters only through the bath
-occupations and squeezing only through the initial state, so consecutive runs
-of one model physics share the normal modes and the propagator rows of their
-last time grid, until ``release_shared_solver`` (the CLI calls it when a
-command ends).
+(``spectra.arrowhead_eigh``), not a dense eigendecomposition.  The thermal
+bath term of the (+) covariance is integrated from its time derivative, which
+needs only the system block of the flow and one bath-weighted vector per
+normal mode, O(N) per time (the single-integral form of the noise kernel in
+the exact master equation; Hu, Paz & Zhang, Phys. Rev. D 45, 2843 (1992)).
+Dense propagator rows are formed at the first and last output time only: the
+start of the integral and its check.  Temperature enters only through the
+bath occupations and squeezing only through the initial state, so
+consecutive runs of one model physics share the normal modes, until
+``release_shared_solver`` (the CLI calls it when a command ends).
 
 Internally the virtual ordering (x+, p+, x-, p-, q_1, pi_1, ...) is used: the
 bath couples to the (+) mode only and the (-) mode rotates freely.  States
@@ -43,7 +45,6 @@ from .gaussian import (
     log_negativity,
     squeezed_cov,
     state_from_virtual_blocks,
-    symplectic_form,
 )
 from .spectra import DiscretizedBath, OhmicSpectralDensity, arrowhead_eigh, discretize
 
@@ -54,7 +55,9 @@ _COUPLINGS = (POSITION, SYMMETRIC)
 RENORMALIZED = "renormalized"
 BARE = "bare"
 
-_TIME_CHUNK = 512
+_TIME_CHUNK = 256  # sub-intervals per phase block
+_THERMAL_DRIFT_TOL = 1e-9
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,72 +259,11 @@ def _symmetric_bare_frequency(
 
 
 # ---------------------------------------------------------------------------
-# quadratic form and generator
-
-
-def hamiltonian_matrix(model: FullModel, basis: str = "virtual") -> np.ndarray:
-    """Symmetric quadratic form H of the full system+bath Hamiltonian.
-
-    Phase-space ordering: (x+, p+, x-, p-, q_1, pi_1, ..., q_N, pi_N) for
-    ``basis='virtual'``; ``basis='site'`` rotates the system block to
-    (x1, p1, x2, p2).
-    """
-    bath = model.bath
-    n = bath.n_modes
-    dim = 2 * (n + 2)
-    h = np.zeros((dim, dim))
-    m = model.mass
-    om0sq = model.omega0**2
-    ck = bath.position_couplings
-    wk = bath.frequencies
-    mk = bath.masses
-
-    if model.coupling_type == POSITION:
-        h[0, 0] = m * (om0sq + model.c12)
-        h[1, 1] = 1.0 / m
-        h[2, 2] = m * (om0sq - model.c12)
-        h[3, 3] = 1.0 / m
-    else:
-        f_plus = 1.0 + model.c12 / om0sq
-        f_minus = 1.0 - model.c12 / om0sq
-        h[0, 0] = m * om0sq * f_plus
-        h[1, 1] = f_plus / m
-        h[2, 2] = m * om0sq * f_minus
-        h[3, 3] = f_minus / m
-
-    qi = 4 + 2 * np.arange(n)
-    pi_ = qi + 1
-    h[qi, qi] = mk * wk**2
-    h[pi_, pi_] = 1.0 / mk
-    h[0, qi] = ck
-    h[qi, 0] = ck
-    if model.coupling_type == SYMMETRIC:
-        gp = ck / (m * model.omega0 * mk * wk)
-        h[1, pi_] = gp
-        h[pi_, 1] = gp
-
-    if basis == "site":
-        t = np.eye(dim)
-        t[:4, :4] = BEAM_SPLITTER
-        h = t.T @ h @ t
-    elif basis != "virtual":
-        raise ValidationError("basis must be 'virtual' or 'site'")
-    return h
-
-
-def build_generator(model: FullModel, basis: str = "virtual") -> np.ndarray:
-    """Drift matrix A = J H of the full Gaussian model, d<r>/dt = A <r>."""
-    h = hamiltonian_matrix(model, basis=basis)
-    return symplectic_form(model.bath.n_modes + 2) @ h
-
-
-# ---------------------------------------------------------------------------
 # sector solvers
 
 
 class _PlusSector:
-    """Normal modes of the (x+, bath) sector, and its propagator rows for the
-    last time grid.
+    """Normal modes of the (x+, bath) sector, and the (+)-mode blocks they give.
 
     Both couplings make the sector matrix an arrowhead (a diagonal bath plus
     the row and column of x+), which ``arrowhead_eigh`` diagonalizes in
@@ -332,13 +274,16 @@ class _PlusSector:
     one-excitation matrix G = [[w+, g], [g, w_k]], so the flow is the rotation
     generated by G acting identically on both quadrature channels.
 
+    In the quadratures X = s x, P = p / s of ``scales`` each (x+, p+) entry of
+    the flow sums, over the normal modes a, a fixed vector against cos(w_a t)
+    or a sine kernel: sigma = sin(w_a t) / w_a and mu = w_a sin(w_a t) for
+    position coupling (t and w_a^2 t at a frequency clipped to 0 at the
+    stability edge), sigma = mu = sin(w_a t) for symmetric coupling.
+
     T enters a model only through the bath occupations and r only through the
     initial state, so every point of a verify grid at one C12 shares one
-    normal-mode solve and, on one time grid, one set of rows.
+    normal-mode solve.
     """
-
-    _times: np.ndarray | None = None
-    _blocks: tuple | None = None
 
     def __init__(self, model: FullModel):
         bath = model.bath
@@ -353,6 +298,9 @@ class _PlusSector:
             scales = np.concatenate(([model.mass * model.omega0], bath.masses * bath.frequencies))
         self.scales = np.sqrt(scales)  # square roots of each coordinate's x-to-p scale
         self.freqs, self.modes, self.health = arrowhead_eigh(*self.arrowhead)
+        _, z, d = self.arrowhead
+        # per mode, cos, sigma and mu as Re(factor e^{i w t}) + linear t
+        ones, zeros = np.ones_like(self.freqs), np.zeros_like(self.freqs)
         if self.position:
             w2 = self.freqs
             if w2[0] < -1e-12 * max(1.0, float(np.abs(w2).max())):
@@ -361,6 +309,16 @@ class _PlusSector:
                     f"{w2[0]:.3e}); the bath shift exceeds the bare stiffness"
                 )
             self.freqs = np.sqrt(np.clip(w2, 0.0, None))
+            clipped = (self.freqs == 0.0).astype(float)
+            inverse = np.divide(1.0, self.freqs, out=zeros.copy(), where=clipped == 0.0)
+            self.kernels = (np.array([ones, -1j * inverse, -1j * w2 * inverse]),
+                            np.array([zeros, clipped, w2 * clipped]))
+            self.noise = z / np.sqrt(d)  # s_k c_k var(q_k) / (s_0 (n_k + 1/2))
+            self.feeds_momentum = 0.0
+        else:
+            self.kernels = np.array([ones, -1j * ones, -1j * ones]), np.zeros((3, ones.size))
+            self.noise = z
+            self.feeds_momentum = 1.0  # the bath also drives x+, through pi_k
 
     def _flow(self, phases, times, left, left_scale):
         """Blocks (xx, xp, px, pp) of the propagator rows ``left`` (of the
@@ -389,22 +347,119 @@ class _PlusSector:
         """Dense cos/sin blocks of the sector propagator at one time."""
         return self._flow(self.freqs * t, t, self.modes, self.scales[:, None])
 
-    def blocks(self, times: np.ndarray):
-        """(+)-sector propagator blocks at ``times``: the 2x2 system block
-        (T, 2, 2), and the bath rows of (x+, p+) over the bath positions,
-        bq = (xx, px), and momenta, bp = (xp, pp), each a (T, n) view.
-        The blocks of the last grid are kept; a new grid replaces them."""
-        if self._times is not None and np.array_equal(self._times, times):
-            return self._blocks
-        self._times = self._blocks = None  # free the old rows before the new ones
-        xx, xp, px, pp = self.rows(times)
-        a2 = np.stack([xx[:, 0], xp[:, 0], px[:, 0], pp[:, 0]], axis=1).reshape(-1, 2, 2)
-        for block in (a2, xx, xp, px, pp):  # every later caller on this grid gets them too
-            block.setflags(write=False)
-        bq = (xx[:, 1:], px[:, 1:])
-        bp = (xp[:, 1:], pp[:, 1:])
-        self._times, self._blocks = times.copy(), (a2, bq, bp)
-        return self._blocks
+    def plus_blocks(self, bath: DiscretizedBath, times: np.ndarray):
+        """System block a2 of the sector propagator and thermal covariance
+        Theta of (x+, p+) at ``times``, each (T, 2, 2); quadrature nodes used;
+        relative drift of Theta from its direct value at the last time.
+
+        Theta = B V_b B^T, B the bath columns of the (x+, p+) rows and V_b the
+        thermal bath covariance.  As dS/dt = S A and the free bath keeps V_b,
+        dTheta/dt = a2 K^T + K a2^T with K = B V_b A_sb^T, A_sb the generator
+        block that feeds the bath into (x+, p+).  Scaled, with c, sigma, mu
+        summed against u^2 and c', mu' against u y (u = modes[0],
+        y_a = sum_k modes[k, a] (n_k + 1/2) noise_k, b = feeds_momentum):
+        a2 = [[c, sigma], [-mu, c]] and K = [[b mu', -c'], [b c', mu']], as
+        b = 1 only where sigma = mu.  Theta starts at the direct row
+        contraction and is integrated by Gauss-Legendre on sub-intervals no
+        longer than 1/w_max, each node value a thin product with a fixed
+        (chunk x N) phase block, so O(N) per node.
+        """
+        a2_ends, theta_ends = _row_blocks(self.rows(times[[0, -1]]), bath)
+        a2, theta = np.empty((times.size, 2, 2)), np.empty((times.size, 2, 2))
+        a2[-1], theta[0] = a2_ends[-1], theta_ends[0]
+        runs = _runs(times, float(self.freqs[-1]))
+        if not runs:
+            return a2, theta, 0, 0.0
+        u = self.modes[0]
+        y = ((bath.occupations + 0.5) * self.noise) @ self.modes[1:]
+        pick = [0, 1, 2, 0, 2]  # c, sigma, mu of u^2, then c, mu of u y
+        v = np.array([u * u] * 3 + [u * y] * 2)
+        coef, lin = v * self.kernels[0][pick], np.sum(v * self.kernels[1][pick], axis=1)
+        n_nodes = _gauss_nodes(max(run[1] for run in runs) * self.freqs[-1])
+        x, weights = np.polynomial.legendre.leggauss(n_nodes)
+        offsets = np.r_[0.0, 0.5 * (x + 1.0)]  # the sub-interval's start, then its nodes
+        b = self.feeds_momentum
+        first, starts, gains, done = [], [], [], 0
+        for t0, h, per, steps in runs:
+            first.append(done + per * np.arange(steps))
+            turn = np.exp(1j * np.outer(self.freqs, h * offsets))
+            base = (coef.T[:, :, None] * turn[:, None]).reshape(self.freqs.size, -1)
+            block = _phase_block(self.freqs, h, min(_TIME_CHUNK, per * steps))
+            for lo in range(0, per * steps, _TIME_CHUNK):
+                rhs = base * np.exp(1j * (t0 + lo * h) * self.freqs)[:, None]
+                values = block[: per * steps - lo] @ np.concatenate((rhs.real, -rhs.imag))
+                values = values.reshape(-1, 5, offsets.size)
+                values += lin[:, None] * (t0 + h * (lo + np.arange(len(values))[:, None, None] + offsets))
+                c, sigma, _, c1, mu1 = values[:, :, 1:].transpose(1, 0, 2)
+                # xx, xp and pp of a2 K^T + K a2^T at the nodes
+                rates = np.stack((2.0 * (b * c * mu1 - sigma * c1), (1.0 - b) * (sigma * mu1 - c * c1),
+                                  2.0 * (c * mu1 - b * sigma * c1)), axis=1)
+                gains.append(0.5 * h * rates @ weights)
+                starts.append(values[:, :3, 0])
+            done += per * steps
+        first = np.concatenate(first)
+        c, sigma, mu = np.concatenate(starts)[first].T
+        s0sq = self.scales[0] ** 2
+        a2[:-1] = np.stack((c, sigma / s0sq, -mu * s0sq, c), axis=1).reshape(-1, 2, 2)
+        gain = np.cumsum(np.concatenate(gains), axis=0)[np.r_[first[1:], done] - 1]
+        theta[1:] = theta[0] + (gain[:, [0, 1, 1, 2]] * [1 / s0sq, 1, 1, s0sq]).reshape(-1, 2, 2)
+        drift = float(np.abs(theta[-1] - theta_ends[-1]).max()
+                      / max(1.0, np.abs(theta_ends[-1]).max()))
+        if drift > _THERMAL_DRIFT_TOL:
+            raise NumericsError(
+                f"numerical instability: the integrated thermal bath term drifted by {drift:.3e} "
+                f"from its direct value at t={times[-1]:.6g}; the normal modes do not give the flow"
+            )
+        return a2, theta, done * n_nodes, drift
+
+
+def _row_blocks(rows, bath: DiscretizedBath) -> tuple[np.ndarray, np.ndarray]:
+    """a2 and the thermal covariance of (x+, p+), each (k, 2, 2), from the dense
+    propagator rows at k times contracted with the thermal bath variances."""
+    xx, xp, px, pp = rows
+    occ, scale = bath.occupations + 0.5, bath.masses * bath.frequencies
+    a2 = np.stack([xx[:, 0], xp[:, 0], px[:, 0], pp[:, 0]], axis=1).reshape(-1, 2, 2)
+    bq, bp = np.stack((xx, px), axis=1)[:, :, 1:], np.stack((xp, pp), axis=1)[:, :, 1:]
+    theta = (np.einsum("tik,k,tjk->tij", bq, occ / scale, bq)
+             + np.einsum("tik,k,tjk->tij", bp, occ * scale, bp))
+    theta[:, 1, 0] = theta[:, 0, 1]
+    return a2, theta
+
+
+def _runs(times: np.ndarray, omega_max: float) -> list[tuple]:
+    """(first time, sub-interval, sub-intervals per step, steps) of each run of
+    equal steps, no sub-interval longer than 1/omega_max: one run for a grid
+    uniform to rounding, else one per step."""
+    steps = np.diff(times)
+    step = (times[-1] - times[0]) / max(steps.size, 1)
+    if np.abs(times - times[0] - step * np.arange(times.size)).max() <= 8 * _EPS * times[-1]:
+        runs = [(times[0], step, steps.size)] if steps.size else []
+    else:
+        runs = zip(times[:-1].tolist(), steps.tolist(), [1] * steps.size)
+    return [(t, h / math.ceil(h * omega_max), math.ceil(h * omega_max), k) for t, h, k in runs]
+
+
+def _gauss_nodes(h_omega: float) -> int:
+    """Fewest Gauss-Legendre nodes whose remainder for frequencies up to 2 w_max
+    over a sub-interval h, (2 h w_max)^2n (n!)^4 / ((2n+1) ((2n)!)^3), is below
+    double precision: 8 at h w_max = 1."""
+    n = 1
+    while (2.0 * h_omega) ** (2 * n) * math.factorial(n) ** 4 > (
+            _EPS * (2 * n + 1) * math.factorial(2 * n) ** 3):
+        n += 1
+    return n
+
+
+def _phase_block(freqs: np.ndarray, h: float, size: int) -> np.ndarray:
+    """[cos | sin](w j h) for j < size, (size, 2 n): the rows j = 2^k from exp,
+    each other row a product of at most log2(size) of them."""
+    block = np.empty((size, freqs.size), dtype=complex)
+    block[0] = 1.0
+    k = 1
+    while k < size:
+        block[k : 2 * k] = block[: min(k, size - k)] * np.exp(1j * (k * h) * freqs)
+        k *= 2
+    return np.concatenate((block.real, block.imag), axis=1)
 
 
 def _physics_key(model: FullModel) -> tuple:
@@ -435,7 +490,7 @@ def _plus_solver(model: FullModel) -> tuple[_PlusSector, float | None]:
 
 
 def release_shared_solver() -> None:
-    """End the sharing of normal modes and rows; one command is its scope."""
+    """End the sharing of normal modes; one command is its scope."""
     global _shared
     _shared = None
 
@@ -469,20 +524,6 @@ def full_propagator(model: FullModel, t: float) -> np.ndarray:
     s[np.ix_(mom, mom)] = pp
     s[2:4, 2:4] = _minus_rotation(model, np.array([t]))[0]
     return s
-
-
-def full_initial_covariance(model: FullModel, initial_system: GaussianState) -> np.ndarray:
-    """Factorized initial covariance (system x thermal bath), virtual ordering."""
-    bath = model.bath
-    n = bath.n_modes
-    dim = 2 * (n + 2)
-    v = np.zeros((dim, dim))
-    v[:4, :4] = BEAM_SPLITTER @ initial_system.cov @ BEAM_SPLITTER.T
-    occ = bath.occupations + 0.5
-    qi = 4 + 2 * np.arange(n)
-    v[qi, qi] = occ / (bath.masses * bath.frequencies)
-    v[qi + 1, qi + 1] = occ * bath.masses * bath.frequencies
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -553,27 +594,14 @@ def evolve(
     v0 = sbs @ initial_system.cov @ sbs.T
     m0 = sbs @ initial_system.mean
     v_pp, v_pm, v_mm = v0[:2, :2], v0[:2, 2:], v0[2:, 2:]
-    occ = bath.occupations + 0.5
-    var_q = occ / (bath.masses * bath.frequencies)
-    var_p = occ * bath.masses * bath.frequencies
-
+    a2, theta, nodes, drift = solver.plus_blocks(bath, times)
+    r2 = _minus_rotation(model, times)
     virtual_cov = np.empty((times.size, 4, 4))
-    virtual_mean = np.empty((times.size, 4))
-    for lo in range(0, times.size, _TIME_CHUNK):
-        chunk = times[lo : lo + _TIME_CHUNK]
-        a2, bq, bp = solver.blocks(chunk)
-        r2 = _minus_rotation(model, chunk)
-        vv = virtual_cov[lo : lo + chunk.size]
-        vv[:, :2, :2] = np.einsum("tik,kl,tjl->tij", a2, v_pp, a2)
-        for i, j in ((0, 0), (0, 1), (1, 1)):  # the thermal bath: weighted row sums
-            vv[:, i, j] += np.einsum("tk,k,tk->t", bq[i], var_q, bq[j])
-            vv[:, i, j] += np.einsum("tk,k,tk->t", bp[i], var_p, bp[j])
-        vv[:, 1, 0] = vv[:, 0, 1]
-        vv[:, :2, 2:] = np.einsum("tik,kl,tjl->tij", a2, v_pm, r2)
-        vv[:, 2:, :2] = np.swapaxes(vv[:, :2, 2:], 1, 2)
-        vv[:, 2:, 2:] = np.einsum("tik,kl,tjl->tij", r2, v_mm, r2)
-        virtual_mean[lo : lo + chunk.size, :2] = np.einsum("tij,j->ti", a2, m0[:2])
-        virtual_mean[lo : lo + chunk.size, 2:] = np.einsum("tij,j->ti", r2, m0[2:])
+    virtual_cov[:, :2, :2] = np.einsum("tik,kl,tjl->tij", a2, v_pp, a2) + theta
+    virtual_cov[:, :2, 2:] = np.einsum("tik,kl,tjl->tij", a2, v_pm, r2)
+    virtual_cov[:, 2:, :2] = np.swapaxes(virtual_cov[:, :2, 2:], 1, 2)
+    virtual_cov[:, 2:, 2:] = np.einsum("tik,kl,tjl->tij", r2, v_mm, r2)
+    virtual_mean = np.concatenate((a2 @ m0[:2], r2 @ m0[2:]), axis=1)
     # per sample a 4x4 @ 4x4 and a 4x4 @ 4-vector, as for one state
     cov_site = sbs @ virtual_cov @ sbs.T
     means = (sbs @ virtual_mean[:, :, None])[:, :, 0]
@@ -591,6 +619,8 @@ def evolve(
         "normal_mode_solves": int(solve_s is not None),
         "normal_modes_s": solve_s or 0.0,
         **solver.health,
+        "thermal_nodes": nodes,
+        "thermal_drift": drift,
         "states_s": time.perf_counter() - start,
         "min_physicality_defect": float(defects.min()),
     }

@@ -24,15 +24,7 @@ import numpy as np
 from . import __version__
 from .bathsim import SYMMETRIC, entanglement_trajectory, initial_state, release_shared_solver
 from .config import RunConfig, load_config
-from .errors import (
-    ConfigError,
-    EntbathError,
-    HorizonError,
-    NumericsError,
-    ParameterRegimeError,
-    UnsupportedOperationError,
-    ValidationError,
-)
+from .errors import ConfigError, EntbathError, UnsupportedOperationError
 from .rwa import extract_coefficients, solve_amplitude
 from .sweep import PHASE_COLUMNS, phase_boundaries, run_phase_sweep, verify_grid
 
@@ -141,6 +133,8 @@ def cmd_evolve(config: RunConfig, out_dir: Path) -> int:
         "min_physicality_defect": info["min_physicality_defect"],
         "secular_iterations": info["secular_iterations"],
         "secular_z_drift": info["secular_z_drift"],
+        "thermal_nodes": info["thermal_nodes"],
+        "thermal_drift": info["thermal_drift"],
         "horizon_margin": float(traj.times[-1]) / traj.validity_horizon,
         "wall_time_s": {
             "model": build_s + info["normal_modes_s"],
@@ -331,9 +325,6 @@ def main(argv=None) -> int:
     except (ConfigError, UnsupportedOperationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericsError, HorizonError, ParameterRegimeError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICS
     except EntbathError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICS

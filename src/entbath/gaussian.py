@@ -184,16 +184,25 @@ def log_negativity(state):
     """Logarithmic negativity E_N = max{0, -ln(2 nu_min)} of the partial transpose.
 
     ``state`` is a GaussianState (a float comes back) or a stack of validated
-    covariances (..., 4, 4) (an array of shape (...) comes back).
+    covariances (..., 4, 4) (an array of shape (...) comes back).  For
+    V = [[A, C], [C^T, B]] the smaller symplectic eigenvalue of the partial
+    transpose is nu^2 = 2 det V / (D + sqrt(D^2 - 4 det V)), D = det A + det B
+    - 2 det C, the cancellation-free root (Serafini, Illuminati & De Siena,
+    J. Phys. B 37, L21 (2004)).
     """
-    cov = state.cov if isinstance(state, GaussianState) else state
-    nu_min, _ = symplectic_eigenvalues(partial_transpose(cov))
-    nu = np.asarray(nu_min)
-    if np.any(nu <= 0.0):
+    cov = _four_by_four(state.cov if isinstance(state, GaussianState) else state)
+    delta = _det2(cov[..., :2, :2]) + _det2(cov[..., 2:, 2:]) - 2.0 * _det2(cov[..., :2, 2:])
+    det = np.linalg.det(cov)
+    nu_sq = 2.0 * det / (delta + np.sqrt(np.maximum(delta * delta - 4.0 * det, 0.0)))
+    if np.any(~(nu_sq > 0.0)):
         raise ValidationError("vanishing symplectic eigenvalue; state is not physical")
     # math.log, not np.log: the two differ in the last bit
-    energies = [max(0.0, -math.log(2.0 * v)) for v in nu.reshape(-1).tolist()]
-    return energies[0] if nu.ndim == 0 else np.array(energies).reshape(nu.shape)
+    energies = [max(0.0, -0.5 * math.log(4.0 * v)) for v in nu_sq.reshape(-1).tolist()]
+    return energies[0] if nu_sq.ndim == 0 else np.array(energies).reshape(nu_sq.shape)
+
+
+def _det2(m: np.ndarray) -> np.ndarray:
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 
 def beam_splitter(state: GaussianState) -> GaussianState:

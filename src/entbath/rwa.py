@@ -5,9 +5,7 @@ equation whose memory kernel is the discrete-mode sum over the bath.  Because
 the kernel is a finite sum of exponentials, the equation is equivalent to the
 (N+1)-dimensional linear system generated by the real symmetric one-excitation
 matrix, an arrowhead, and is propagated exactly through its eigendecomposition
-(an O(N^2) secular solve, ``spectra.arrowhead_eigh``); a direct
-trapezoidal time-stepping solver with the stored kernel is kept as an
-independent spot-check.
+(an O(N^2) secular solve, ``spectra.arrowhead_eigh``).
 
 From (u, p_n) the time-dependent dissipation, frequency-shift and diffusion
 coefficients of the exact master equation follow from closed sums; the dense
@@ -116,41 +114,6 @@ def solve_amplitude(bath: DiscretizedBath, omega: float, times) -> AmplitudeSolu
     return AmplitudeSolution(
         times=times, omega=omega, bath=bath, _eigvals=lam, _eigvecs=vecs, solve_health=health,
     )
-
-
-def solve_amplitude_stepping(bath: DiscretizedBath, omega: float, times) -> np.ndarray:
-    """Trapezoidal predictor-corrector solution of the amplitude Volterra equation.
-
-    Direct time-domain stepping with the stored discrete-mode memory kernel,
-    O(steps^2); retained as an independent cross-check of the spectral route.
-    """
-    times = _validate_grid(bath, times)
-    dt = np.diff(times)
-    if np.max(dt) - np.min(dt) > 1e-9 * dt[0]:
-        raise ValidationError("stepping solver needs a uniform grid")
-    h = float(dt[0])
-    g2 = bath.ladder_couplings**2
-    kernel = np.exp(1j * np.outer(times, bath.frequencies)) @ g2
-    u = np.zeros(times.size, dtype=complex)
-    u[0] = 1.0
-
-    def rhs(n: int, un: complex) -> complex:
-        if n == 0:
-            mem = 0.0
-        else:
-            mem = h * (
-                0.5 * kernel[n] * u[0]
-                + np.dot(kernel[n - 1 : 0 : -1], u[1:n])
-                + 0.5 * kernel[0] * un
-            )
-        return 1j * omega * un - mem
-
-    for n in range(times.size - 1):
-        f0 = rhs(n, u[n])
-        pred = u[n] + h * f0
-        f1 = rhs(n + 1, pred)
-        u[n + 1] = u[n] + 0.5 * h * (f0 + f1)
-    return u
 
 
 @dataclass

@@ -8,16 +8,14 @@ from scipy.linalg import expm
 from entbath import bathsim
 from entbath.bathsim import (
     FullModel,
-    build_generator,
     entanglement_trajectory,
     equilibrium_variances_sim,
     evolve,
-    full_initial_covariance,
     full_propagator,
-    hamiltonian_matrix,
     initial_state,
     plus_variance_series,
 )
+from entbath.cli import main
 from entbath.config import load_config
 from entbath.errors import HorizonError, NumericsError, ParameterRegimeError, ValidationError
 from entbath.gaussian import (
@@ -31,6 +29,7 @@ from entbath.gaussian import (
     symplectic_form,
 )
 from entbath.spectra import OhmicSpectralDensity
+from oracles import build_generator, full_initial_covariance, hamiltonian_matrix, row_route_blocks
 
 DENSITY = OhmicSpectralDensity(gamma0=0.1, cutoff=20.0, mass=1.0)
 
@@ -240,10 +239,12 @@ class TestStackedStates:
         return max(0.0, -math.log(2.0 * (0.5 * (mods[0] + mods[1]))))
 
     def test_stacked_entanglement_and_defect_equal_each_state_bitwise(self, fig3a):
+        # the closed form agrees with the eigenvalue route within 1e-10; stacked
+        # and per-state evaluations agree bitwise
         traj = fig3a[3]
         covs = traj.covariances()
         reference = [self.reference_log_negativity(c) for c in covs]
-        assert np.array_equal(log_negativity(covs), reference)
+        assert np.abs(log_negativity(covs) - reference).max() <= 1e-10
         assert np.array_equal(log_negativity(covs), [log_negativity(s) for s in traj.states])
         assert np.array_equal(physicality_defect(covs), [physicality_defect(c) for c in covs])
         assert np.array_equal(traj.entanglement(), log_negativity(covs))
@@ -273,6 +274,89 @@ class TestStackedStates:
         info = fig3a[3].info
         assert info["bath_modes"] == 1000 and info["samples"] == 401
         assert -1e-12 < info["min_physicality_defect"] <= 1e-9
+
+
+class TestThermalRoute:
+    """The thermal bath term integrated from its time derivative, against the
+    dense row route of ``oracles.row_route_blocks``."""
+
+    @staticmethod
+    def by_rows(monkeypatch, model, state, times):
+        def rows_at_every_time(solver, bath, grid):
+            a2, theta = row_route_blocks(model, grid)
+            return a2, theta, 0, 0.0
+
+        with monkeypatch.context() as patch:
+            patch.setattr(bathsim._PlusSector, "plus_blocks", rows_at_every_time)
+            return evolve(model, state, times, override_horizon=True)
+
+    def assert_rows_agree(self, monkeypatch, model, state, times):
+        got = evolve(model, state, times, override_horizon=True).covs
+        want = self.by_rows(monkeypatch, model, state, times).covs
+        deviation = np.abs(got - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
+        assert deviation.max() <= 1e-12
+
+    @pytest.mark.parametrize("coupling", ["position", "symmetric"])
+    @pytest.mark.parametrize("temperature", [0.0, 10.0])
+    @pytest.mark.parametrize("times", [
+        np.linspace(0.0, 20.0, 401),     # from t = 0
+        np.linspace(40.0, 50.0, 360),    # a verify window
+        np.array([0.3, 1.7, 2.9]),       # irregular steps far above 1/cutoff
+        np.array([2.9]),                 # a single time
+    ], ids=["from-zero", "window", "irregular", "single"])
+    def test_matches_the_row_route(self, monkeypatch, coupling, temperature, times):
+        model = FullModel.renormalized(DENSITY, 400, temperature, omega_r=1.0, c12=-0.2,
+                                       coupling_type=coupling)
+        state = initial_state(model, "two-mode-squeezed", r=1.0)
+        self.assert_rows_agree(monkeypatch, model, state, times)
+
+    def test_clipped_zero_frequency_keeps_the_free_limit(self, monkeypatch):
+        # bare w+^2 a hair below the static bath shift sum z_k^2 / w_k^2: the
+        # lowest squared normal frequency is about -1e-14, inside the clip
+        bath = small_model("position", n=64, renorm=False).bath
+        shift = float(np.sum(bath.position_couplings**2 / (bath.masses * bath.frequencies**2)))
+        model = FullModel.bare(DENSITY, 64, 5.0, omega0=math.sqrt(shift * (1.0 - 1e-14)))
+        assert bathsim._PlusSector(model).freqs[0] == 0.0
+        state = initial_state(model, "coherent-product")
+        self.assert_rows_agree(monkeypatch, model, state, np.linspace(0.0, 3.0, 61))
+
+    def test_rows_at_no_more_than_two_times(self, monkeypatch):
+        model = small_model("symmetric", n=300)
+        sizes = []
+        rows = bathsim._PlusSector.rows
+
+        def counted(solver, times):
+            sizes.append(times.size)
+            return rows(solver, times)
+
+        monkeypatch.setattr(bathsim._PlusSector, "rows", counted)
+        traj = evolve(model, initial_state(model, "coherent-product"), np.linspace(0.0, 40.0, 801))
+        assert sizes == [2]
+        assert traj.info["thermal_nodes"] == 800 * 8 and traj.info["thermal_drift"] < 1e-12
+
+    @staticmethod
+    def corrupt_one_eigenvector(monkeypatch):
+        solve = bathsim.arrowhead_eigh
+
+        def corrupted(*args):
+            freqs, modes, health = solve(*args)
+            modes = modes.copy()
+            modes[5, 3] += 1e-3  # no longer an eigenvector; a uniform rescaling would still be
+            return freqs, modes, health
+
+        monkeypatch.setattr(bathsim, "arrowhead_eigh", corrupted)
+        monkeypatch.setattr(bathsim, "_shared", None)  # no solver made before or kept after
+
+    def test_checkpoint_catches_a_corrupted_eigenvector(self, monkeypatch, tmp_path):
+        self.corrupt_one_eigenvector(monkeypatch)
+        model = small_model("position", n=300)
+        with pytest.raises(NumericsError, match="thermal bath term drifted"):
+            evolve(model, initial_state(model, "coherent-product"), np.linspace(0.0, 20.0, 81))
+        config = Path(__file__).resolve().parent.parent / "configs" / "fig3a.cfg"
+        text = config.read_text().replace("modes = 1000", "modes = 300")
+        (tmp_path / "run.cfg").write_text(text.replace("t_max = 100.0", "t_max = 20.0"))
+        code = main(["evolve", "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "o")])
+        assert code == 3
 
 
 class TestModelConstruction:

@@ -124,6 +124,8 @@ class TestEvolveCommand:
         assert info["bath_modes"] == 300 and info["samples"] == 121
         assert info["horizon_margin"] == pytest.approx(30.0 / (math.pi * 300 / 20.0))
         assert -1e-12 < info["min_physicality_defect"] <= 1e-9
+        # 120 steps of 0.25, each 5 sub-intervals no longer than 1/w_max ~ 1/20, 8 nodes each
+        assert info["thermal_nodes"] == 120 * 5 * 8 and 0.0 <= info["thermal_drift"] < 1e-12
         assert set(info["wall_time_s"]) == {"model", "states", "entanglement", "write"}
         assert_same_artifacts(tmp_path / "a", tmp_path / "b")
 
@@ -628,6 +630,7 @@ squeezings = 1.67
             assert "needs 26802 bath modes, more than 4000" in point["reason"]
         info = json.loads((tmp_path / "o" / "run_info.json").read_text())
         assert info["normal_mode_solves"] == 0 and info["bath_modes"] == {}
+        assert info["simulated_points"] == 0
 
     def test_bath_modes_raise_the_ceiling(self, tmp_path, monkeypatch):
         monkeypatch.setattr(sweep, "_VERIFY_MODE_CEILING", 100)  # the window needs 331 modes
@@ -646,6 +649,7 @@ squeezings = 1.67
         assert info["simulated_points"] == 2 and info["normal_mode_solves"] == 1
         assert info["bath_modes"] == {"c12=0": 331}
         assert -1e-12 < info["min_physicality_defect"] <= 1e-9
+        assert 0.0 <= info["thermal_drift"] < 1e-12
         assert info["sweep"]["stationary"]["route"] == sweep._STATIONARY_ROUTE
         assert info["sweep"]["n_points"] == 2 and info["wall_time_s"] > 0.0
         assert_same_artifacts(tmp_path / "a", tmp_path / "b")

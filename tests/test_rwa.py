@@ -11,9 +11,9 @@ from entbath.rwa import (
     evolve_moments_me,
     extract_coefficients,
     solve_amplitude,
-    solve_amplitude_stepping,
 )
 from entbath.spectra import OhmicSpectralDensity, discretize
+from oracles import solve_amplitude_stepping
 
 DENSITY = OhmicSpectralDensity(gamma0=0.1, cutoff=20.0, mass=1.0)
 
