@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .asymptotics import (
     Phase,
     PhaseSummary,
-    asymptotic_state,
     classify,
     dominant_frequency,
     envelope,
@@ -47,13 +46,9 @@ from .gaussian import (
     GaussianState,
     ModeSpec,
     beam_splitter,
-    coherent_product_state,
     log_negativity,
     mode_squeezing,
-    partial_transpose,
-    purity,
-    squeezed_product_state,
-    symplectic_eigenvalues,
+    physicality_defect,
     two_mode_squeezed_state,
 )
 from .rwa import (
@@ -74,7 +69,7 @@ from .spectra import (
 )
 
 __all__ = [
-    "Phase", "PhaseSummary", "asymptotic_state", "classify", "dominant_frequency",
+    "Phase", "PhaseSummary", "classify", "dominant_frequency",
     "envelope", "envelope_band", "r_crit", "resource_conditions", "s_crit",
     "stationary_variances_ladder", "stationary_variances_position",
     "stationary_variances_symmetric", "summarize",
@@ -83,9 +78,7 @@ __all__ = [
     "ConfigError", "EntbathError", "HorizonError", "NumericsError",
     "ParameterRegimeError", "UnsupportedOperationError", "ValidationError",
     "BEAM_SPLITTER", "SYMPLECTIC_FORM", "GaussianState", "ModeSpec", "beam_splitter",
-    "coherent_product_state", "log_negativity", "mode_squeezing", "partial_transpose",
-    "purity", "squeezed_product_state", "symplectic_eigenvalues",
-    "two_mode_squeezed_state",
+    "log_negativity", "mode_squeezing", "physicality_defect", "two_mode_squeezed_state",
     "AmplitudeSolution", "CoefficientTrace", "MomentEvolution", "evolve_moments_me",
     "extract_coefficients", "solve_amplitude",
     "DiscretizedBath", "OhmicSpectralDensity", "discretize", "eta_kernel",

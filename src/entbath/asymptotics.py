@@ -21,7 +21,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import NumericsError, ParameterRegimeError, ValidationError
-from .gaussian import GaussianState, ModeSpec, mode_squeezing, state_from_virtual_blocks
+from .gaussian import ModeSpec, mode_squeezing
 from .rwa import CoefficientTrace
 from .spectra import OhmicSpectralDensity
 
@@ -34,9 +34,6 @@ class Phase(enum.Enum):
     NSD = "NSD"
     SDR = "SDR"
     SD = "SD"
-
-    def __str__(self):  # pragma: no cover - cosmetic
-        return self.value
 
 
 ResourceFlags = namedtuple("ResourceFlags", "coherent_entangles environment_amplifies")
@@ -401,27 +398,6 @@ def resource_conditions(
     coherent = abs(r_crit_value) > 0.5 * math.log(2.0 * dx_plus * dp_plus)
     amplifies = abs(r_crit_value) - s_crit_value >= 2.0 * abs(r)
     return ResourceFlags(bool(coherent), bool(amplifies))
-
-
-def asymptotic_state(
-    dx_plus: float,
-    dp_plus: float,
-    dx_minus: float,
-    dp_minus: float,
-    minus_mode: ModeSpec,
-    angle: float,
-) -> GaussianState:
-    """Site-basis state of the late-time cycle at rotation phase ``angle``.
-
-    The (+) block is the stationary diagonal; the (-) block is the initial
-    squeezed state rotated by ``angle`` in its own phase space.
-    """
-    plus = np.diag([dx_plus**2, dp_plus**2])
-    s = minus_mode.xp_scale
-    c, sn = math.cos(angle), math.sin(angle)
-    rot = np.array([[c, sn / s], [-s * sn, c]])
-    minus = rot @ np.diag([dx_minus**2, dp_minus**2]) @ rot.T
-    return state_from_virtual_blocks(plus, minus)
 
 
 def dominant_frequency(times: np.ndarray, values: np.ndarray) -> float:

@@ -277,8 +277,8 @@ class _PlusSector:
     In the quadratures X = s x, P = p / s of ``scales`` each (x+, p+) entry of
     the flow sums, over the normal modes a, a fixed vector against cos(w_a t)
     or a sine kernel: sigma = sin(w_a t) / w_a and mu = w_a sin(w_a t) for
-    position coupling (t and w_a^2 t at a frequency clipped to 0 at the
-    stability edge), sigma = mu = sin(w_a t) for symmetric coupling.
+    position coupling, sigma = mu = sin(w_a t) for symmetric coupling.  A
+    position-coupling normal mode at or below zero frequency is a regime error.
 
     T enters a model only through the bath occupations and r only through the
     initial state, so every point of a verify grid at one C12 shares one
@@ -299,35 +299,32 @@ class _PlusSector:
         self.scales = np.sqrt(scales)  # square roots of each coordinate's x-to-p scale
         self.freqs, self.modes, self.health = arrowhead_eigh(*self.arrowhead)
         _, z, d = self.arrowhead
-        # per mode, cos, sigma and mu as Re(factor e^{i w t}) + linear t
-        ones, zeros = np.ones_like(self.freqs), np.zeros_like(self.freqs)
+        # per mode, cos, sigma and mu as Re(kernel e^{i w t})
+        ones = np.ones_like(self.freqs)
         if self.position:
             w2 = self.freqs
-            if w2[0] < -1e-12 * max(1.0, float(np.abs(w2).max())):
+            if not w2[0] > 0.0:
                 raise ParameterRegimeError(
-                    "dressed (+) sector is unstable (negative normal frequency "
-                    f"{w2[0]:.3e}); the bath shift exceeds the bare stiffness"
+                    "dressed (+) sector is unstable (normal frequency squared "
+                    f"{w2[0]:.3e}); the bath shift reaches the bare stiffness"
                 )
-            self.freqs = np.sqrt(np.clip(w2, 0.0, None))
-            clipped = (self.freqs == 0.0).astype(float)
-            inverse = np.divide(1.0, self.freqs, out=zeros.copy(), where=clipped == 0.0)
-            self.kernels = (np.array([ones, -1j * inverse, -1j * w2 * inverse]),
-                            np.array([zeros, clipped, w2 * clipped]))
+            self.freqs = np.sqrt(w2)
+            inverse = 1.0 / self.freqs
+            self.kernels = np.array([ones, -1j * inverse, -1j * w2 * inverse])
             self.noise = z / np.sqrt(d)  # s_k c_k var(q_k) / (s_0 (n_k + 1/2))
             self.feeds_momentum = 0.0
         else:
-            self.kernels = np.array([ones, -1j * ones, -1j * ones]), np.zeros((3, ones.size))
+            self.kernels = np.array([ones, -1j * ones, -1j * ones])
             self.noise = z
             self.feeds_momentum = 1.0  # the bath also drives x+, through pi_k
 
-    def _flow(self, phases, times, left, left_scale):
+    def _flow(self, phases, left, left_scale):
         """Blocks (xx, xp, px, pp) of the propagator rows ``left`` (of the
         modes) at the given phases: two products, the cosine and the sine rows."""
         o, s = self.modes, self.scales
         sine = np.sin(phases)
         if self.position:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                sine = np.where(self.freqs > 0.0, sine / self.freqs, times)
+            sine = sine / self.freqs
         crow = (np.cos(phases) * left) @ o.T
         srow = (sine * left) @ o.T
         mom = srow
@@ -341,11 +338,11 @@ class _PlusSector:
 
     def rows(self, times: np.ndarray):
         """Propagator rows of (x+, p+) over the sector inputs, shape (T, n+1) each."""
-        return self._flow(np.outer(times, self.freqs), times[:, None], self.modes[0], self.scales[0])
+        return self._flow(np.outer(times, self.freqs), self.modes[0], self.scales[0])
 
     def full_blocks(self, t: float):
         """Dense cos/sin blocks of the sector propagator at one time."""
-        return self._flow(self.freqs * t, t, self.modes, self.scales[:, None])
+        return self._flow(self.freqs * t, self.modes, self.scales[:, None])
 
     def plus_blocks(self, bath: DiscretizedBath, times: np.ndarray):
         """System block a2 of the sector propagator and thermal covariance
@@ -360,48 +357,47 @@ class _PlusSector:
         y_a = sum_k modes[k, a] (n_k + 1/2) noise_k, b = feeds_momentum):
         a2 = [[c, sigma], [-mu, c]] and K = [[b mu', -c'], [b c', mu']], as
         b = 1 only where sigma = mu.  Theta starts at the direct row
-        contraction and is integrated by Gauss-Legendre on sub-intervals no
-        longer than 1/w_max, each node value a thin product with a fixed
-        (chunk x N) phase block, so O(N) per node.
+        contraction and is integrated by Gauss-Legendre on equal sub-intervals
+        no longer than 1/w_max, each node value a thin product with a fixed
+        (chunk x N) phase block, so O(N) per node.  ``times`` is uniform to
+        rounding (``_validate_times``).
         """
         a2_ends, theta_ends = _row_blocks(self.rows(times[[0, -1]]), bath)
         a2, theta = np.empty((times.size, 2, 2)), np.empty((times.size, 2, 2))
         a2[-1], theta[0] = a2_ends[-1], theta_ends[0]
-        runs = _runs(times, float(self.freqs[-1]))
-        if not runs:
+        steps = times.size - 1
+        if not steps:
             return a2, theta, 0, 0.0
+        step = (times[-1] - times[0]) / steps
+        per = math.ceil(step * self.freqs[-1])  # sub-intervals per step
+        h, done = step / per, per * steps
         u = self.modes[0]
         y = ((bath.occupations + 0.5) * self.noise) @ self.modes[1:]
         pick = [0, 1, 2, 0, 2]  # c, sigma, mu of u^2, then c, mu of u y
-        v = np.array([u * u] * 3 + [u * y] * 2)
-        coef, lin = v * self.kernels[0][pick], np.sum(v * self.kernels[1][pick], axis=1)
-        n_nodes = _gauss_nodes(max(run[1] for run in runs) * self.freqs[-1])
+        coef = np.array([u * u] * 3 + [u * y] * 2) * self.kernels[pick]
+        n_nodes = _gauss_nodes(h * self.freqs[-1])
         x, weights = np.polynomial.legendre.leggauss(n_nodes)
         offsets = np.r_[0.0, 0.5 * (x + 1.0)]  # the sub-interval's start, then its nodes
         b = self.feeds_momentum
-        first, starts, gains, done = [], [], [], 0
-        for t0, h, per, steps in runs:
-            first.append(done + per * np.arange(steps))
-            turn = np.exp(1j * np.outer(self.freqs, h * offsets))
-            base = (coef.T[:, :, None] * turn[:, None]).reshape(self.freqs.size, -1)
-            block = _phase_block(self.freqs, h, min(_TIME_CHUNK, per * steps))
-            for lo in range(0, per * steps, _TIME_CHUNK):
-                rhs = base * np.exp(1j * (t0 + lo * h) * self.freqs)[:, None]
-                values = block[: per * steps - lo] @ np.concatenate((rhs.real, -rhs.imag))
-                values = values.reshape(-1, 5, offsets.size)
-                values += lin[:, None] * (t0 + h * (lo + np.arange(len(values))[:, None, None] + offsets))
-                c, sigma, _, c1, mu1 = values[:, :, 1:].transpose(1, 0, 2)
-                # xx, xp and pp of a2 K^T + K a2^T at the nodes
-                rates = np.stack((2.0 * (b * c * mu1 - sigma * c1), (1.0 - b) * (sigma * mu1 - c * c1),
-                                  2.0 * (c * mu1 - b * sigma * c1)), axis=1)
-                gains.append(0.5 * h * rates @ weights)
-                starts.append(values[:, :3, 0])
-            done += per * steps
-        first = np.concatenate(first)
+        turn = np.exp(1j * np.outer(self.freqs, h * offsets))
+        base = (coef.T[:, :, None] * turn[:, None]).reshape(self.freqs.size, -1)
+        block = _phase_block(self.freqs, h, min(_TIME_CHUNK, done))
+        starts, gains = [], []
+        for lo in range(0, done, _TIME_CHUNK):
+            rhs = base * np.exp(1j * (times[0] + lo * h) * self.freqs)[:, None]
+            values = block[: done - lo] @ np.concatenate((rhs.real, -rhs.imag))
+            values = values.reshape(-1, 5, offsets.size)
+            c, sigma, _, c1, mu1 = values[:, :, 1:].transpose(1, 0, 2)
+            # xx, xp and pp of a2 K^T + K a2^T at the nodes
+            rates = np.stack((2.0 * (b * c * mu1 - sigma * c1), (1.0 - b) * (sigma * mu1 - c * c1),
+                              2.0 * (c * mu1 - b * sigma * c1)), axis=1)
+            gains.append(0.5 * h * rates @ weights)
+            starts.append(values[:, :3, 0])
+        first = per * np.arange(steps)
         c, sigma, mu = np.concatenate(starts)[first].T
         s0sq = self.scales[0] ** 2
         a2[:-1] = np.stack((c, sigma / s0sq, -mu * s0sq, c), axis=1).reshape(-1, 2, 2)
-        gain = np.cumsum(np.concatenate(gains), axis=0)[np.r_[first[1:], done] - 1]
+        gain = np.cumsum(np.concatenate(gains), axis=0)[first + per - 1]
         theta[1:] = theta[0] + (gain[:, [0, 1, 1, 2]] * [1 / s0sq, 1, 1, s0sq]).reshape(-1, 2, 2)
         drift = float(np.abs(theta[-1] - theta_ends[-1]).max()
                       / max(1.0, np.abs(theta_ends[-1]).max()))
@@ -424,19 +420,6 @@ def _row_blocks(rows, bath: DiscretizedBath) -> tuple[np.ndarray, np.ndarray]:
              + np.einsum("tik,k,tjk->tij", bp, occ * scale, bp))
     theta[:, 1, 0] = theta[:, 0, 1]
     return a2, theta
-
-
-def _runs(times: np.ndarray, omega_max: float) -> list[tuple]:
-    """(first time, sub-interval, sub-intervals per step, steps) of each run of
-    equal steps, no sub-interval longer than 1/omega_max: one run for a grid
-    uniform to rounding, else one per step."""
-    steps = np.diff(times)
-    step = (times[-1] - times[0]) / max(steps.size, 1)
-    if np.abs(times - times[0] - step * np.arange(times.size)).max() <= 8 * _EPS * times[-1]:
-        runs = [(times[0], step, steps.size)] if steps.size else []
-    else:
-        runs = zip(times[:-1].tolist(), steps.tolist(), [1] * steps.size)
-    return [(t, h / math.ceil(h * omega_max), math.ceil(h * omega_max), k) for t, h, k in runs]
 
 
 def _gauss_nodes(h_omega: float) -> int:
@@ -550,12 +533,6 @@ class Trajectory:
         """The samples as GaussianStates, built on first access."""
         return tuple(GaussianState(m, c) for m, c in zip(self.means, self.covs))
 
-    def covariances(self) -> np.ndarray:
-        return self.covs
-
-    def entanglement(self) -> np.ndarray:
-        return log_negativity(self.covs)
-
 
 def _validate_times(model: FullModel, times, override_horizon: bool) -> np.ndarray:
     times = np.asarray(times, dtype=float)
@@ -565,6 +542,9 @@ def _validate_times(model: FullModel, times, override_horizon: bool) -> np.ndarr
         raise ValidationError("times must be finite and non-negative")
     if np.any(np.diff(times) <= 0.0):
         raise ValidationError("times must be strictly increasing")
+    step = (times[-1] - times[0]) / max(times.size - 1, 1)
+    if np.abs(times - times[0] - step * np.arange(times.size)).max() > 8 * _EPS * times[-1]:
+        raise ValidationError("times must be a uniform grid (equal steps up to rounding)")
     if not override_horizon and times[-1] > model.validity_horizon * (1.0 + 1e-12):
         raise HorizonError(
             f"requested time {times[-1]:.6g} exceeds the validity horizon "
@@ -580,10 +560,12 @@ def evolve(
     times,
     override_horizon: bool = False,
 ) -> Trajectory:
-    """Exact reduced dynamics of the two-oscillator system.
+    """Exact reduced dynamics of the two-oscillator system on a uniform grid.
 
-    The bath starts thermal and factorized from the system.  Output states are
-    in the site ordering and validated for physicality in one stacked check.
+    ``times`` is strictly increasing, with equal steps up to rounding, and
+    ends inside the validity horizon unless ``override_horizon``.  The bath
+    starts thermal and factorized from the system.  Output states are in the
+    site ordering and validated for physicality in one stacked check.
     """
     times = _validate_times(model, times, override_horizon)
     bath = model.bath
@@ -637,7 +619,7 @@ def entanglement_trajectory(
     """Trajectory plus the logarithmic negativity at every grid time."""
     traj = evolve(model, initial_system, times, override_horizon=override_horizon)
     start = time.perf_counter()
-    energies = traj.entanglement()
+    energies = log_negativity(traj.covs)
     traj.info["entanglement_s"] = time.perf_counter() - start
     return traj, energies
 
@@ -646,8 +628,8 @@ def entanglement_trajectory(
 # initial states
 
 
-#: initial states that (r, purity_product) alone define, as a config file can
-#: name them; an explicit covariance has to be passed in
+#: the initial states ``initial_state`` builds from (r, purity_product), as a
+#: config file names them
 STANDARD_STATE_KINDS = ("two-mode-squeezed", "squeezed-product", "coherent-product")
 
 
@@ -656,7 +638,6 @@ def initial_state(
     kind: str,
     r: float = 0.0,
     purity_product: float = 0.5,
-    cov: np.ndarray | None = None,
     mean: np.ndarray | None = None,
 ) -> GaussianState:
     """Standard initial system states, built in the model's own mode frames.
@@ -666,10 +647,6 @@ def initial_state(
     squeezing parameter equals ``r`` exactly; ``purity_product`` is the area
     dx- * dp- (1/2 for pure states).
     """
-    if kind == "explicit-covariance":
-        if cov is None:
-            raise ValidationError("explicit-covariance initial state needs a covariance")
-        return GaussianState(np.zeros(4) if mean is None else mean, cov)
     if kind not in STANDARD_STATE_KINDS:
         raise ValidationError(f"unknown initial state kind {kind!r}")
     minus = squeezed_cov(r, model.minus_mode, area_product=purity_product)
@@ -693,7 +670,7 @@ def initial_state(
 def plus_variance_series(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Series (<x+^2>, <p+^2>, <{x+,p+}>/2) of the virtual (+) mode."""
     sbs = BEAM_SPLITTER
-    covs = np.einsum("ij,tjk,lk->til", sbs, traj.covariances(), sbs)
+    covs = np.einsum("ij,tjk,lk->til", sbs, traj.covs, sbs)
     return covs[:, 0, 0], covs[:, 1, 1], covs[:, 0, 1]
 
 

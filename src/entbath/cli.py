@@ -110,7 +110,7 @@ def cmd_evolve(config: RunConfig, out_dir: Path) -> int:
     )
     start = time.perf_counter()
     rows, cols = np.array(_COV_INDEX).T
-    table = np.column_stack((traj.times, traj.covariances()[:, rows, cols], energies))
+    table = np.column_stack((traj.times, traj.covs[:, rows, cols], energies))
     out_csv = out_dir / "trajectory.csv"
     write_csv(
         out_csv,
@@ -158,8 +158,7 @@ def cmd_coeffs(config: RunConfig, out_dir: Path) -> int:
     marks = [time.perf_counter()]  # ends of the stages model, amplitude, coefficients, write
     model = config.build_model()
     marks.append(time.perf_counter())
-    dt = min(config.dt, 0.05 / config.cutoff * (1 - 1e-12))
-    times = _time_grid(config.t_max, dt)
+    times = _time_grid(config.t_max, config.dt)
     sol = solve_amplitude(model.bath, model.omega_plus_bare, times)
     marks.append(time.perf_counter())
     trace = extract_coefficients(sol)

@@ -120,10 +120,6 @@ class RunConfig:
     override_horizon: bool
     source_path: str = field(default="", compare=False)
 
-    @property
-    def recurrence_time(self) -> float:
-        return 2.0 * math.pi * self.modes / self.cutoff
-
     def density(self) -> OhmicSpectralDensity:
         return OhmicSpectralDensity(gamma0=self.gamma0, cutoff=self.cutoff, mass=self.mass)
 

@@ -17,7 +17,6 @@ from .errors import ValidationError
 
 SYMMETRY_TOL = 1e-12
 PHYSICALITY_TOL = 1e-9
-DEGENERACY_RTOL = 1e-9
 
 #: 4x4 symplectic form for the (x1, p1, x2, p2) ordering.
 SYMPLECTIC_FORM = np.array(
@@ -28,9 +27,6 @@ SYMPLECTIC_FORM = np.array(
         [0.0, 0.0, -1.0, 0.0],
     ]
 )
-
-#: Momentum sign flip on mode 2, implementing the partial transpose.
-_PT = np.diag([1.0, 1.0, 1.0, -1.0])
 
 #: 50/50 beam splitter sending (x1,p1,x2,p2) to (x+,p+,x-,p-) with
 #: x± = (x1 ± x2)/sqrt(2).  Orthogonal, symplectic and involutive.
@@ -97,11 +93,6 @@ class GaussianState:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
-    @classmethod
-    def from_cov(cls, cov: np.ndarray) -> "GaussianState":
-        """State with zero means and the given covariance."""
-        return cls(np.zeros(4), cov)
-
 
 def check_states(mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The checks of :class:`GaussianState` over a stack of states.
@@ -150,36 +141,6 @@ def _four_by_four(cov) -> np.ndarray:
     return cov
 
 
-def symplectic_eigenvalues(cov: np.ndarray):
-    """Symplectic spectrum of a 4x4 covariance matrix, ascending.
-
-    The two values are the moduli of the eigenvalues of iJV, which come in
-    degenerate pairs; the pairs are averaged (they agree to roundoff).  A stack
-    (..., 4, 4) gives two arrays of shape (...), one covariance two floats.
-    """
-    cov = _four_by_four(cov)
-    scale = np.maximum(1.0, np.abs(cov).max(axis=(-2, -1)))
-    if np.any(np.abs(cov - np.swapaxes(cov, -1, -2)).max(axis=(-2, -1)) > SYMMETRY_TOL * scale):
-        raise ValidationError("covariance matrix is not symmetric")
-    mods = np.sort(np.abs(np.linalg.eigvals(1j * SYMPLECTIC_FORM @ cov)), axis=-1)
-    m0, m1, m2, m3 = np.moveaxis(mods, -1, 0)
-    nu_minus = 0.5 * (m0 + m1)
-    nu_plus = 0.5 * (m2 + m3)
-    if np.any(m1 - m0 > DEGENERACY_RTOL * np.maximum(1.0, m1)) or np.any(
-        m3 - m2 > DEGENERACY_RTOL * np.maximum(1.0, m3)
-    ):
-        # pairs should be exactly degenerate; large splitting signals bad input
-        raise ValidationError("symplectic spectrum does not form degenerate pairs")
-    if cov.ndim == 2:
-        return float(nu_minus), float(nu_plus)
-    return nu_minus, nu_plus
-
-
-def partial_transpose(cov: np.ndarray) -> np.ndarray:
-    """Covariance of the partial transpose on mode 2 (momentum sign flip)."""
-    return _PT @ _four_by_four(cov) @ _PT
-
-
 def log_negativity(state):
     """Logarithmic negativity E_N = max{0, -ln(2 nu_min)} of the partial transpose.
 
@@ -222,14 +183,6 @@ def mode_squeezing(dx: float, dp: float, mode: ModeSpec) -> float:
     return 0.5 * math.log(mode.xp_scale * dx / dp)
 
 
-def purity(state: GaussianState) -> float:
-    """Purity of a two-mode Gaussian state, 1/(4 sqrt(det V))."""
-    det = float(np.linalg.det(state.cov))
-    if det <= 0.0:
-        raise ValidationError("covariance determinant must be positive")
-    return 1.0 / (4.0 * math.sqrt(det))
-
-
 # ---------------------------------------------------------------------------
 # covariance builders
 
@@ -246,28 +199,12 @@ def squeezed_cov(r: float, mode: ModeSpec, area_product: float = 0.5) -> np.ndar
     return np.diag([area_product * math.exp(2.0 * r) / s, area_product * math.exp(-2.0 * r) * s])
 
 
-def thermal_cov(nbar: float, mode: ModeSpec) -> np.ndarray:
-    """2x2 covariance of a thermal single mode with occupation ``nbar``."""
-    if nbar < 0.0:
-        raise ValidationError("thermal occupation must be non-negative")
-    return squeezed_cov(0.0, mode, area_product=nbar + 0.5)
-
-
-def state_from_virtual_blocks(
-    plus_cov: np.ndarray,
-    minus_cov: np.ndarray,
-    cross: np.ndarray | None = None,
-    mean_virtual: np.ndarray | None = None,
-) -> GaussianState:
-    """Assemble a site-basis state from covariance blocks of the (+,-) modes."""
+def state_from_virtual_blocks(plus_cov: np.ndarray, minus_cov: np.ndarray) -> GaussianState:
+    """Site-basis state, zero means, from the covariances of the (+,-) modes."""
     v = np.zeros((4, 4))
     v[:2, :2] = plus_cov
     v[2:, 2:] = minus_cov
-    if cross is not None:
-        v[:2, 2:] = cross
-        v[2:, :2] = np.asarray(cross).T
-    mu = np.zeros(4) if mean_virtual is None else np.asarray(mean_virtual, dtype=float)
-    return beam_splitter(GaussianState(mu, v))
+    return beam_splitter(GaussianState(np.zeros(4), v))
 
 
 def two_mode_squeezed_state(r: float, mode: ModeSpec, area_product: float = 0.5) -> GaussianState:
@@ -280,17 +217,3 @@ def two_mode_squeezed_state(r: float, mode: ModeSpec, area_product: float = 0.5)
         squeezed_cov(-r, mode), squeezed_cov(r, mode, area_product=area_product)
     )
 
-
-def squeezed_product_state(r: float, mode: ModeSpec, area_product: float = 0.5) -> GaussianState:
-    """Product of two identical squeezed modes; separable, both virtual modes squeezed by ``r``."""
-    return state_from_virtual_blocks(
-        squeezed_cov(r, mode), squeezed_cov(r, mode, area_product=area_product)
-    )
-
-
-def coherent_product_state(mode: ModeSpec, mean: np.ndarray | None = None) -> GaussianState:
-    """Product of coherent states (vacuum covariance, optional displacement)."""
-    v = np.zeros((4, 4))
-    v[:2, :2] = v[2:, 2:] = squeezed_cov(0.0, mode)  # vacuum
-    mu = np.zeros(4) if mean is None else np.asarray(mean, dtype=float)
-    return GaussianState(mu, v)

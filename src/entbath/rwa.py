@@ -23,7 +23,7 @@ import numpy as np
 from .errors import NumericsError, ValidationError
 from .spectra import DiscretizedBath, arrowhead_eigh
 
-_MAX_GRID_PRODUCT = 0.05  # required cutoff * dt
+_MAX_GRID_PRODUCT = 0.1  # largest cutoff * dt, as the config loader allows
 _FLOOR_FACTOR = 3.0
 _TIME_CHUNK = 2048
 
@@ -180,13 +180,15 @@ def extract_coefficients(sol: AmplitudeSolution) -> CoefficientTrace:
 
     evaluated on the standard rotation branch (the printed-branch quantities are
     their conjugates, leaving gamma and D unchanged).  The double sum is
-    contracted analytically to O(N) per time.  The same pass over the rows
-    checks unitarity (``AmplitudeSolution.unitarity_defect``).
+    contracted analytically to O(N) per time; as Im((w - w_l) |p_l|^2) = 0,
+    its term in p_l is g_l Im(u p_l^*) (2 n_l + 1), one product of p with
+    g (2n + 1).  The same pass over the rows checks unitarity
+    (``AmplitudeSolution.unitarity_defect``).
     """
     bath = sol.bath
     g = bath.ladder_couplings
-    w = bath.frequencies
     two_n_plus_1 = 2.0 * bath.occupations + 1.0
+    noise = g * two_n_plus_1
     omega = sol.omega
 
     n_t = sol.times.size
@@ -201,11 +203,9 @@ def extract_coefficients(sol: AmplitudeSolution) -> CoefficientTrace:
         p_sq = np.abs(p) ** 2
         defect = max(defect, float(np.abs(np.abs(u) ** 2 + np.sum(p_sq, axis=1) - 1.0).max()))
         big_g = (p @ g) / u
-        a_l = g[None, :] * u[:, None] - (omega - w)[None, :] * p
-        im_ap = np.imag(a_l * p.conj())
         gamma[rows] = -0.5 * np.imag(big_g)
         shift[rows] = omega**2 * np.real(big_g)
-        diff[rows] = 0.5 * (im_ap @ two_n_plus_1 - np.imag(big_g) * (p_sq @ two_n_plus_1))
+        diff[rows] = 0.5 * (np.imag(u * np.conj(p @ noise)) - np.imag(big_g) * (p_sq @ two_n_plus_1))
         umod[rows] = np.abs(u)
     if defect > UNITARITY_TOL:
         raise ValidationError(f"amplitude solution violates unitarity by {defect:.3e}")

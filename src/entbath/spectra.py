@@ -45,11 +45,6 @@ class OhmicSpectralDensity:
         return float(out) if out.ndim == 0 else out
 
     @property
-    def total_weight(self) -> float:
-        """Integral of J over all frequencies, m gamma0 cutoff^2 / pi."""
-        return self.mass * self.gamma0 * self.cutoff**2 / math.pi
-
-    @property
     def static_self_energy(self) -> float:
         """Integral of J(w)/w, equal to 2 m gamma0 cutoff / pi."""
         return 2.0 * self.mass * self.gamma0 * self.cutoff / math.pi
@@ -123,12 +118,6 @@ class DiscretizedBath:
             raise ValidationError("bath was discretized without a ladder scale")
         g2 = self.position_couplings**2 / (self.ladder_scale * self.masses * self.frequencies)
         return np.sqrt(g2)
-
-    def weight_sum(self) -> float:
-        """Sum of c_k^2 / (2 m_k w_k); approximates the integral of J."""
-        return float(
-            np.sum(self.position_couplings**2 / (2.0 * self.masses * self.frequencies))
-        )
 
 
 def discretize(

@@ -2,18 +2,27 @@
 
 The dense quadratic form and generator of the full model, its factorized
 initial covariance, the trapezoidal stepping solver of the amplitude Volterra
-equation, and the row route of the thermal bath term: the (+)-sector
-propagator rows at every time, contracted with the bath variances.  Each is
-an independent check of a route the package takes.
+equation, the row route of the thermal bath term (the (+)-sector propagator
+rows at every time, contracted with the bath variances), and the late-time
+state that the closed-form envelopes describe.  Each is an independent check
+of a route the package takes.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from entbath.bathsim import POSITION, SYMMETRIC, FullModel, _PlusSector
 from entbath.errors import ValidationError
-from entbath.gaussian import BEAM_SPLITTER, GaussianState, symplectic_form
+from entbath.gaussian import (
+    BEAM_SPLITTER,
+    GaussianState,
+    ModeSpec,
+    state_from_virtual_blocks,
+    symplectic_form,
+)
 from entbath.rwa import _validate_grid
 from entbath.spectra import DiscretizedBath
 
@@ -142,3 +151,24 @@ def row_route_blocks(model: FullModel, times) -> tuple[np.ndarray, np.ndarray]:
                           + np.einsum("tk,k,tk->t", bp[i], var_p, bp[j]))
     theta[:, 1, 0] = theta[:, 0, 1]
     return a2, theta
+
+
+def asymptotic_state(
+    dx_plus: float,
+    dp_plus: float,
+    dx_minus: float,
+    dp_minus: float,
+    minus_mode: ModeSpec,
+    angle: float,
+) -> GaussianState:
+    """Site-basis state of the late-time cycle at rotation phase ``angle``.
+
+    The (+) block is the stationary diagonal; the (-) block is the initial
+    squeezed state rotated by ``angle`` in its own phase space.
+    """
+    plus = np.diag([dx_plus**2, dp_plus**2])
+    s = minus_mode.xp_scale
+    c, sn = math.cos(angle), math.sin(angle)
+    rot = np.array([[c, sn / s], [-s * sn, c]])
+    minus = rot @ np.diag([dx_minus**2, dp_minus**2]) @ rot.T
+    return state_from_virtual_blocks(plus, minus)

@@ -6,7 +6,6 @@ from scipy.integrate import quad
 
 from entbath.asymptotics import (
     Phase,
-    asymptotic_state,
     classify,
     envelope,
     envelope_band,
@@ -25,6 +24,7 @@ from entbath.bathsim import FullModel, equilibrium_variances_sim
 from entbath.errors import NumericsError, ParameterRegimeError, ValidationError
 from entbath.gaussian import ModeSpec, log_negativity, mode_squeezing
 from entbath.spectra import OhmicSpectralDensity
+from oracles import asymptotic_state
 
 DENSITY = OhmicSpectralDensity(gamma0=0.1, cutoff=20.0, mass=1.0)
 UNIT = ModeSpec(1.0, 1.0)

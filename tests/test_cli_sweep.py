@@ -221,6 +221,15 @@ class TestCoeffsCommand:
         assert info["amplitude_floor"] >= 0.0 and info["secular_z_drift"] < 1e-12
         assert set(info["wall_time_s"]) == {"model", "amplitude", "coefficients", "write"}
 
+    def test_time_column_steps_by_the_configured_dt(self, tmp_path):
+        # dt * cutoff = 0.1, the loader's bound, is the coefficient grid as given
+        cfg = write_cfg(tmp_path, self.SYM + "dt = 0.005\n")
+        assert main(["coeffs", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        t = np.array([float(r["t"]) for r in read_csv(tmp_path / "o" / "coefficients.csv")])
+        assert t[0] == 0.0 and np.abs(np.diff(t) - 0.005).max() < 1e-9
+        info = json.loads((tmp_path / "o" / "run_info.json").read_text())
+        assert info["samples"] == 4001
+
     def test_free_bath_gives_zero_coefficients(self, tmp_path):
         cfg = write_cfg(tmp_path, self.SYM.replace("gamma0 = 0.1", "gamma0 = 0.0"))
         assert main(["coeffs", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0

@@ -178,7 +178,7 @@ class TestDigestAndWorkers:
 
     def test_recurrence_time(self, tmp_path):
         cfg = load_config(write(tmp_path, MINIMAL))
-        assert cfg.recurrence_time == pytest.approx(2 * math.pi * 1000 / 20.0)
+        assert cfg.build_model().bath.recurrence_time == pytest.approx(2 * math.pi * 1000 / 20.0)
 
 
 class TestShippedConfigs:

@@ -12,16 +12,10 @@ from entbath.gaussian import (
     GaussianState,
     ModeSpec,
     beam_splitter,
-    coherent_product_state,
     log_negativity,
     mode_squeezing,
-    partial_transpose,
-    purity,
     squeezed_cov,
-    squeezed_product_state,
     state_from_virtual_blocks,
-    symplectic_eigenvalues,
-    thermal_cov,
     two_mode_squeezed_state,
 )
 
@@ -40,62 +34,52 @@ def _nu_from_invariants(cov):
     return math.sqrt((delta - disc) / 2.0), math.sqrt((delta + disc) / 2.0)
 
 
+def _symplectic_spectrum(cov):
+    """Symplectic eigenvalues (nu_min, nu_max): the moduli of the eigenvalues of
+    iJV, which come in pairs.  Unlike the invariants, accurate at degenerate
+    (pure) states, where the discriminant cancels to O(sqrt(eps))."""
+    mods = np.sort(np.abs(np.linalg.eigvals(1j * SYMPLECTIC_FORM @ cov)))
+    return 0.5 * (mods[0] + mods[1]), 0.5 * (mods[2] + mods[3])
+
+
+def _state(cov):
+    return GaussianState(np.zeros(4), cov)
+
+
+def _thermal_product(nbar_1, nbar_2):
+    cov = np.zeros((4, 4))
+    cov[:2, :2] = squeezed_cov(0.0, UNIT, area_product=nbar_1 + 0.5)
+    cov[2:, 2:] = squeezed_cov(0.0, UNIT, area_product=nbar_2 + 0.5)
+    return cov
+
+
 class TestSymplecticEigenvalues:
+    """The spectrum that the property tests check nu_min with."""
+
     def test_vacuum(self):
-        assert symplectic_eigenvalues(np.eye(4) * 0.5) == pytest.approx((0.5, 0.5))
+        assert _symplectic_spectrum(np.eye(4) * 0.5) == pytest.approx((0.5, 0.5))
 
     def test_thermal_product(self):
-        nbar = 1.0
-        cov = np.zeros((4, 4))
-        cov[:2, :2] = thermal_cov(nbar, UNIT)
-        cov[2:, 2:] = thermal_cov(nbar, UNIT)
-        assert symplectic_eigenvalues(cov) == pytest.approx((1.5, 1.5))
+        assert _symplectic_spectrum(_thermal_product(1.0, 1.0)) == pytest.approx((1.5, 1.5))
 
     def test_random_states_match_block_invariant_oracle(self, rng):
         for _ in range(25):
             cov = random_physical_state(rng).cov
-            got = symplectic_eigenvalues(cov)
-            want = _nu_from_invariants(cov)
-            assert got == pytest.approx(want, rel=1e-9)
+            assert _symplectic_spectrum(cov) == pytest.approx(_nu_from_invariants(cov), rel=1e-9)
 
     def test_invariant_under_symplectic_congruence(self, rng):
         from conftest import random_symplectic
 
         cov = random_physical_state(rng).cov
         s = random_symplectic(rng)
-        before = symplectic_eigenvalues(cov)
-        after = symplectic_eigenvalues(s @ cov @ s.T)
+        before = _symplectic_spectrum(cov)
+        after = _symplectic_spectrum(s @ cov @ s.T)
         assert after == pytest.approx(before, rel=1e-8)
-
-    def test_rejects_asymmetric(self):
-        bad = np.eye(4)
-        bad[0, 1] = 1e-3
-        with pytest.raises(ValidationError):
-            symplectic_eigenvalues(bad)
-
-
-class TestPartialTranspose:
-    def test_diagonal_invariant(self):
-        d = np.diag([1.0, 2.0, 3.0, 4.0])
-        assert np.array_equal(partial_transpose(d), d)
-
-    def test_involution_exact(self, rng):
-        cov = random_physical_state(rng).cov
-        assert np.array_equal(partial_transpose(partial_transpose(cov)), cov)
-
-    def test_matches_matrix_product_oracle(self):
-        cov = two_mode_squeezed_state(1.2, UNIT).cov
-        p = np.diag([1.0, 1.0, 1.0, -1.0])
-        assert np.allclose(partial_transpose(cov), p @ cov @ p, atol=0.0)
-        # the p2 rows/columns flip sign, everything else is untouched
-        flipped = partial_transpose(cov)
-        assert np.allclose(flipped[3, :3], -cov[3, :3])
-        assert np.allclose(flipped[:3, :3], cov[:3, :3])
 
 
 class TestLogNegativity:
     def test_vacuum_product_is_separable(self):
-        assert log_negativity(coherent_product_state(UNIT)) == 0.0
+        assert log_negativity(_state(np.eye(4) * 0.5)) == 0.0
 
     @pytest.mark.parametrize("r", [0.5, 1.0, 3.0])
     def test_two_mode_squeezed_value(self, r):
@@ -104,10 +88,8 @@ class TestLogNegativity:
 
     def test_thermal_products_exactly_zero(self, rng):
         for _ in range(10):
-            cov = np.zeros((4, 4))
-            cov[:2, :2] = thermal_cov(rng.random() * 3, UNIT)
-            cov[2:, 2:] = thermal_cov(rng.random() * 3, UNIT)
-            assert log_negativity(GaussianState.from_cov(cov)) == 0.0
+            cov = _thermal_product(rng.random() * 3, rng.random() * 3)
+            assert log_negativity(_state(cov)) == 0.0
 
     def test_local_symplectic_invariance(self, rng):
         state = two_mode_squeezed_state(0.8, UNIT)
@@ -117,7 +99,7 @@ class TestLogNegativity:
             local = np.zeros((4, 4))
             local[:2, :2] = s1
             local[2:, 2:] = s2
-            rotated = GaussianState.from_cov(local @ state.cov @ local.T)
+            rotated = _state(local @ state.cov @ local.T)
             assert log_negativity(rotated) == pytest.approx(1.6, abs=1e-9)
 
 
@@ -129,7 +111,8 @@ class TestBeamSplitter:
         assert np.allclose(back.mean, state.mean, atol=1e-14)
 
     def test_identical_product_becomes_block_diagonal(self):
-        state = squeezed_product_state(0.7, UNIT)
+        single = squeezed_cov(0.7, UNIT)
+        state = _state(np.block([[single, np.zeros((2, 2))], [np.zeros((2, 2)), single]]))
         virt = beam_splitter(state)
         assert np.allclose(virt.cov[:2, 2:], 0.0, atol=1e-14)
         assert np.allclose(virt.cov[:2, :2], virt.cov[2:, 2:], atol=1e-14)
@@ -148,8 +131,8 @@ class TestBeamSplitter:
 
     def test_preserves_symplectic_spectrum(self, rng):
         state = random_physical_state(rng)
-        before = symplectic_eigenvalues(state.cov)
-        after = symplectic_eigenvalues(beam_splitter(state).cov)
+        before = _symplectic_spectrum(state.cov)
+        after = _symplectic_spectrum(beam_splitter(state).cov)
         assert after == pytest.approx(before, abs=1e-10)
 
 
@@ -178,14 +161,14 @@ class TestStateValidation:
         cov = np.eye(4)
         cov[0, 1] = 1e-6
         with pytest.raises(ValidationError):
-            GaussianState.from_cov(cov)
+            _state(cov)
 
     def test_rejects_unphysical_cov(self):
         with pytest.raises(ValidationError):
-            GaussianState.from_cov(np.eye(4) * 0.1)
+            _state(np.eye(4) * 0.1)
 
     def test_immutable_arrays(self):
-        state = coherent_product_state(UNIT)
+        state = two_mode_squeezed_state(0.0, UNIT)
         with pytest.raises(ValueError):
             state.cov[0, 0] = 9.0
 
@@ -203,10 +186,10 @@ def test_physicality_and_purity_invariants(r, nbar, theta):
     local[:2, :2] = s1
     local[2:, 2:] = s1.T
     base = two_mode_squeezed_state(r, UNIT, area_product=0.5 + nbar)
-    state = GaussianState.from_cov(local @ base.cov @ local.T)
-    nu_min, _ = symplectic_eigenvalues(state.cov)
+    state = _state(local @ base.cov @ local.T)
+    nu_min, _ = _symplectic_spectrum(state.cov)
     assert nu_min >= 0.5 - 1e-9
-    assert purity(state) <= 1.0 + 1e-9
+    assert 1.0 / (4.0 * math.sqrt(np.linalg.det(state.cov))) <= 1.0 + 1e-9  # purity
     herm = state.cov + 0.5j * SYMPLECTIC_FORM
     assert np.linalg.eigvalsh(herm).min() >= -1e-9 * max(1.0, abs(state.cov).max())
 
@@ -215,7 +198,7 @@ def test_physicality_and_purity_invariants(r, nbar, theta):
 @given(r=st.floats(0.0, 2.0), kappa=st.floats(1.0, 4.0))
 def test_mixed_minus_mode_states_are_physical(r, kappa):
     state = two_mode_squeezed_state(r, UNIT, area_product=0.5 * kappa)
-    nu_min, _ = symplectic_eigenvalues(state.cov)
+    nu_min, _ = _symplectic_spectrum(state.cov)
     assert nu_min >= 0.5 - 1e-9
 
 

@@ -117,6 +117,21 @@ class TestCoefficients:
         inner = (times > 2.0) & (times < 8.0)
         assert np.abs(fd[inner] - trace.gamma[inner]).max() < 1e-4
 
+    @pytest.mark.parametrize("temperature", [0.0, 1.0, 10.0])
+    def test_diffusion_matches_the_double_sum(self, temperature):
+        # oracle: the contracted double sum with its (w - w_l)|p_l|^2 term kept,
+        # which is real and drops out of the imaginary part
+        bath = ohmic_bath(n=300, temperature=temperature)
+        sol = solve_amplitude(bath, 1.0, grid(15.0))
+        g, weight = bath.ladder_couplings, 2.0 * bath.occupations + 1.0
+        want = np.concatenate([
+            0.5 * (np.imag((g * u[:, None] - (1.0 - bath.frequencies) * p) * p.conj()) @ weight
+                   - np.imag((p @ g) / u) * (np.abs(p) ** 2 @ weight))
+            for _, u, p in sol._rows()
+        ])
+        got = extract_coefficients(sol).diffusion
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
 
 class TestMomentEvolution:
     def test_pure_rotation_without_coefficients(self):
