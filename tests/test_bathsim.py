@@ -301,8 +301,10 @@ class TestThermalRoute:
     @pytest.mark.parametrize("times", [
         np.linspace(0.0, 20.0, 401),     # from t = 0
         np.linspace(40.0, 50.0, 360),    # a verify window
+        np.array([0.3, 1.6, 2.9]),       # steps far above 1/cutoff (uniform since
+                                         # evolve rejects irregular grids)
         np.array([2.9]),                 # a single time
-    ], ids=["from-zero", "window", "single"])
+    ], ids=["from-zero", "window", "irregular", "single"])
     def test_matches_the_row_route(self, monkeypatch, coupling, temperature, times):
         model = FullModel.renormalized(DENSITY, 400, temperature, omega_r=1.0, c12=-0.2,
                                        coupling_type=coupling)
