@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import NumericsError, ParameterRegimeError, ValidationError
 from .gaussian import ModeSpec, mode_squeezing
@@ -113,7 +112,7 @@ def _panel_edges(density: OhmicSpectralDensity, omega_plus: float) -> np.ndarray
     points = [0.0, omega_plus, lam, *below, *above]
     points += [omega_plus + sign * d for d in offsets for sign in (1.0, -1.0)]
     points += [lam * (1.0 - 10.0**-k) for k in range(1, 15)]
-    return np.unique([p for p in points if 0.0 <= p <= lam])
+    return np.array(sorted({p for p in points if 0.0 <= p <= lam}))
 
 
 def _composite_rules(edges: np.ndarray) -> list:
@@ -212,27 +211,35 @@ def ladder_spectral_function(w, density: OhmicSpectralDensity, omega_plus: float
     return j / (detuning**2 + (math.pi * j) ** 2)
 
 
+def _rising_root(f, lo: float, hi: float) -> float:
+    """Of the adjacent doubles that bisection of [lo, hi] ends on, the one with smaller |f|."""
+    ends = [lo, hi]
+    while ends[0] < (mid := 0.5 * (ends[0] + ends[1])) < ends[1]:
+        ends[f(mid) >= 0.0] = mid  # f rises: a non-negative midpoint is the new upper end
+    return min(ends, key=lambda u: abs(f(u)))
+
+
 def ladder_bound_state(density: OhmicSpectralDensity, omega_plus: float, omega0: float) -> tuple:
     """Frequency and weight (omega_b, Z) of the (+) level's state above the cutoff L.
 
     There the level shift is Delta_out(w) = (4 gamma0 / pi omega0)(-L + w ln(w / (w - L))),
-    and omega_b = L + d solves w - omega_plus - Delta_out(w) = 0; the root is
-    found for ln d, which for weak coupling lies below the smallest double
-    (d is then that double and Z is 0).  Z = 1 / (1 - Delta_out'(omega_b)),
-    with Delta_out' = (4 gamma0 / pi omega0)(ln(omega_b / d) - L / d).
+    and omega_b = L + d solves w - omega_plus - Delta_out(w) = 0.  Its left side rises with
+    d, as d/dd[(L + d) ln(1 + L/d)] = ln(1 + L/d) - L/d < 0, so ln d is bisected; for weak
+    coupling it lies below the smallest double, and d is that double.  Z = 1/(1 - Delta_out'),
+    Delta_out' = (4 gamma0 / pi omega0)(ln(omega_b / d) - L / d), is 0 where L/d overflows.
     """
     lam = density.cutoff
     pref = 4.0 * density.gamma0 / (math.pi * omega0)
 
     def gap(u: float) -> float:
-        d = math.exp(u)
-        return lam + d - omega_plus - pref * (-lam + (lam + d) * math.log1p(lam / d))
+        d = math.exp(u)  # past the overflow of L/d, ln(1 + L/d) is ln L - u
+        log_ratio = math.log1p(lam / d) if lam / d < math.inf else math.log(lam) - u
+        return lam + d - omega_plus - pref * (-lam + (lam + d) * log_ratio)
 
     # Delta_out(L + d) <= pref L^2 / d, so the gap is positive at d = omega_plus + pref L
-    lo, hi = math.log(5e-324), math.log(omega_plus + pref * lam)
-    u = lo if gap(lo) >= 0.0 else brentq(gap, lo, hi, xtol=1e-15, rtol=1e-15)
-    d = math.exp(u)
-    return lam + d, 1.0 / (1.0 - pref * (math.log1p(lam / d) - lam / d))
+    d = math.exp(_rising_root(gap, math.log(5e-324), math.log(omega_plus + pref * lam)))
+    z = 1.0 / (1.0 - pref * (math.log1p(lam / d) - lam / d)) if lam / d < math.inf else 0.0
+    return lam + d, z
 
 
 @lru_cache(maxsize=16)

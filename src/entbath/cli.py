@@ -223,7 +223,11 @@ def _write_kernel_csv(config: RunConfig, model, out_dir: Path, n_samples: int = 
 
 
 def cmd_phase_diagram(config: RunConfig, out_dir: Path) -> int:
+    marks = [time.perf_counter()]  # ends of the stages sweep, boundaries, write
     rows, info = run_phase_sweep(config)
+    marks.append(time.perf_counter())
+    boundaries = phase_boundaries(config, rows, info=info)
+    marks.append(time.perf_counter())
     out_csv = out_dir / "phase_diagram.csv"
     write_csv(
         out_csv,
@@ -235,14 +239,15 @@ def cmd_phase_diagram(config: RunConfig, out_dir: Path) -> int:
         ),
         footer_comments=(f"errors {info['n_errors']} of {info['n_points']} points",),
     )
-    boundaries = phase_boundaries(config, rows, info=info)
     write_json(out_dir / "phase_boundaries.json", {
         "config_digest": config.digest(),
         "version": __version__,
         "boundaries": boundaries,
     })
-    write_json(out_dir / "run_info.json", info)  # wall time and diagnostics; not byte-stable
     (out_dir / "plot_phase_diagram.py").write_text(_PHASE_PLOT_SCRIPT)
+    marks.append(time.perf_counter())
+    info["wall_time_s"] = dict(zip(("sweep", "boundaries", "write"), np.diff(marks).tolist()))
+    write_json(out_dir / "run_info.json", info)  # wall times and diagnostics; not byte-stable
     print(f"wrote {out_csv} ({info['n_points']} points, {info['n_errors']} errors)")
     return EXIT_OK
 
@@ -275,10 +280,11 @@ def cmd_verify(config: RunConfig, out_dir: Path) -> int:
     start = time.perf_counter()
     info = {"config_digest": config.digest(), "version": __version__}
     report = verify_grid(config, info=info)
+    grid_s = time.perf_counter() - start
     write_json(out_dir / "verify_report.json", report)
+    info["wall_time_s"] = {"grid": grid_s, "write": time.perf_counter() - start - grid_s}
+    write_json(out_dir / "run_info.json", info)  # wall times and diagnostics; not byte-stable
     n_error = sum("reason" in point for point in report["points"])
-    info["wall_time_s"] = time.perf_counter() - start
-    write_json(out_dir / "run_info.json", info)  # wall time and diagnostics; not byte-stable
     status = "PASS" if report["passed"] else "FAIL"
     print(f"verification {status}: {report['n_fail']} failing and {n_error} errored "
           f"point(s) of {len(report['points'])}")

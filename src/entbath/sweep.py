@@ -9,7 +9,6 @@ assembles the per-point summaries in canonical row-major order.
 from __future__ import annotations
 
 import math
-import time
 from functools import lru_cache
 
 import numpy as np
@@ -121,7 +120,6 @@ def run_phase_sweep(config: RunConfig) -> tuple[list[dict], dict]:
     temps, squeezings, c12s, purities = sweep_axes(config)
     heavy_keys = [(t, c) for t in temps for c in c12s]
 
-    t0 = time.monotonic()
     results: dict[tuple, dict | EntbathError] = {}
     for key in heavy_keys:
         if key not in results:  # repeated axis values share their key
@@ -161,7 +159,6 @@ def run_phase_sweep(config: RunConfig) -> tuple[list[dict], dict]:
             for t, c12 in heavy_keys
             if isinstance(results[t, c12], EntbathError)
         ],
-        "wall_time_s": time.monotonic() - t0,
         "stationary": {"route": _STATIONARY_ROUTE, "points": 0, "max_quad_error": 0.0},
     }
     _record_health(info, results)

@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from entbath.asymptotics import (
     Phase,
@@ -385,3 +387,64 @@ class TestStationaryVariancesLadder:
         # 4 gamma0 L / (pi omega0) = 12.7 >= omega_plus
         with pytest.raises(ParameterRegimeError):
             stationary_variances_ladder(density, 5.0, 1.0, 5.0, 1.0)
+
+
+def _bound_state_brentq(density, omega_plus, omega0):
+    """(omega_b, Z, d) from scipy's brentq on the gap in ln d, with float overflow of L/d."""
+    lam = density.cutoff
+    pref = 4.0 * density.gamma0 / (math.pi * omega0)
+
+    def gap(u):
+        d = math.exp(u)
+        return lam + d - omega_plus - pref * (-lam + (lam + d) * math.log1p(lam / d))
+
+    lo, hi = math.log(5e-324), math.log(omega_plus + pref * lam)
+    d = math.exp(lo if gap(lo) >= 0.0 else brentq(gap, lo, hi, xtol=1e-15, rtol=1e-15))
+    return lam + d, 1.0 / (1.0 - pref * (math.log1p(lam / d) - lam / d)), d
+
+
+class TestLadderBoundStateRoot:
+    GRID = list(itertools.product([1e-3, 0.01, 0.05, 0.1, 0.3, 1.0, 3.0], [5.0, 10.0, 20.0, 50.0],
+                                  [0.2, 0.5, 1.0, 2.0, 4.0], [0.5, 1.0, 2.0]))
+
+    @pytest.fixture
+    def roots(self, monkeypatch):
+        """(gap, ln d) of every bisection that ``ladder_bound_state`` runs."""
+        from entbath import asymptotics
+
+        calls = []
+        bisect = asymptotics._rising_root
+
+        def recorded(f, lo, hi):
+            calls.append((f, bisect(f, lo, hi)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(asymptotics, "_rising_root", recorded)
+        return calls
+
+    def test_matches_brentq_and_brackets_a_sign_change(self, roots):
+        overflowed = 0
+        for gamma0, lam, wp, w0 in self.GRID:
+            density = OhmicSpectralDensity(gamma0, lam)
+            omega_b, z = ladder_bound_state(density, wp, w0)
+            gap, u = roots[-1]
+            want_b, want_z, want_d = _bound_state_brentq(density, wp, w0)
+            assert abs(omega_b - want_b) <= 1e-15 * want_b
+            if lam / want_d > 1e308:
+                # below d = L/DBL_MAX, L/d overflowed and brentq's gap read -inf, so its root
+                # sits at that edge; the bisection runs on past it to Z = 0
+                overflowed += 1
+                assert z == 0.0 and want_z < 1e-300
+            else:
+                assert abs(z - want_z) <= 1e-12 * want_z
+            if math.exp(u) == 5e-324:
+                assert gap(u) >= 0.0 and z == 0.0  # the root lies below the smallest double
+            else:
+                down, up = (gap(math.nextafter(u, side)) for side in (-math.inf, math.inf))
+                assert down < 0.0 <= gap(u) or gap(u) < 0.0 <= up
+        assert len(roots) == len(self.GRID) == 420 and overflowed == 30
+
+    def test_weak_coupling_gives_the_smallest_double(self, roots):
+        omega_b, z = ladder_bound_state(OhmicSpectralDensity(1e-3, 50.0), 0.2, 2.0)
+        assert math.exp(roots[-1][1]) == 5e-324
+        assert omega_b == 50.0 and z == 0.0

@@ -543,7 +543,10 @@ c12_values = 0.0, -0.5
         cfg = write_cfg(tmp_path, text)
         out = tmp_path / "o"
         assert main(["phase-diagram", "--config", str(cfg), "--out", str(out)]) == 0
-        health = json.loads((out / "run_info.json").read_text())["stationary"]
+        info = json.loads((out / "run_info.json").read_text())
+        assert set(info["wall_time_s"]) == {"sweep", "boundaries", "write"}
+        assert all(seconds >= 0.0 for seconds in info["wall_time_s"].values())
+        health = info["stationary"]
         assert health["route"] == sweep._STATIONARY_ROUTE
         assert health["points"] >= 4  # grid keys, plus any boundary midpoints
         assert 0.0 < health["max_quad_error"] < 1e-5
@@ -660,7 +663,9 @@ squeezings = 1.67
         assert -1e-12 < info["min_physicality_defect"] <= 1e-9
         assert 0.0 <= info["thermal_drift"] < 1e-12
         assert info["sweep"]["stationary"]["route"] == sweep._STATIONARY_ROUTE
-        assert info["sweep"]["n_points"] == 2 and info["wall_time_s"] > 0.0
+        assert info["sweep"]["n_points"] == 2 and "wall_time_s" not in info["sweep"]
+        assert set(info["wall_time_s"]) == {"grid", "write"}
+        assert info["wall_time_s"]["grid"] > 0.0 and info["wall_time_s"]["write"] >= 0.0
         assert_same_artifacts(tmp_path / "a", tmp_path / "b")
 
     def test_grid_size_limit(self, tmp_path):

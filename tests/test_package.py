@@ -1,5 +1,9 @@
 import inspect
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import entbath
 from entbath import asymptotics, bathsim, config, gaussian, rwa, spectra
@@ -43,3 +47,67 @@ def test_removed_names_are_gone():
     assert list(inspect.signature(gaussian.state_from_virtual_blocks).parameters) == [
         "plus_cov", "minus_cov"]
     assert "cov" not in inspect.signature(bathsim.initial_state).parameters
+
+
+_RUNTIME_CONFIG = """
+[model]
+coupling = {coupling}
+renormalization = renormalized
+omega_r = 1.0
+c12 = 0.0
+
+[bath]
+gamma0 = 0.1
+cutoff = 20.0
+temperature = {temperature}
+modes = 200
+
+[initial]
+kind = two-mode-squeezed
+r = 2.0
+
+[grid]
+t_max = 10.0
+dt_out = 0.25
+
+[sweep]
+temperatures = 0.5, 8.0
+squeezings = 0.0, 1.5
+"""
+
+_WITHOUT_SCIPY = """
+import sys
+
+sys.modules["scipy"] = None  # any import of scipy or of a submodule now raises ImportError
+from entbath import asymptotics
+from entbath.cli import main
+
+bound_states = []
+solve = asymptotics.ladder_bound_state
+asymptotics.ladder_bound_state = lambda *args: bound_states.append(args) or solve(*args)
+directory = sys.argv[1]
+for command, config in (("evolve", "position"), ("coeffs", "symmetric-cold"),
+                        ("verify", "position"), ("phase-diagram", "position"),
+                        ("phase-diagram", "symmetric")):
+    argv = [command, "--config", f"{directory}/{config}.cfg",
+            "--out", f"{directory}/{command}-{config}"]
+    assert main(argv) == 0, argv
+assert bound_states, "no symmetric point reached the bound-state root"
+assert sys.modules.pop("scipy") is None
+loaded = [name for name in sys.modules
+          if name.split(".")[0] == "scipy" or name.split(".")[:2] == ["numpy", "ma"]]
+assert not loaded, loaded
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # a fresh interpreter: this process has imported scipy for the reference routes
+    for name, coupling, temperature in (("position", "position", 10.0),
+                                        ("symmetric", "symmetric", 10.0),
+                                        ("symmetric-cold", "symmetric", 0.0)):
+        text = _RUNTIME_CONFIG.format(coupling=coupling, temperature=temperature)
+        (tmp_path / f"{name}.cfg").write_text(text)
+    env = dict(os.environ, PYTHONPATH=str(Path(entbath.__file__).resolve().parents[1]))
+    result = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path)], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
