@@ -133,6 +133,7 @@ def cmd_evolve(config: RunConfig, out_dir: Path) -> int:
         "min_physicality_defect": info["min_physicality_defect"],
         "secular_iterations": info["secular_iterations"],
         "secular_z_drift": info["secular_z_drift"],
+        "thermal_integrals": info["thermal_integrals"],
         "thermal_nodes": info["thermal_nodes"],
         "thermal_drift": info["thermal_drift"],
         "horizon_margin": float(traj.times[-1]) / traj.validity_horizon,

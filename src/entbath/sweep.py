@@ -276,10 +276,11 @@ def verify_grid(config: RunConfig, info: dict | None = None) -> dict:
     Small grids only (<= 25 points).  Points whose inequality slack is within
     the boundary margin are excluded rather than failed.  Points that could
     not be evaluated or simulated are errors, not failures, and carry a
-    ``reason``.  The points are simulated grouped by C12, so that the points of
-    one C12 share one normal-mode solve; the report keeps the canonical row
-    order.  When ``info`` is given, the sweep's info and the sizes and health
-    of the simulations are recorded in it.
+    ``reason``.  The points are simulated grouped by C12 and then by T, so
+    that the points of one C12 share one normal-mode solve and those of one
+    (C12, T) one thermal integral; the report keeps the canonical row order.
+    When ``info`` is given, the sweep's info and the sizes and health of the
+    simulations are recorded in it.
     """
     temps, squeezings, c12s, purities = sweep_axes(config)
     n_points = len(temps) * len(squeezings) * len(c12s) * len(purities)
@@ -302,10 +303,11 @@ def verify_grid(config: RunConfig, info: dict | None = None) -> dict:
             continue
         to_simulate.append((row, entry))
 
-    health = {"simulated_points": 0, "normal_mode_solves": 0, "bath_modes": {},
-              "min_physicality_defect": None, "secular_iterations": 0, "secular_z_drift": 0.0,
-              "thermal_drift": 0.0}
-    for row, entry in sorted(to_simulate, key=lambda pair: c12s.index(pair[0]["C12"])):
+    health = {"simulated_points": 0, "normal_mode_solves": 0, "thermal_integrals": 0,
+              "thermal_nodes": 0, "bath_modes": {}, "min_physicality_defect": None,
+              "secular_iterations": 0, "secular_z_drift": 0.0, "thermal_drift": 0.0}
+    for row, entry in sorted(to_simulate, key=lambda pair: (c12s.index(pair[0]["C12"]),
+                                                             temps.index(pair[0]["T"]))):
         try:
             sim_class, deviation, traj_info = _simulate_point(config, row)
         except EntbathError as exc:
@@ -313,6 +315,8 @@ def verify_grid(config: RunConfig, info: dict | None = None) -> dict:
             continue
         health["simulated_points"] += 1
         health["normal_mode_solves"] += traj_info["normal_mode_solves"]
+        health["thermal_integrals"] += traj_info["thermal_integrals"]
+        health["thermal_nodes"] += traj_info["thermal_integrals"] * traj_info["thermal_nodes"]
         health["bath_modes"][f"c12={row['C12']:g}"] = traj_info["bath_modes"]
         for key in ("secular_iterations", "secular_z_drift", "thermal_drift"):  # worst of the grid
             health[key] = max(health[key], traj_info[key])

@@ -284,7 +284,7 @@ class TestThermalRoute:
     def by_rows(monkeypatch, model, state, times):
         def rows_at_every_time(solver, bath, grid):
             a2, theta = row_route_blocks(model, grid)
-            return a2, theta, 0, 0.0
+            return a2, theta, 0, 0.0, 1
 
         with monkeypatch.context() as patch:
             patch.setattr(bathsim._PlusSector, "plus_blocks", rows_at_every_time)
@@ -376,6 +376,63 @@ class TestThermalRoute:
         (tmp_path / "run.cfg").write_text(text.replace("t_max = 100.0", "t_max = 20.0"))
         code = main(["evolve", "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "o")])
         assert code == 3
+
+
+class TestSharedThermalIntegral:
+    """Consecutive runs at one temperature on one grid reuse the shared
+    solver's thermal integral, bit for bit; anything else integrates again."""
+
+    TIMES = np.linspace(20.0, 30.0, 200)
+
+    @staticmethod
+    def run(model, r, purity, times=TIMES):
+        state = initial_state(model, "two-mode-squeezed", r=r, purity_product=purity)
+        return entanglement_trajectory(model, state, times)
+
+    @staticmethod
+    def stored_theta():
+        return bathsim._shared[1]._thermal[1][1]
+
+    def test_a_reused_integral_gives_the_fresh_states_bitwise(self):
+        model = small_model(n=400, temperature=2.0)
+        bathsim.release_shared_solver()
+        first, _ = self.run(model, 0.5, 0.5)
+        second, energies = self.run(model, 2.0, 0.8)
+        assert (first.info["thermal_integrals"], second.info["thermal_integrals"]) == (1, 0)
+        assert second.info["normal_mode_solves"] == 0
+        assert second.info["thermal_nodes"] == first.info["thermal_nodes"] > 0
+        bathsim.release_shared_solver()
+        fresh, fresh_energies = self.run(model, 2.0, 0.8)
+        assert fresh.info["normal_mode_solves"] == 1 == fresh.info["thermal_integrals"]
+        assert np.array_equal(second.means, fresh.means)
+        assert np.array_equal(second.covs, fresh.covs)
+        assert np.array_equal(energies, fresh_energies)
+
+    def test_a_new_temperature_or_grid_integrates_again(self):
+        bathsim.release_shared_solver()
+        self.run(small_model(n=400, temperature=2.0), 1.0, 0.5)
+        theta = self.stored_theta()
+        warmer = small_model(n=400, temperature=6.0)
+        traj, _ = self.run(warmer, 1.0, 0.5)
+        assert traj.info["normal_mode_solves"] == 0 and traj.info["thermal_integrals"] == 1
+        assert not np.array_equal(self.stored_theta(), theta)
+        traj, _ = self.run(warmer, 1.0, 0.5, times=self.TIMES + 0.5)
+        assert traj.info["normal_mode_solves"] == 0 and traj.info["thermal_integrals"] == 1
+
+    def test_stored_blocks_are_read_only_and_released_with_the_solver(self):
+        bathsim.release_shared_solver()
+        model = small_model(n=400)
+        self.run(model, 1.0, 0.5)
+        solver = bathsim._shared[1]
+        a2, theta = solver._thermal[1][:2]
+        assert not a2.flags.writeable and not theta.flags.writeable
+        with pytest.raises(ValueError):
+            theta[0, 0, 0] = 0.0
+        bathsim.release_shared_solver()
+        assert bathsim._shared is None
+        traj, _ = self.run(model, 1.0, 0.5)
+        assert traj.info["normal_mode_solves"] == 1 == traj.info["thermal_integrals"]
+        assert bathsim._shared[1] is not solver
 
 
 class TestModelConstruction:

@@ -175,6 +175,24 @@ class TestSharedNormalModes:
         assert len(solves) == 2 == info["normal_mode_solves"]
         assert set(info["bath_modes"]) == {"c12=0", "c12=-0.3"}
 
+    @pytest.mark.parametrize("axes, c12s", [
+        (GRID, {0.0}),
+        (GRID + "c12_values = 0.0, -0.3\n", {0.0, -0.3}),
+        (GRID.replace("8.0", "8.0, 0.5"), {0.0}),  # a repeated T shares its integral
+    ], ids=["grid", "two-c12", "repeated-T"])
+    def test_one_thermal_integral_per_c12_and_temperature(self, tmp_path, solves, axes, c12s):
+        code, info = self.verify(tmp_path, BASE + axes)
+        report = json.loads((tmp_path / "o" / "verify_report.json").read_text())
+        pairs = {(p["T"], p["C12"]) for p in report["points"] if "simulated" in p}
+        assert code == 0 and {c12 for _, c12 in pairs} == c12s
+        assert info["thermal_integrals"] == len(pairs) < info["simulated_points"]
+
+    def test_evolve_integrates_once(self, tmp_path, solves):
+        cfg = write_cfg(tmp_path, BASE)
+        assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        info = json.loads((tmp_path / "o" / "run_info.json").read_text())
+        assert info["thermal_integrals"] == 1
+
     def test_nothing_is_shared_across_commands(self, tmp_path, solves):
         self.verify(tmp_path, BASE + self.GRID, name="a")
         assert len(solves) == 1
@@ -660,6 +678,9 @@ squeezings = 1.67
         info = json.loads((tmp_path / "a" / "run_info.json").read_text())
         assert info["simulated_points"] == 2 and info["normal_mode_solves"] == 1
         assert info["bath_modes"] == {"c12=0": 331}
+        # one integral per temperature: 359 steps of 3 pi / 359, each one sub-interval
+        # (step w_max ~ 0.53) of 7 nodes
+        assert info["thermal_integrals"] == 2 and info["thermal_nodes"] == 2 * 359 * 7
         assert -1e-12 < info["min_physicality_defect"] <= 1e-9
         assert 0.0 <= info["thermal_drift"] < 1e-12
         assert info["sweep"]["stationary"]["route"] == sweep._STATIONARY_ROUTE
