@@ -14,9 +14,11 @@ the exact master equation; Hu, Paz & Zhang, Phys. Rev. D 45, 2843 (1992)).
 Dense propagator rows are formed at the first and last output time only: the
 start of the integral and its check.  Temperature enters only through the
 bath occupations and squeezing only through the initial state, so
-consecutive runs of one model physics share the normal modes, and those at
-one temperature on one time grid the thermal integral, until
-``release_shared_solver`` (the CLI calls it when a command ends).
+consecutive runs of one model physics share the normal modes, those on one
+time grid the part of the thermal integral that the occupations do not
+enter, and those at one temperature on it the integral itself, until
+``release_shared_solver`` (the CLI calls it when a command ends).  The states
+of one run differ only in their initial block and are assembled as one stack.
 
 Internally the virtual ordering (x+, p+, x-, p-, q_1, pi_1, ...) is used: the
 bath couples to the (+) mode only and the (-) mode rotates freely.  States
@@ -283,8 +285,8 @@ class _PlusSector:
 
     T enters a model only through the bath occupations and r only through the
     initial state, so every point of a verify grid at one C12 shares one
-    normal-mode solve, and every point at one (C12, T) one thermal integral
-    (``plus_blocks`` keeps the last).
+    normal-mode solve and one ``_TimeGrid`` pass, and every point at one
+    (C12, T) one thermal integral (``plus_blocks`` keeps the last of each).
     """
 
     def __init__(self, model: FullModel):
@@ -300,6 +302,7 @@ class _PlusSector:
             scales = np.concatenate(([model.mass * model.omega0], bath.masses * bath.frequencies))
         self.scales = np.sqrt(scales)  # square roots of each coordinate's x-to-p scale
         self.freqs, self.modes, self.health = arrowhead_eigh(*self.arrowhead)
+        self._grid = None  # _TimeGrid of the last times
         self._thermal = None  # (occupations and times bytes, plus_blocks result)
         _, z, d = self.arrowhead
         # per mode, cos, sigma and mu as Re(kernel e^{i w t})
@@ -348,22 +351,31 @@ class _PlusSector:
         return self._flow(self.freqs * t, self.modes, self.scales[:, None])
 
     def plus_blocks(self, bath: DiscretizedBath, times: np.ndarray):
-        """``_integrate``'s (a2, Theta, nodes, drift), then 1 when this call
-        integrated Theta and 0 when it reused the last call's read-only result
-        for the same occupations and times."""
+        """a2 and Theta of ``_integrate``, each (T, 2, 2) and read-only, and the
+        health of this call: ``thermal_integrals`` (``thermal_grids``) is 1 when
+        it integrated Theta (made the grid part of the integral) and 0 when it
+        reused the last call's for the same occupations and times (times)."""
         key = (bath.occupations.tobytes(), times.tobytes())
         if self._thermal is not None and self._thermal[0] == key:
-            return (*self._thermal[1], 0)
-        result = self._integrate(bath, times)
-        for block in result[:2]:
-            block.setflags(write=False)
-        self._thermal = (key, result)
-        return (*result, 1)
+            a2, theta, health = self._thermal[1]
+            return a2, theta, dict(health, thermal_integrals=0, thermal_grids=0)
+        grid = self._grid
+        if grid is None or grid.key != key[1]:
+            self._grid = None  # free the last grid's phase block first
+            grid = self._grid = _TimeGrid(self, times)
+        fresh = grid.a2 is None
+        theta, nodes, drift = self._integrate(grid, bath, times)
+        _read_only(theta)
+        health = {"thermal_integrals": 1, "thermal_grids": int(fresh),
+                  "thermal_nodes": nodes, "thermal_drift": drift}
+        self._thermal = (key, (grid.a2, theta, health))
+        return grid.a2, theta, health
 
-    def _integrate(self, bath: DiscretizedBath, times: np.ndarray):
-        """System block a2 of the sector propagator and thermal covariance
-        Theta of (x+, p+) at ``times``, each (T, 2, 2); quadrature nodes used;
-        relative drift of Theta from its direct value at the last time.
+    def _integrate(self, grid: "_TimeGrid", bath: DiscretizedBath, times: np.ndarray):
+        """Thermal covariance Theta of (x+, p+) at ``times``, (T, 2, 2);
+        quadrature nodes used; relative drift of Theta from its direct value at
+        the last time.  The first call on ``grid`` also keeps on it the system
+        block a2 of the sector propagator, (T, 2, 2).
 
         Theta = B V_b B^T, B the bath columns of the (x+, p+) rows and V_b the
         thermal bath covariance.  As dS/dt = S A and the free bath keeps V_b,
@@ -374,46 +386,45 @@ class _PlusSector:
         a2 = [[c, sigma], [-mu, c]] and K = [[b mu', -c'], [b c', mu']], as
         b = 1 only where sigma = mu.  Theta starts at the direct row
         contraction and is integrated by Gauss-Legendre on equal sub-intervals
-        no longer than 1/w_max, each node value a thin product with a fixed
-        (chunk x N) phase block, so O(N) per node.  ``times`` is uniform to
-        rounding (``_validate_times``).
+        no longer than 1/w_max.  Only c' and mu' depend on the occupations: the
+        first call on a grid sums all five columns in one product per chunk
+        and keeps a2 and the c, sigma node values on it, later calls sum those two.
         """
-        a2_ends, theta_ends = _row_blocks(self.rows(times[[0, -1]]), bath)
-        a2, theta = np.empty((times.size, 2, 2)), np.empty((times.size, 2, 2))
-        a2[-1], theta[0] = a2_ends[-1], theta_ends[0]
-        steps = times.size - 1
-        if not steps:
-            return a2, theta, 0, 0.0
-        step = (times[-1] - times[0]) / steps
-        per = math.ceil(step * self.freqs[-1])  # sub-intervals per step
-        h, done = step / per, per * steps
+        a2_ends, theta_ends = _row_blocks(grid.ends, bath)
+        theta = np.empty((times.size, 2, 2))
+        theta[0] = theta_ends[0]
+        fresh = grid.a2 is None
+        if not grid.steps:
+            if fresh:
+                grid.a2 = a2_ends[-1:]
+                _read_only(grid.a2)
+            return theta, 0, 0.0
         u = self.modes[0]
         y = ((bath.occupations + 0.5) * self.noise) @ self.modes[1:]
-        pick = [0, 1, 2, 0, 2]  # c, sigma, mu of u^2, then c, mu of u y
-        coef = np.array([u * u] * 3 + [u * y] * 2) * self.kernels[pick]
-        n_nodes = _gauss_nodes(h * self.freqs[-1])
-        x, weights = np.polynomial.legendre.leggauss(n_nodes)
-        offsets = np.r_[0.0, 0.5 * (x + 1.0)]  # the sub-interval's start, then its nodes
+        coef = (u * y) * self.kernels[[0, 2]]
+        if fresh:  # c, sigma, mu of u^2 in the same product
+            coef = np.concatenate(((u * u) * self.kernels, coef))
         b = self.feeds_momentum
-        turn = np.exp(1j * np.outer(self.freqs, h * offsets))
-        base = (coef.T[:, :, None] * turn[:, None]).reshape(self.freqs.size, -1)
-        block = _phase_block(self.freqs, h, min(_TIME_CHUNK, done))
-        starts, gains = [], []
-        for lo in range(0, done, _TIME_CHUNK):
-            rhs = base * np.exp(1j * (times[0] + lo * h) * self.freqs)[:, None]
-            values = block[: done - lo] @ np.concatenate((rhs.real, -rhs.imag))
-            values = values.reshape(-1, 5, offsets.size)
-            c, sigma, _, c1, mu1 = values[:, :, 1:].transpose(1, 0, 2)
+        starts, sums, gains = [], [], []
+        for chunk, values in enumerate(grid.node_sums(coef)):
+            if fresh:
+                starts.append(values[:, :3, 0])
+                sums.append(values[:, :2, 1:].copy())
+            c, sigma = (sums if fresh else grid.sums)[chunk].transpose(1, 0, 2)
+            c1, mu1 = values[:, -2:, 1:].transpose(1, 0, 2)
             # xx, xp and pp of a2 K^T + K a2^T at the nodes
             rates = np.stack((2.0 * (b * c * mu1 - sigma * c1), (1.0 - b) * (sigma * mu1 - c * c1),
                               2.0 * (c * mu1 - b * sigma * c1)), axis=1)
-            gains.append(0.5 * h * rates @ weights)
-            starts.append(values[:, :3, 0])
-        first = per * np.arange(steps)
-        c, sigma, mu = np.concatenate(starts)[first].T
+            gains.append(0.5 * grid.h * rates @ grid.weights)
         s0sq = self.scales[0] ** 2
-        a2[:-1] = np.stack((c, sigma / s0sq, -mu * s0sq, c), axis=1).reshape(-1, 2, 2)
-        gain = np.cumsum(np.concatenate(gains), axis=0)[first + per - 1]
+        if fresh:
+            c, sigma, mu = np.concatenate(starts)[grid.first].T
+            a2 = np.empty((times.size, 2, 2))
+            a2[:-1] = np.stack((c, sigma / s0sq, -mu * s0sq, c), axis=1).reshape(-1, 2, 2)
+            a2[-1] = a2_ends[-1]
+            grid.a2, grid.sums = a2, sums
+            _read_only(a2, *sums)
+        gain = np.cumsum(np.concatenate(gains), axis=0)[grid.first + grid.per - 1]
         theta[1:] = theta[0] + (gain[:, [0, 1, 1, 2]] * [1 / s0sq, 1, 1, s0sq]).reshape(-1, 2, 2)
         drift = float(np.abs(theta[-1] - theta_ends[-1]).max()
                       / max(1.0, np.abs(theta_ends[-1]).max()))
@@ -422,7 +433,49 @@ class _PlusSector:
                 f"numerical instability: the integrated thermal bath term drifted by {drift:.3e} "
                 f"from its direct value at t={times[-1]:.6g}; the normal modes do not give the flow"
             )
-        return a2, theta, done * n_nodes, drift
+        return theta, grid.done * grid.weights.size, drift
+
+
+class _TimeGrid:
+    """The part of the thermal integral that the normal modes and the time grid
+    fix, whatever the occupations: the propagator rows at the first and last
+    time, the Gauss-Legendre sub-intervals and nodes, the (chunk x N) phase
+    block, and, once the first integral on the grid has summed them, a2 and
+    the c, sigma node values.  ``times`` is uniform to rounding
+    (``_validate_times``).  Every array it keeps is read-only."""
+
+    def __init__(self, solver: _PlusSector, times: np.ndarray):
+        self.key = times.tobytes()
+        self.ends = solver.rows(times[[0, -1]])
+        self.a2, self.sums = None, None
+        self.steps = times.size - 1
+        if not self.steps:
+            return
+        step = (times[-1] - times[0]) / self.steps
+        self.per = math.ceil(step * solver.freqs[-1])  # sub-intervals per step
+        self.h, self.done = step / self.per, self.per * self.steps
+        x, self.weights = np.polynomial.legendre.leggauss(_gauss_nodes(self.h * solver.freqs[-1]))
+        offsets = np.r_[0.0, 0.5 * (x + 1.0)]  # the sub-interval's start, then its nodes
+        self.turn = np.exp(1j * np.outer(solver.freqs, self.h * offsets))
+        self.block = _phase_block(solver.freqs, self.h, min(_TIME_CHUNK, self.done))
+        self.first = self.per * np.arange(self.steps)
+        self.start, self.freqs = times[0], solver.freqs
+        _read_only(*self.ends, self.weights, self.turn, self.block, self.first)
+
+    def node_sums(self, coef: np.ndarray):
+        """Each row of ``coef`` (k, N) summed against the mode phases at each
+        sub-interval's start and nodes, one (chunk, k, 1 + nodes) array per
+        chunk: a thin product with the phase block, so O(N) per node."""
+        base = (coef.T[:, :, None] * self.turn[:, None]).reshape(self.freqs.size, -1)
+        for lo in range(0, self.done, _TIME_CHUNK):
+            rhs = base * np.exp(1j * (self.start + lo * self.h) * self.freqs)[:, None]
+            values = self.block[: self.done - lo] @ np.concatenate((rhs.real, -rhs.imag))
+            yield values.reshape(-1, coef.shape[0], self.turn.shape[1])
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for array in arrays:
+        array.setflags(write=False)
 
 
 def _row_blocks(rows, bath: DiscretizedBath) -> tuple[np.ndarray, np.ndarray]:
@@ -533,9 +586,10 @@ def full_propagator(model: FullModel, t: float) -> np.ndarray:
 class Trajectory:
     """Reduced system states on a time grid (site ordering), as stacked arrays.
 
-    ``means`` is (T, 4) and ``covs`` (T, 4, 4); both are validated and
-    read-only.  ``info`` records the sizes, timings and the worst relative
-    physicality defect of the run that made it.
+    ``means`` is (T, 4) and ``covs`` (T, 4, 4), with a leading state axis when
+    ``evolve`` ran a list of states; both are validated and read-only.
+    ``info`` records the sizes, timings and the worst relative physicality
+    defect of the run that made it.
     """
 
     times: np.ndarray
@@ -546,7 +600,8 @@ class Trajectory:
 
     @cached_property
     def states(self) -> tuple:
-        """The samples as GaussianStates, built on first access."""
+        """The samples of one state's trajectory as GaussianStates, built on
+        first access."""
         return tuple(GaussianState(m, c) for m, c in zip(self.means, self.covs))
 
 
@@ -572,7 +627,7 @@ def _validate_times(model: FullModel, times, override_horizon: bool) -> np.ndarr
 
 def evolve(
     model: FullModel,
-    initial_system: GaussianState,
+    initial_system,
     times,
     override_horizon: bool = False,
 ) -> Trajectory:
@@ -581,59 +636,75 @@ def evolve(
     ``times`` is strictly increasing, with equal steps up to rounding, and
     ends inside the validity horizon unless ``override_horizon``.  The bath
     starts thermal and factorized from the system.  Output states are in the
-    site ordering and validated for physicality in one stacked check.
+    site ordering and validated for physicality in one stacked check; an
+    unphysical sample raises NumericsError.
+
+    ``initial_system`` is one GaussianState, or a list or tuple of P of them: as
+    V(t) = S(t) V0 S(t)^T + Theta(t), they share the flow and Theta and are
+    assembled as one (P, T, 4, 4) stack.  ``means`` and ``covs`` then hold the
+    states whose every sample is physical, in order, with a leading state
+    axis, and ``info["unphysical"]`` maps the index of each other state to its
+    NumericsError.
     """
     times = _validate_times(model, times, override_horizon)
     bath = model.bath
     solver, solve_s = _plus_solver(model)
     start = time.perf_counter()
 
+    single = not isinstance(initial_system, (list, tuple))
+    states = [initial_system] if single else initial_system
     sbs = BEAM_SPLITTER
-    v0 = sbs @ initial_system.cov @ sbs.T
-    m0 = sbs @ initial_system.mean
-    v_pp, v_pm, v_mm = v0[:2, :2], v0[:2, 2:], v0[2:, 2:]
-    a2, theta, nodes, drift, integrals = solver.plus_blocks(bath, times)
-    r2 = _minus_rotation(model, times)
-    virtual_cov = np.empty((times.size, 4, 4))
-    virtual_cov[:, :2, :2] = np.einsum("tik,kl,tjl->tij", a2, v_pp, a2) + theta
-    virtual_cov[:, :2, 2:] = np.einsum("tik,kl,tjl->tij", a2, v_pm, r2)
-    virtual_cov[:, 2:, :2] = np.swapaxes(virtual_cov[:, :2, 2:], 1, 2)
-    virtual_cov[:, 2:, 2:] = np.einsum("tik,kl,tjl->tij", r2, v_mm, r2)
-    virtual_mean = np.concatenate((a2 @ m0[:2], r2 @ m0[2:]), axis=1)
-    # per sample a 4x4 @ 4x4 and a 4x4 @ 4-vector, as for one state
+    v0 = sbs @ np.array([state.cov for state in states]) @ sbs.T
+    m0 = sbs @ np.array([state.mean for state in states])[..., None]
+    a2, theta, health = solver.plus_blocks(bath, times)
+    flow = np.zeros((times.size, 4, 4))  # block-diagonal: the (+) and (-) sectors
+    flow[:, :2, :2], flow[:, 2:, 2:] = a2, _minus_rotation(model, times)
+    virtual_cov = flow @ v0[:, None] @ np.swapaxes(flow, 1, 2)
+    virtual_cov[..., :2, :2] += theta
+    virtual_cov[..., 2:, :2] = np.swapaxes(virtual_cov[..., :2, 2:], -1, -2)
+    virtual_mean = flow @ m0[:, None]
     cov_site = sbs @ virtual_cov @ sbs.T
-    means = (sbs @ virtual_mean[:, :, None])[:, :, 0]
-    try:
-        covs, defects = check_states(means, 0.5 * (cov_site + np.swapaxes(cov_site, 1, 2)))
-    except ValidationError as exc:
-        raise NumericsError(
-            f"numerical instability: reduced state unphysical at t={times[exc.index]:.6g} ({exc})"
-        ) from exc
-    means.setflags(write=False)
-    covs.setflags(write=False)
+    cov_site = 0.5 * (cov_site + np.swapaxes(cov_site, -1, -2))
+    means = (sbs @ virtual_mean)[..., 0]
+    kept, unphysical = list(range(len(states))), {}
+    while True:  # a failed state leaves the stack, and the rest are checked again
+        try:
+            covs, defects = check_states(means[kept], cov_site[kept])
+            break
+        except ValidationError as exc:
+            state, sample = divmod(exc.index, times.size)
+            unphysical[kept.pop(state)] = NumericsError(
+                "numerical instability: reduced state unphysical at "
+                f"t={times[sample]:.6g} ({exc})")
+    if single and unphysical:
+        raise unphysical[0]
+    means = means[kept]
+    _read_only(means, covs)
     info = {
         "bath_modes": bath.n_modes,
         "samples": times.size,
         "normal_mode_solves": int(solve_s is not None),
         "normal_modes_s": solve_s or 0.0,
         **solver.health,
-        "thermal_integrals": integrals,
-        "thermal_nodes": nodes,
-        "thermal_drift": drift,
+        **health,
         "states_s": time.perf_counter() - start,
-        "min_physicality_defect": float(defects.min()),
+        "min_physicality_defect": float(defects.min()) if defects.size else None,
+        "unphysical": unphysical,
     }
+    if single:
+        means, covs = means[0], covs[0]
     return Trajectory(times=times, means=means, covs=covs,
                       validity_horizon=model.validity_horizon, info=info)
 
 
 def entanglement_trajectory(
     model: FullModel,
-    initial_system: GaussianState,
+    initial_system,
     times,
     override_horizon: bool = False,
 ) -> tuple[Trajectory, np.ndarray]:
-    """Trajectory plus the logarithmic negativity at every grid time."""
+    """Trajectory plus the logarithmic negativity at every grid time (of each
+    physical state, for a list of initial states as ``evolve`` takes it)."""
     traj = evolve(model, initial_system, times, override_horizon=override_horizon)
     start = time.perf_counter()
     energies = log_negativity(traj.covs)

@@ -98,7 +98,7 @@ def _time_grid(t_max: float, step: float) -> np.ndarray:
     return times[times <= t_max * (1 + 1e-12)]
 
 
-def cmd_evolve(config: RunConfig, out_dir: Path) -> int:
+def cmd_evolve(config: RunConfig, out_dir: Path, config_s: float) -> int:
     start = time.perf_counter()
     model = config.build_model()
     build_s = time.perf_counter() - start
@@ -133,11 +133,13 @@ def cmd_evolve(config: RunConfig, out_dir: Path) -> int:
         "min_physicality_defect": info["min_physicality_defect"],
         "secular_iterations": info["secular_iterations"],
         "secular_z_drift": info["secular_z_drift"],
+        "thermal_grids": info["thermal_grids"],
         "thermal_integrals": info["thermal_integrals"],
         "thermal_nodes": info["thermal_nodes"],
         "thermal_drift": info["thermal_drift"],
         "horizon_margin": float(traj.times[-1]) / traj.validity_horizon,
         "wall_time_s": {
+            "config": config_s,
             "model": build_s + info["normal_modes_s"],
             "states": info["states_s"],
             "entanglement": info["entanglement_s"],
@@ -148,7 +150,7 @@ def cmd_evolve(config: RunConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def cmd_coeffs(config: RunConfig, out_dir: Path) -> int:
+def cmd_coeffs(config: RunConfig, out_dir: Path, config_s: float) -> int:
     if config.coupling != SYMMETRIC:
         raise UnsupportedOperationError(
             "coefficient traces are only defined for symmetric coupling; the "
@@ -196,8 +198,8 @@ def cmd_coeffs(config: RunConfig, out_dir: Path) -> int:
         "t_valid": trace.t_valid,
         "amplitude_floor": trace.amplitude_floor,
         **sol.solve_health,
-        "wall_time_s": dict(zip(("model", "amplitude", "coefficients", "write"),
-                                np.diff(marks).tolist())),
+        "wall_time_s": {"config": config_s, **dict(zip(
+            ("model", "amplitude", "coefficients", "write"), np.diff(marks).tolist()))},
     })
     print(f"wrote {out_csv}")
     return EXIT_OK
@@ -223,7 +225,7 @@ def _write_kernel_csv(config: RunConfig, model, out_dir: Path, n_samples: int = 
     )
 
 
-def cmd_phase_diagram(config: RunConfig, out_dir: Path) -> int:
+def cmd_phase_diagram(config: RunConfig, out_dir: Path, config_s: float) -> int:
     marks = [time.perf_counter()]  # ends of the stages sweep, boundaries, write
     rows, info = run_phase_sweep(config)
     marks.append(time.perf_counter())
@@ -247,7 +249,8 @@ def cmd_phase_diagram(config: RunConfig, out_dir: Path) -> int:
     })
     (out_dir / "plot_phase_diagram.py").write_text(_PHASE_PLOT_SCRIPT)
     marks.append(time.perf_counter())
-    info["wall_time_s"] = dict(zip(("sweep", "boundaries", "write"), np.diff(marks).tolist()))
+    info["wall_time_s"] = {"config": config_s,
+                           **dict(zip(("sweep", "boundaries", "write"), np.diff(marks).tolist()))}
     write_json(out_dir / "run_info.json", info)  # wall times and diagnostics; not byte-stable
     print(f"wrote {out_csv} ({info['n_points']} points, {info['n_errors']} errors)")
     return EXIT_OK
@@ -277,13 +280,14 @@ plt.savefig("phase_diagram.png", dpi=160)
 '''
 
 
-def cmd_verify(config: RunConfig, out_dir: Path) -> int:
+def cmd_verify(config: RunConfig, out_dir: Path, config_s: float) -> int:
     start = time.perf_counter()
     info = {"config_digest": config.digest(), "version": __version__}
     report = verify_grid(config, info=info)
     grid_s = time.perf_counter() - start
     write_json(out_dir / "verify_report.json", report)
-    info["wall_time_s"] = {"grid": grid_s, "write": time.perf_counter() - start - grid_s}
+    info["wall_time_s"] = {"config": config_s, "grid": grid_s,
+                           "write": time.perf_counter() - start - grid_s}
     write_json(out_dir / "run_info.json", info)  # wall times and diagnostics; not byte-stable
     n_error = sum("reason" in point for point in report["points"])
     status = "PASS" if report["passed"] else "FAIL"
@@ -324,10 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        start = time.perf_counter()
         config = load_config(args.config)
+        config_s = time.perf_counter() - start
         out_dir = Path(args.out) if args.out else Path(config.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](config, out_dir)
+        return _COMMANDS[args.command](config, out_dir, config_s)
     except (ConfigError, UnsupportedOperationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

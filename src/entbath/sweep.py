@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
@@ -276,11 +277,15 @@ def verify_grid(config: RunConfig, info: dict | None = None) -> dict:
     Small grids only (<= 25 points).  Points whose inequality slack is within
     the boundary margin are excluded rather than failed.  Points that could
     not be evaluated or simulated are errors, not failures, and carry a
-    ``reason``.  The points are simulated grouped by C12 and then by T, so
-    that the points of one C12 share one normal-mode solve and those of one
-    (C12, T) one thermal integral; the report keeps the canonical row order.
-    When ``info`` is given, the sweep's info and the sizes and health of the
-    simulations are recorded in it.
+    ``reason``.  The points are simulated grouped by C12 and then by T: the
+    points of one C12 share one normal-mode solve and one time grid (one
+    pass over its occupation-independent part of the thermal integral), and
+    those of one (C12, T) one thermal integral and one stacked ``evolve``,
+    whose check and E_N cover the whole group.  A failed initial state or an
+    unphysical sample errors only its own point; a failure in the shared part
+    errors every point of the group.  The report keeps the canonical row
+    order.  When ``info`` is given, the sweep's info and the sizes and health
+    of the simulations are recorded in it.
     """
     temps, squeezings, c12s, purities = sweep_axes(config)
     n_points = len(temps) * len(squeezings) * len(c12s) * len(purities)
@@ -303,29 +308,41 @@ def verify_grid(config: RunConfig, info: dict | None = None) -> dict:
             continue
         to_simulate.append((row, entry))
 
-    health = {"simulated_points": 0, "normal_mode_solves": 0, "thermal_integrals": 0,
-              "thermal_nodes": 0, "bath_modes": {}, "min_physicality_defect": None,
-              "secular_iterations": 0, "secular_z_drift": 0.0, "thermal_drift": 0.0}
-    for row, entry in sorted(to_simulate, key=lambda pair: (c12s.index(pair[0]["C12"]),
-                                                             temps.index(pair[0]["T"]))):
+    health = {"simulated_points": 0, "normal_mode_solves": 0, "thermal_grids": 0,
+              "thermal_integrals": 0, "thermal_nodes": 0, "bath_modes": {},
+              "min_physicality_defect": None, "secular_iterations": 0,
+              "secular_z_drift": 0.0, "thermal_drift": 0.0}
+
+    def group_key(pair):
+        return c12s.index(pair[0]["C12"]), temps.index(pair[0]["T"])
+
+    for _, group in groupby(sorted(to_simulate, key=group_key), key=group_key):
+        group = list(group)
         try:
-            sim_class, deviation, traj_info = _simulate_point(config, row)
-        except EntbathError as exc:
-            entry.update(status=f"simulation error: {exc}", reason=f"{type(exc).__name__}: {exc}")
-            continue
-        health["simulated_points"] += 1
-        health["normal_mode_solves"] += traj_info["normal_mode_solves"]
-        health["thermal_integrals"] += traj_info["thermal_integrals"]
-        health["thermal_nodes"] += traj_info["thermal_integrals"] * traj_info["thermal_nodes"]
-        health["bath_modes"][f"c12={row['C12']:g}"] = traj_info["bath_modes"]
-        for key in ("secular_iterations", "secular_z_drift", "thermal_drift"):  # worst of the grid
-            health[key] = max(health[key], traj_info[key])
-        defect = traj_info["min_physicality_defect"]
-        if health["min_physicality_defect"] is None or defect < health["min_physicality_defect"]:
-            health["min_physicality_defect"] = defect
-        expected = _EXPECTED_CLASS[Phase(row["phase"])]
-        entry.update(simulated=sim_class, envelope_deviation=deviation,
-                     status="pass" if sim_class == expected else "fail")
+            outcomes, traj_info = _simulate_group(config, [row for row, _ in group])
+        except EntbathError as exc:  # shared by the group: its window, model or flow
+            outcomes, traj_info = [exc] * len(group), None
+        if traj_info is not None:
+            for key in ("normal_mode_solves", "thermal_grids", "thermal_integrals"):
+                health[key] += traj_info[key]
+            health["thermal_nodes"] += traj_info["thermal_integrals"] * traj_info["thermal_nodes"]
+            health["bath_modes"][f"c12={group[0][0]['C12']:g}"] = traj_info["bath_modes"]
+            for key in ("secular_iterations", "secular_z_drift", "thermal_drift"):  # worst of the grid
+                health[key] = max(health[key], traj_info[key])
+            defect = traj_info["min_physicality_defect"]
+            if defect is not None and (health["min_physicality_defect"] is None
+                                       or defect < health["min_physicality_defect"]):
+                health["min_physicality_defect"] = defect
+        for (row, entry), outcome in zip(group, outcomes):
+            if isinstance(outcome, EntbathError):
+                entry.update(status=f"simulation error: {outcome}",
+                             reason=f"{type(outcome).__name__}: {outcome}")
+                continue
+            health["simulated_points"] += 1
+            sim_class, deviation = _simulate_point(row, outcome)
+            expected = _EXPECTED_CLASS[Phase(row["phase"])]
+            entry.update(simulated=sim_class, envelope_deviation=deviation,
+                         status="pass" if sim_class == expected else "fail")
     if info is not None:
         info.update(sweep=sweep_info, **health)
     n_fail = sum(entry["status"] == "fail" for entry in report_points)
@@ -339,13 +356,16 @@ def verify_grid(config: RunConfig, info: dict | None = None) -> dict:
     }
 
 
-def _simulate_point(config: RunConfig, row: dict) -> tuple[str, float, dict]:
-    """Late-time simulated classification, envelope deviation and trajectory
-    info at one point.  The window depends on gamma0 and C12 only, so the
-    points of one C12 share their times and their bath."""
+def _simulate_group(config: RunConfig, rows: list[dict]) -> tuple[list, dict | None]:
+    """Late-time E_N trajectories of the points of one (C12, T), each an array
+    or the EntbathError of that point (its initial state or an unphysical
+    sample), and the info of their one stacked run (None when no initial state
+    was built).  The window depends on gamma0 and C12 only and the model on C12
+    and T, so the points share both; a failure there raises."""
     gamma_scale = max(config.gamma0, 1e-3)
     t_eq = max(30.0, 4.0 / gamma_scale)
-    _, _, _, minus = _frequencies(config, row["C12"])
+    c12, temperature = rows[0]["C12"], rows[0]["T"]
+    _, _, _, minus = _frequencies(config, c12)
     period = math.pi / minus.frequency
     t_end = t_eq + 3.0 * period
     # enlarge the bath if the configured mode count cannot host the window
@@ -356,13 +376,29 @@ def _simulate_point(config: RunConfig, row: dict) -> tuple[str, float, dict]:
             f"verification window [{t_eq:.3g}, {t_end:.3g}] needs {needed} bath modes, "
             f"more than {ceiling}; set [bath] modes >= {needed} to allow it"
         )
-    model = config.build_model(temperature=row["T"], c12=row["C12"],
-                               modes=max(needed, config.modes))
-    state = initial_state(
-        model, config.kind, r=row["r"], purity_product=row["purity"]
-    )
-    times = np.linspace(t_eq, t_end, 360)
-    traj, energies = entanglement_trajectory(model, state, times)
+    model = config.build_model(temperature=temperature, c12=c12, modes=max(needed, config.modes))
+    outcomes, states = [], []
+    for row in rows:
+        try:
+            states.append(initial_state(model, config.kind, r=row["r"],
+                                        purity_product=row["purity"]))
+            outcomes.append(None)
+        except EntbathError as exc:
+            outcomes.append(exc)
+    if not states:
+        return outcomes, None
+    traj, energies = entanglement_trajectory(model, states, np.linspace(t_eq, t_end, 360))
+    unphysical, physical = traj.info["unphysical"], iter(energies)
+    pending = [i for i, outcome in enumerate(outcomes) if outcome is None]
+    for state, i in enumerate(pending):
+        outcomes[i] = unphysical[state] if state in unphysical else next(physical)
+    return outcomes, traj.info
+
+
+def _simulate_point(row: dict, energies: np.ndarray) -> tuple[str, float]:
+    """Simulated class and envelope deviation of one point, from the E_N
+    trajectory that ``_simulate_group`` gave it (``bench/spans.py`` counts
+    its calls as the simulated points)."""
     lo_band, hi_band = envelope_band(row["e_mean"], row["e_amp"])
     deviation = max(abs(energies.max() - hi_band), abs(energies.min() - lo_band))
-    return _simulated_class(energies), float(deviation), traj.info
+    return _simulated_class(energies), float(deviation)

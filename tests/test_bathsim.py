@@ -284,7 +284,8 @@ class TestThermalRoute:
     def by_rows(monkeypatch, model, state, times):
         def rows_at_every_time(solver, bath, grid):
             a2, theta = row_route_blocks(model, grid)
-            return a2, theta, 0, 0.0, 1
+            return a2, theta, {"thermal_integrals": 1, "thermal_grids": 1,
+                               "thermal_nodes": 0, "thermal_drift": 0.0}
 
         with monkeypatch.context() as patch:
             patch.setattr(bathsim._PlusSector, "plus_blocks", rows_at_every_time)
@@ -380,7 +381,8 @@ class TestThermalRoute:
 
 class TestSharedThermalIntegral:
     """Consecutive runs at one temperature on one grid reuse the shared
-    solver's thermal integral, bit for bit; anything else integrates again."""
+    solver's thermal integral, bit for bit; anything else integrates again,
+    reusing the grid part of the integral when only the temperature changed."""
 
     TIMES = np.linspace(20.0, 30.0, 200)
 
@@ -419,13 +421,59 @@ class TestSharedThermalIntegral:
         traj, _ = self.run(warmer, 1.0, 0.5, times=self.TIMES + 0.5)
         assert traj.info["normal_mode_solves"] == 0 and traj.info["thermal_integrals"] == 1
 
+    def test_a_second_temperature_reuses_the_grid_part(self):
+        bathsim.release_shared_solver()
+        first, _ = self.run(small_model(n=400, temperature=2.0), 1.0, 0.5)
+        grid = bathsim._shared[1]._grid
+        warmer = small_model(n=400, temperature=6.0)
+        second, _ = self.run(warmer, 1.0, 0.5)
+        assert (first.info["thermal_grids"], second.info["thermal_grids"]) == (1, 0)
+        assert second.info["thermal_integrals"] == 1 and bathsim._shared[1]._grid is grid
+        a2, theta, _ = bathsim._shared[1]._thermal[1]
+        bathsim.release_shared_solver()
+        fresh, _ = self.run(warmer, 1.0, 0.5)
+        assert fresh.info["thermal_grids"] == 1
+        fresh_a2, fresh_theta, _ = bathsim._shared[1]._thermal[1]
+        # the two u y columns summed alone give the bits of the five-column product
+        assert np.array_equal(a2, fresh_a2) and np.array_equal(theta, fresh_theta)
+        assert np.array_equal(second.covs, fresh.covs)
+
+    def test_a_shifted_grid_a_new_physics_or_a_release_drops_the_grid_part(self):
+        bathsim.release_shared_solver()
+        model = small_model(n=400, temperature=2.0)
+        self.run(model, 1.0, 0.5)
+        grid = bathsim._shared[1]._grid
+        traj, _ = self.run(model, 1.0, 0.5, times=self.TIMES + 0.5)
+        assert traj.info["thermal_grids"] == 1 and bathsim._shared[1]._grid is not grid
+        traj, _ = self.run(small_model(n=400, temperature=2.0, c12=-0.2), 1.0, 0.5)
+        assert traj.info["normal_mode_solves"] == 1 == traj.info["thermal_grids"]
+        bathsim.release_shared_solver()
+        traj, _ = self.run(model, 1.0, 0.5)
+        assert traj.info["normal_mode_solves"] == 1 == traj.info["thermal_grids"]
+
+    def test_each_state_of_a_stack_equals_its_own_run(self):
+        model = small_model(n=400, temperature=2.0)
+        states = [initial_state(model, "two-mode-squeezed", r=r, purity_product=purity,
+                                mean=[0.3, -0.1, 0.2, 0.5])
+                  for r, purity in ((0.5, 0.5), (2.0, 0.8), (-1.0, 0.6))]
+        stack, energies = entanglement_trajectory(model, states, self.TIMES)
+        assert stack.covs.shape == (3, self.TIMES.size, 4, 4) and stack.info["unphysical"] == {}
+        for i, state in enumerate(states):
+            one, one_energies = entanglement_trajectory(model, state, self.TIMES)
+            assert np.array_equal(stack.means[i], one.means)
+            assert np.array_equal(stack.covs[i], one.covs)
+            assert np.array_equal(energies[i], one_energies)
+
     def test_stored_blocks_are_read_only_and_released_with_the_solver(self):
         bathsim.release_shared_solver()
         model = small_model(n=400)
         self.run(model, 1.0, 0.5)
         solver = bathsim._shared[1]
         a2, theta = solver._thermal[1][:2]
-        assert not a2.flags.writeable and not theta.flags.writeable
+        grid = solver._grid
+        assert grid.a2 is a2
+        kept = (a2, theta, *grid.ends, grid.weights, grid.turn, grid.block, grid.first, *grid.sums)
+        assert not any(array.flags.writeable for array in kept)
         with pytest.raises(ValueError):
             theta[0, 0, 0] = 0.0
         bathsim.release_shared_solver()

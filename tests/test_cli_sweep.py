@@ -10,7 +10,7 @@ from entbath import __version__, bathsim, sweep
 from entbath.asymptotics import stationary_variances_position
 from entbath.cli import main
 from entbath.config import load_config
-from entbath.errors import NumericsError
+from entbath.errors import NumericsError, ValidationError
 from entbath.spectra import OhmicSpectralDensity
 from entbath.sweep import phase_boundaries, run_phase_sweep, sweep_axes, verify_grid
 
@@ -126,7 +126,9 @@ class TestEvolveCommand:
         assert -1e-12 < info["min_physicality_defect"] <= 1e-9
         # 120 steps of 0.25, each 5 sub-intervals no longer than 1/w_max ~ 1/20, 8 nodes each
         assert info["thermal_nodes"] == 120 * 5 * 8 and 0.0 <= info["thermal_drift"] < 1e-12
-        assert set(info["wall_time_s"]) == {"model", "states", "entanglement", "write"}
+        assert info["thermal_grids"] == 1 == info["thermal_integrals"]
+        assert set(info["wall_time_s"]) == {"config", "model", "states", "entanglement", "write"}
+        assert info["wall_time_s"]["config"] > 0.0
         assert_same_artifacts(tmp_path / "a", tmp_path / "b")
 
 
@@ -186,12 +188,13 @@ class TestSharedNormalModes:
         pairs = {(p["T"], p["C12"]) for p in report["points"] if "simulated" in p}
         assert code == 0 and {c12 for _, c12 in pairs} == c12s
         assert info["thermal_integrals"] == len(pairs) < info["simulated_points"]
+        assert info["thermal_grids"] == len(c12s)  # one window per C12
 
     def test_evolve_integrates_once(self, tmp_path, solves):
         cfg = write_cfg(tmp_path, BASE)
         assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         info = json.loads((tmp_path / "o" / "run_info.json").read_text())
-        assert info["thermal_integrals"] == 1
+        assert info["thermal_integrals"] == 1 == info["thermal_grids"]
 
     def test_nothing_is_shared_across_commands(self, tmp_path, solves):
         self.verify(tmp_path, BASE + self.GRID, name="a")
@@ -237,7 +240,7 @@ class TestCoeffsCommand:
         assert info["bath_modes"] == 400 and info["samples"] >= len(rows)
         assert info["t_valid"] == pytest.approx(float(rows[-1]["t"]), rel=1e-10)
         assert info["amplitude_floor"] >= 0.0 and info["secular_z_drift"] < 1e-12
-        assert set(info["wall_time_s"]) == {"model", "amplitude", "coefficients", "write"}
+        assert set(info["wall_time_s"]) == {"config", "model", "amplitude", "coefficients", "write"}
 
     def test_time_column_steps_by_the_configured_dt(self, tmp_path):
         # dt * cutoff = 0.1, the loader's bound, is the coefficient grid as given
@@ -562,7 +565,7 @@ c12_values = 0.0, -0.5
         out = tmp_path / "o"
         assert main(["phase-diagram", "--config", str(cfg), "--out", str(out)]) == 0
         info = json.loads((out / "run_info.json").read_text())
-        assert set(info["wall_time_s"]) == {"sweep", "boundaries", "write"}
+        assert set(info["wall_time_s"]) == {"config", "sweep", "boundaries", "write"}
         assert all(seconds >= 0.0 for seconds in info["wall_time_s"].values())
         health = info["stationary"]
         assert health["route"] == sweep._STATIONARY_ROUTE
@@ -638,15 +641,59 @@ squeezings = 1.67
         assert "0 failing and 9 errored" in capsys.readouterr().out
 
     def test_simulation_error_carries_its_reason(self, tmp_path, monkeypatch):
-        def fail(config, row):
+        def fail(model, states, times):
             raise NumericsError("injected")
 
-        monkeypatch.setattr(sweep, "_simulate_point", fail)
+        monkeypatch.setattr(sweep, "entanglement_trajectory", fail)
         cfg = write_cfg(tmp_path, BASE)
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
         point, = json.loads((tmp_path / "o" / "verify_report.json").read_text())["points"]
         assert point["status"] == "simulation error: injected"
         assert point["reason"] == "NumericsError: injected"
+
+    # two points of one (C12, T), both simulated in one stack
+    PAIR = BASE + "\n[sweep]\ntemperatures = 8.0\nsqueezings = 0.1, 2.5\n"
+
+    def run_pair(self, tmp_path, name):
+        cfg = write_cfg(tmp_path, self.PAIR, f"{name}.cfg")
+        code = main(["verify", "--config", str(cfg), "--out", str(tmp_path / name)])
+        report = json.loads((tmp_path / name / "verify_report.json").read_text())
+        info = json.loads((tmp_path / name / "run_info.json").read_text())
+        return code, report["points"], info
+
+    def test_a_failed_initial_state_errors_only_its_point(self, tmp_path, monkeypatch):
+        _, clean, _ = self.run_pair(tmp_path, "clean")
+        build = sweep.initial_state
+
+        def fail_squeezed(model, kind, r, purity_product):
+            if r == 2.5:
+                raise ValidationError("injected")
+            return build(model, kind, r=r, purity_product=purity_product)
+
+        monkeypatch.setattr(sweep, "initial_state", fail_squeezed)
+        code, points, info = self.run_pair(tmp_path, "o")
+        assert code == 3 and info["simulated_points"] == 1
+        assert points[0] == clean[0] and points[0]["status"] == "pass"
+        assert points[1]["reason"] == "ValidationError: injected"
+
+    def test_an_unphysical_sample_errors_only_its_point(self, tmp_path, monkeypatch):
+        _, clean, _ = self.run_pair(tmp_path, "clean")
+        check = bathsim.check_states
+
+        def corrupt_second_state(means, covs):
+            if len(covs) == 2:  # the whole stack: zero the second state at its sixth sample
+                covs = covs.copy()
+                covs[1, 5] = 0.0
+            return check(means, covs)
+
+        monkeypatch.setattr(bathsim, "check_states", corrupt_second_state)
+        code, points, info = self.run_pair(tmp_path, "o")
+        assert code == 3 and info["simulated_points"] == 1 and info["thermal_integrals"] == 1
+        assert points[0] == clean[0] and points[0]["status"] == "pass"
+        t = 40.0 + 5 * (3 * math.pi / 359)  # the sixth time of the window [40, 40 + 3 pi]
+        assert points[1]["reason"].startswith(
+            f"NumericsError: numerical instability: reduced state unphysical at t={t:.6g} "
+            "(unphysical covariance")
 
     def test_weak_damping_hits_the_bath_ceiling_before_any_solve(self, tmp_path):
         # gamma0 = 1e-3 asks for about 1.05*(4000 + 3 pi)*20/pi = 26,800 modes
@@ -681,12 +728,14 @@ squeezings = 1.67
         # one integral per temperature: 359 steps of 3 pi / 359, each one sub-interval
         # (step w_max ~ 0.53) of 7 nodes
         assert info["thermal_integrals"] == 2 and info["thermal_nodes"] == 2 * 359 * 7
+        assert info["thermal_grids"] == 1  # both temperatures share the window
         assert -1e-12 < info["min_physicality_defect"] <= 1e-9
         assert 0.0 <= info["thermal_drift"] < 1e-12
         assert info["sweep"]["stationary"]["route"] == sweep._STATIONARY_ROUTE
         assert info["sweep"]["n_points"] == 2 and "wall_time_s" not in info["sweep"]
-        assert set(info["wall_time_s"]) == {"grid", "write"}
+        assert set(info["wall_time_s"]) == {"config", "grid", "write"}
         assert info["wall_time_s"]["grid"] > 0.0 and info["wall_time_s"]["write"] >= 0.0
+        assert info["wall_time_s"]["config"] > 0.0
         assert_same_artifacts(tmp_path / "a", tmp_path / "b")
 
     def test_grid_size_limit(self, tmp_path):
