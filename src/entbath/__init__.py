@@ -11,24 +11,19 @@ from .asymptotics import (
     Phase,
     PhaseSummary,
     classify,
-    dominant_frequency,
     envelope,
     envelope_band,
     r_crit,
-    resource_conditions,
     s_crit,
     stationary_variances_ladder,
     stationary_variances_position,
-    stationary_variances_symmetric,
     summarize,
 )
 from .bathsim import (
     FullModel,
     Trajectory,
     entanglement_trajectory,
-    equilibrium_variances_sim,
     evolve,
-    full_propagator,
     initial_state,
 )
 from .errors import (
@@ -45,11 +40,9 @@ from .gaussian import (
     SYMPLECTIC_FORM,
     GaussianState,
     ModeSpec,
-    beam_splitter,
     log_negativity,
     mode_squeezing,
     physicality_defect,
-    two_mode_squeezed_state,
 )
 from .rwa import (
     AmplitudeSolution,
@@ -69,16 +62,13 @@ from .spectra import (
 )
 
 __all__ = [
-    "Phase", "PhaseSummary", "classify", "dominant_frequency",
-    "envelope", "envelope_band", "r_crit", "resource_conditions", "s_crit",
-    "stationary_variances_ladder", "stationary_variances_position",
-    "stationary_variances_symmetric", "summarize",
-    "FullModel", "Trajectory", "entanglement_trajectory", "equilibrium_variances_sim",
-    "evolve", "full_propagator", "initial_state",
+    "Phase", "PhaseSummary", "classify", "envelope", "envelope_band", "r_crit", "s_crit",
+    "stationary_variances_ladder", "stationary_variances_position", "summarize",
+    "FullModel", "Trajectory", "entanglement_trajectory", "evolve", "initial_state",
     "ConfigError", "EntbathError", "HorizonError", "NumericsError",
     "ParameterRegimeError", "UnsupportedOperationError", "ValidationError",
-    "BEAM_SPLITTER", "SYMPLECTIC_FORM", "GaussianState", "ModeSpec", "beam_splitter",
-    "log_negativity", "mode_squeezing", "physicality_defect", "two_mode_squeezed_state",
+    "BEAM_SPLITTER", "SYMPLECTIC_FORM", "GaussianState", "ModeSpec",
+    "log_negativity", "mode_squeezing", "physicality_defect",
     "AmplitudeSolution", "CoefficientTrace", "MomentEvolution", "evolve_moments_me",
     "extract_coefficients", "solve_amplitude",
     "DiscretizedBath", "OhmicSpectralDensity", "discretize", "eta_kernel",

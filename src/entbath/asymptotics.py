@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -21,7 +20,6 @@ import numpy as np
 
 from .errors import NumericsError, ParameterRegimeError, ValidationError
 from .gaussian import ModeSpec, mode_squeezing
-from .rwa import CoefficientTrace
 from .spectra import OhmicSpectralDensity
 
 PHASE_TIE_TOL = 1e-9
@@ -33,9 +31,6 @@ class Phase(enum.Enum):
     NSD = "NSD"
     SDR = "SDR"
     SD = "SD"
-
-
-ResourceFlags = namedtuple("ResourceFlags", "coherent_entangles environment_amplifies")
 
 
 @dataclass(frozen=True)
@@ -50,8 +45,6 @@ class PhaseSummary:
     e_mean: float
     e_amp: float
     phase: Phase
-    coherent_entangles: bool
-    environment_amplifies: bool
 
 
 # ---------------------------------------------------------------------------
@@ -287,40 +280,6 @@ def stationary_variances_ladder(
     return _stationary_dispersions(rules, temperature, diagnostics)
 
 
-def stationary_variances_symmetric(
-    trace: CoefficientTrace, mass_omega: float, max_drift: float = 0.01
-) -> tuple[float, float]:
-    """Balanced stationary dispersions for symmetric coupling.
-
-    dp+ = M Omega dx+ = sqrt(D / 2 gamma), with ``mass_omega`` the invariant
-    M*Omega (= m*omega0) product of the (+) mode.  The ratio D/gamma is the
-    stationary symmetrized occupation; it is evaluated pointwise over the
-    trailing quarter of the trace, where it has settled even when the two
-    coefficients individually still breathe (they oscillate together once the
-    occupation is stationary).  A drifting ratio raises a validation error.
-    """
-    n = trace.times.size
-    start = max(1, n - max(4, n // 4))
-    gam = trace.gamma[start:]
-    dif = trace.diffusion[start:]
-    good = np.abs(gam) > 1e-12 * np.abs(gam).max()
-    if good.sum() < 4:
-        raise ValidationError("dissipation coefficient vanishes on the late window")
-    ratio = dif[good] / gam[good]
-    sym_occ = float(np.median(ratio))
-    drift = float((ratio.max() - ratio.min()) / max(abs(sym_occ), 1e-300))
-    if drift > max_drift:
-        raise ValidationError(
-            f"stationary occupation not settled (drift {drift:.3g} over the "
-            "late window); extend the trace"
-        )
-    if sym_occ <= 0.0:
-        raise ValidationError("stationary occupation must be positive")
-    dp = math.sqrt(0.5 * sym_occ * mass_omega)
-    dx = dp / mass_omega
-    return dx, dp
-
-
 # ---------------------------------------------------------------------------
 # envelope and phases
 
@@ -387,56 +346,6 @@ def classify(r: float, r_crit_value: float, s_crit_value: float, tie_tol: float 
     return Phase.SDR
 
 
-def resource_conditions(
-    r: float,
-    r_crit_value: float,
-    s_crit_value: float,
-    dx_plus: float,
-    dp_plus: float,
-) -> ResourceFlags:
-    """Resource flags of the beam-splitter picture.
-
-    ``coherent_entangles``: a coherent (r = 0, pure) input ends up entangled,
-    i.e. |r_crit| > (1/2) ln(2 dx+ dp+) -- equivalently one equilibrium
-    quadrature is squeezed below the vacuum in (-)-mode units.
-    ``environment_amplifies``: the output entanglement can exceed the input
-    squeezing resource, |r_crit| - S_crit >= 2 |r|.
-    """
-    coherent = abs(r_crit_value) > 0.5 * math.log(2.0 * dx_plus * dp_plus)
-    amplifies = abs(r_crit_value) - s_crit_value >= 2.0 * abs(r)
-    return ResourceFlags(bool(coherent), bool(amplifies))
-
-
-def dominant_frequency(times: np.ndarray, values: np.ndarray) -> float:
-    """Angular frequency of the strongest oscillation in a uniformly sampled series.
-
-    Linear detrend, Hann window, FFT peak with parabolic interpolation; used to
-    read the late-time entanglement oscillation frequency off a trajectory.
-    """
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if times.size < 16:
-        raise ValidationError("need at least 16 samples to fit a frequency")
-    dt = np.diff(times)
-    if (dt.max() - dt.min()) > 1e-9 * dt[0]:
-        raise ValidationError("frequency fit needs a uniform grid")
-    detrended = values - np.polyval(np.polyfit(times, values, 1), times)
-    if np.max(np.abs(detrended)) < 1e-13 * max(1.0, np.max(np.abs(values))):
-        raise ValidationError("series carries no resolvable oscillation")
-    window = np.hanning(times.size)
-    spectrum = np.abs(np.fft.rfft(detrended * window))
-    k = int(np.argmax(spectrum[1:]) + 1)
-    if 1 <= k < spectrum.size - 1:
-        a, b, c = np.log(spectrum[k - 1 : k + 2] + 1e-300)
-        denom = a - 2.0 * b + c
-        shift = 0.5 * (a - c) / denom if abs(denom) > 0.0 else 0.0
-        shift = float(np.clip(shift, -0.5, 0.5))
-    else:
-        shift = 0.0
-    freq = (k + shift) / (times.size * float(dt[0]))
-    return 2.0 * math.pi * freq
-
-
 def summarize(
     dx_plus: float,
     dp_plus: float,
@@ -450,7 +359,6 @@ def summarize(
     rc = r_crit(dx_plus, dp_plus, minus_mode)
     sc = s_crit(dx_plus, dp_plus, dx_minus, dp_minus)
     e_mean, e_amp = envelope(r, rc, sc)
-    flags = resource_conditions(r, rc, sc, dx_plus, dp_plus)
     return PhaseSummary(
         dx_plus=dx_plus,
         dp_plus=dp_plus,
@@ -460,6 +368,4 @@ def summarize(
         e_mean=e_mean,
         e_amp=e_amp,
         phase=classify(r, rc, sc),
-        coherent_entangles=flags.coherent_entangles,
-        environment_amplifies=flags.environment_amplifies,
     )

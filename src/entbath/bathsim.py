@@ -14,11 +14,11 @@ the exact master equation; Hu, Paz & Zhang, Phys. Rev. D 45, 2843 (1992)).
 Dense propagator rows are formed at the first and last output time only: the
 start of the integral and its check.  Temperature enters only through the
 bath occupations and squeezing only through the initial state, so
-consecutive runs of one model physics share the normal modes, those on one
+consecutive runs of one model physics share the normal modes, and those on one
 time grid the part of the thermal integral that the occupations do not
-enter, and those at one temperature on it the integral itself, until
-``release_shared_solver`` (the CLI calls it when a command ends).  The states
-of one run differ only in their initial block and are assembled as one stack.
+enter, until ``release_shared_solver`` (the CLI calls it when a command ends).
+The states of one run differ only in their initial block and share its
+thermal integral; they are assembled as one stack.
 
 Internally the virtual ordering (x+, p+, x-, p-, q_1, pi_1, ...) is used: the
 bath couples to the (+) mode only and the (-) mode rotates freely.  States
@@ -285,8 +285,9 @@ class _PlusSector:
 
     T enters a model only through the bath occupations and r only through the
     initial state, so every point of a verify grid at one C12 shares one
-    normal-mode solve and one ``_TimeGrid`` pass, and every point at one
-    (C12, T) one thermal integral (``plus_blocks`` keeps the last of each).
+    normal-mode solve and one ``_TimeGrid`` pass (``plus_blocks`` keeps the
+    last grid), and the points at one (C12, T), evolved as one stack, one
+    thermal integral.
     """
 
     def __init__(self, model: FullModel):
@@ -303,7 +304,6 @@ class _PlusSector:
         self.scales = np.sqrt(scales)  # square roots of each coordinate's x-to-p scale
         self.freqs, self.modes, self.health = arrowhead_eigh(*self.arrowhead)
         self._grid = None  # _TimeGrid of the last times
-        self._thermal = None  # (occupations and times bytes, plus_blocks result)
         _, z, d = self.arrowhead
         # per mode, cos, sigma and mu as Re(kernel e^{i w t})
         ones = np.ones_like(self.freqs)
@@ -346,30 +346,19 @@ class _PlusSector:
         """Propagator rows of (x+, p+) over the sector inputs, shape (T, n+1) each."""
         return self._flow(np.outer(times, self.freqs), self.modes[0], self.scales[0])
 
-    def full_blocks(self, t: float):
-        """Dense cos/sin blocks of the sector propagator at one time."""
-        return self._flow(self.freqs * t, self.modes, self.scales[:, None])
-
     def plus_blocks(self, bath: DiscretizedBath, times: np.ndarray):
         """a2 and Theta of ``_integrate``, each (T, 2, 2) and read-only, and the
-        health of this call: ``thermal_integrals`` (``thermal_grids``) is 1 when
-        it integrated Theta (made the grid part of the integral) and 0 when it
-        reused the last call's for the same occupations and times (times)."""
-        key = (bath.occupations.tobytes(), times.tobytes())
-        if self._thermal is not None and self._thermal[0] == key:
-            a2, theta, health = self._thermal[1]
-            return a2, theta, dict(health, thermal_integrals=0, thermal_grids=0)
+        health of this call: ``thermal_grids`` is 1 when it made the grid part
+        of the integral and 0 when it reused the last call's for the same times."""
         grid = self._grid
-        if grid is None or grid.key != key[1]:
+        if grid is None or grid.key != times.tobytes():
             self._grid = None  # free the last grid's phase block first
             grid = self._grid = _TimeGrid(self, times)
         fresh = grid.a2 is None
         theta, nodes, drift = self._integrate(grid, bath, times)
         _read_only(theta)
-        health = {"thermal_integrals": 1, "thermal_grids": int(fresh),
-                  "thermal_nodes": nodes, "thermal_drift": drift}
-        self._thermal = (key, (grid.a2, theta, health))
-        return grid.a2, theta, health
+        return grid.a2, theta, {"thermal_grids": int(fresh), "thermal_nodes": nodes,
+                                "thermal_drift": drift}
 
     def _integrate(self, grid: "_TimeGrid", bath: DiscretizedBath, times: np.ndarray):
         """Thermal covariance Theta of (x+, p+) at ``times``, (T, 2, 2);
@@ -388,7 +377,8 @@ class _PlusSector:
         contraction and is integrated by Gauss-Legendre on equal sub-intervals
         no longer than 1/w_max.  Only c' and mu' depend on the occupations: the
         first call on a grid sums all five columns in one product per chunk
-        and keeps a2 and the c, sigma node values on it, later calls sum those two.
+        and keeps a2 and the c, sigma node values on it; a call at another
+        temperature on the same grid sums only c' and mu'.
         """
         a2_ends, theta_ends = _row_blocks(grid.ends, bath)
         theta = np.empty((times.size, 2, 2))
@@ -559,23 +549,6 @@ def _minus_rotation(model: FullModel, times: np.ndarray) -> np.ndarray:
     out[:, 1, 0] = -s * sn
     out[:, 1, 1] = c
     return out
-
-
-def full_propagator(model: FullModel, t: float) -> np.ndarray:
-    """Dense propagator exp(A t) in the virtual ordering (for diagnostics)."""
-    n = model.bath.n_modes
-    dim = 2 * (n + 2)
-    s = np.zeros((dim, dim))
-    xx, xp, px, pp = _plus_solver(model)[0].full_blocks(t)
-    # plus-sector phase indices: positions (x+, q_k) -> 0, 4+2k ; momenta 1, 5+2k
-    pos = np.concatenate(([0], 4 + 2 * np.arange(n)))
-    mom = pos + 1
-    s[np.ix_(pos, pos)] = xx
-    s[np.ix_(pos, mom)] = xp
-    s[np.ix_(mom, pos)] = px
-    s[np.ix_(mom, mom)] = pp
-    s[2:4, 2:4] = _minus_rotation(model, np.array([t]))[0]
-    return s
 
 
 # ---------------------------------------------------------------------------
@@ -749,65 +722,3 @@ def initial_state(
     if mean is not None:
         state = GaussianState(np.asarray(mean, dtype=float), state.cov)
     return state
-
-
-# ---------------------------------------------------------------------------
-# equilibrium extraction
-
-
-def plus_variance_series(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Series (<x+^2>, <p+^2>, <{x+,p+}>/2) of the virtual (+) mode."""
-    sbs = BEAM_SPLITTER
-    covs = np.einsum("ij,tjk,lk->til", sbs, traj.covs, sbs)
-    return covs[:, 0, 0], covs[:, 1, 1], covs[:, 0, 1]
-
-
-def equilibrium_variances_sim(
-    model: FullModel,
-    initial_system: GaussianState | None = None,
-    rel_drift: float = 1e-3,
-    n_samples: int = 2400,
-) -> tuple[float, float]:
-    """Stationary dispersions (dx+, dp+) extracted from a long exact run.
-
-    Evolves until the windowed relative drift of both (+) variances falls
-    below ``rel_drift`` (window = one period of the dressed (+) mode), then
-    averages over one (-) period.  Raises HorizonError when the drift target is
-    not reached inside the validity horizon.
-    """
-    if initial_system is None:
-        initial_system = initial_state(model, "coherent-product")
-    ref_freq = model.omega_plus_dressed or model.omega_plus_bare
-    period = 2.0 * math.pi / ref_freq
-    period_minus = 2.0 * math.pi / model.minus_mode.frequency
-    t_end = 0.98 * model.validity_horizon
-    if t_end <= 6.0 * period:
-        raise HorizonError("validity horizon too short; increase the number of bath modes")
-    times = np.linspace(t_end / n_samples, t_end, n_samples)
-    traj = evolve(model, initial_system, times)
-    vx, vp, _ = plus_variance_series(traj)
-
-    dt = times[1] - times[0]
-    wlen = max(2, int(round(period / dt)))
-    kernel = np.ones(wlen) / wlen
-    sx = np.convolve(vx, kernel, mode="valid")
-    sp = np.convolve(vp, kernel, mode="valid")
-    lag = wlen
-    drift = np.maximum(
-        np.abs(sx[lag:] / sx[:-lag] - 1.0), np.abs(sp[lag:] / sp[:-lag] - 1.0)
-    )
-    # index i of `drift` corresponds to smoothed sample i+lag, raw sample ~ i+lag+wlen/2
-    settle = np.nonzero(drift < rel_drift)[0]
-    t_star = None
-    for i in settle:
-        t_candidate = times[min(i + lag + wlen // 2, times.size - 1)]
-        if t_candidate + period_minus <= t_end:
-            t_star = t_candidate
-            break
-    if t_star is None:
-        raise HorizonError(
-            "variances did not settle below the drift target before the horizon; "
-            "increase the number of bath modes"
-        )
-    sel = (times >= t_star) & (times <= t_star + period_minus)
-    return float(np.sqrt(vx[sel].mean())), float(np.sqrt(vp[sel].mean()))

@@ -134,7 +134,6 @@ def cmd_evolve(config: RunConfig, out_dir: Path, config_s: float) -> int:
         "secular_iterations": info["secular_iterations"],
         "secular_z_drift": info["secular_z_drift"],
         "thermal_grids": info["thermal_grids"],
-        "thermal_integrals": info["thermal_integrals"],
         "thermal_nodes": info["thermal_nodes"],
         "thermal_drift": info["thermal_drift"],
         "horizon_margin": float(traj.times[-1]) / traj.validity_horizon,

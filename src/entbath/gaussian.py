@@ -166,16 +166,6 @@ def _det2(m: np.ndarray) -> np.ndarray:
     return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 
-def beam_splitter(state: GaussianState) -> GaussianState:
-    """Apply the 50/50 beam splitter mapping site modes to (+,-) virtual modes.
-
-    The map is its own inverse, so it also converts a state expressed in the
-    virtual ordering (x+, p+, x-, p-) back to the site ordering.
-    """
-    s = BEAM_SPLITTER
-    return GaussianState(s @ state.mean, s @ state.cov @ s.T)
-
-
 def mode_squeezing(dx: float, dp: float, mode: ModeSpec) -> float:
     """Squeezing parameter (1/2) ln[m*omega*dx/dp] of a pair of dispersions."""
     if not (dx > 0.0 and dp > 0.0):
@@ -200,20 +190,13 @@ def squeezed_cov(r: float, mode: ModeSpec, area_product: float = 0.5) -> np.ndar
 
 
 def state_from_virtual_blocks(plus_cov: np.ndarray, minus_cov: np.ndarray) -> GaussianState:
-    """Site-basis state, zero means, from the covariances of the (+,-) modes."""
+    """Site-basis state, zero means, from the covariances of the (+,-) modes.
+
+    The beam splitter is orthogonal and symplectic, so the one check of the
+    site-basis state also decides the virtual one.
+    """
     v = np.zeros((4, 4))
     v[:2, :2] = plus_cov
     v[2:, 2:] = minus_cov
-    return beam_splitter(GaussianState(np.zeros(4), v))
-
-
-def two_mode_squeezed_state(r: float, mode: ModeSpec, area_product: float = 0.5) -> GaussianState:
-    """Two-mode squeezed state whose (-) virtual mode carries squeezing ``r``.
-
-    The (+) mode carries the opposite squeezing; for a pure state
-    (``area_product`` = 1/2 on the minus mode) the logarithmic negativity is 2|r|.
-    """
-    return state_from_virtual_blocks(
-        squeezed_cov(-r, mode), squeezed_cov(r, mode, area_product=area_product)
-    )
+    return GaussianState(np.zeros(4), BEAM_SPLITTER @ v @ BEAM_SPLITTER.T)
 

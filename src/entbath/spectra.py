@@ -70,7 +70,11 @@ def thermal_occupation(w: float, temperature: float):
         raise ValidationError("frequency must be positive for a thermal occupation")
     if temperature < 0.0:
         raise ValidationError("temperature must be non-negative")
-    out = np.zeros_like(w_arr) if temperature == 0.0 else 1.0 / np.expm1(w_arr / temperature)
+    if temperature == 0.0:
+        out = np.zeros_like(w_arr)
+    else:
+        with np.errstate(over="ignore"):  # w >> T: expm1 overflows to inf, and 1/inf = 0 is right
+            out = 1.0 / np.expm1(w_arr / temperature)
     return float(out) if out.ndim == 0 else out
 
 

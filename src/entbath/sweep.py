@@ -309,7 +309,7 @@ def verify_grid(config: RunConfig, info: dict | None = None) -> dict:
         to_simulate.append((row, entry))
 
     health = {"simulated_points": 0, "normal_mode_solves": 0, "thermal_grids": 0,
-              "thermal_integrals": 0, "thermal_nodes": 0, "bath_modes": {},
+              "thermal_nodes": 0, "bath_modes": {},
               "min_physicality_defect": None, "secular_iterations": 0,
               "secular_z_drift": 0.0, "thermal_drift": 0.0}
 
@@ -323,9 +323,8 @@ def verify_grid(config: RunConfig, info: dict | None = None) -> dict:
         except EntbathError as exc:  # shared by the group: its window, model or flow
             outcomes, traj_info = [exc] * len(group), None
         if traj_info is not None:
-            for key in ("normal_mode_solves", "thermal_grids", "thermal_integrals"):
+            for key in ("normal_mode_solves", "thermal_grids", "thermal_nodes"):
                 health[key] += traj_info[key]
-            health["thermal_nodes"] += traj_info["thermal_integrals"] * traj_info["thermal_nodes"]
             health["bath_modes"][f"c12={group[0][0]['C12']:g}"] = traj_info["bath_modes"]
             for key in ("secular_iterations", "secular_z_drift", "thermal_drift"):  # worst of the grid
                 health[key] = max(health[key], traj_info[key])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from entbath import bathsim
 from entbath.gaussian import SYMPLECTIC_FORM, GaussianState
 
 
@@ -34,6 +35,20 @@ def single_mode_symplectic(theta, r):
     rot = np.array([[c, s], [-s, c]])
     sq = np.diag([np.exp(r), np.exp(-r)])
     return sq @ rot
+
+
+@pytest.fixture
+def integrals(monkeypatch):
+    """(Theta, quadrature nodes, drift) of each thermal integral, in call order."""
+    calls = []
+    integrate = bathsim._PlusSector._integrate
+
+    def spy(solver, grid, bath, times):
+        calls.append(integrate(solver, grid, bath, times))
+        return calls[-1]
+
+    monkeypatch.setattr(bathsim._PlusSector, "_integrate", spy)
+    return calls
 
 
 @pytest.fixture(scope="session")

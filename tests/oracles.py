@@ -1,11 +1,14 @@
 """Reference routes that only the tests use.
 
-The dense quadratic form and generator of the full model, its factorized
-initial covariance, the trapezoidal stepping solver of the amplitude Volterra
-equation, the row route of the thermal bath term (the (+)-sector propagator
-rows at every time, contracted with the bath variances), and the late-time
-state that the closed-form envelopes describe.  Each is an independent check
-of a route the package takes.
+The dense quadratic form, generator and propagator of the full model, its
+factorized initial covariance, the trapezoidal stepping solver of the
+amplitude Volterra equation, the row route of the thermal bath term (the
+(+)-sector propagator rows at every time, contracted with the bath
+variances), the stationary dispersions read off a long exact run and off the
+D/gamma ratio of a coefficient trace, the late-time state that the
+closed-form envelopes describe and the frequency of its oscillation, and the
+beam splitter and two-mode squeezed state of the Gaussian algebra.  Each is an
+independent check of a route the package takes.
 """
 
 from __future__ import annotations
@@ -14,16 +17,26 @@ import math
 
 import numpy as np
 
-from entbath.bathsim import POSITION, SYMMETRIC, FullModel, _PlusSector
-from entbath.errors import ValidationError
+from entbath.bathsim import (
+    POSITION,
+    SYMMETRIC,
+    FullModel,
+    Trajectory,
+    _minus_rotation,
+    _PlusSector,
+    evolve,
+    initial_state,
+)
+from entbath.errors import HorizonError, ValidationError
 from entbath.gaussian import (
     BEAM_SPLITTER,
     GaussianState,
     ModeSpec,
+    squeezed_cov,
     state_from_virtual_blocks,
     symplectic_form,
 )
-from entbath.rwa import _validate_grid
+from entbath.rwa import CoefficientTrace, _validate_grid
 from entbath.spectra import DiscretizedBath
 
 
@@ -81,6 +94,25 @@ def build_generator(model: FullModel, basis: str = "virtual") -> np.ndarray:
     """Drift matrix A = J H of the full Gaussian model, d<r>/dt = A <r>."""
     h = hamiltonian_matrix(model, basis=basis)
     return symplectic_form(model.bath.n_modes + 2) @ h
+
+
+def full_propagator(model: FullModel, t: float) -> np.ndarray:
+    """Dense propagator exp(A t) in the virtual ordering, from the normal modes:
+    the (+)-sector flow of every sector input, and the free (-) rotation."""
+    n = model.bath.n_modes
+    dim = 2 * (n + 2)
+    s = np.zeros((dim, dim))
+    solver = _PlusSector(model)
+    xx, xp, px, pp = solver._flow(solver.freqs * t, solver.modes, solver.scales[:, None])
+    # plus-sector phase indices: positions (x+, q_k) -> 0, 4+2k ; momenta 1, 5+2k
+    pos = np.concatenate(([0], 4 + 2 * np.arange(n)))
+    mom = pos + 1
+    s[np.ix_(pos, pos)] = xx
+    s[np.ix_(pos, mom)] = xp
+    s[np.ix_(mom, pos)] = px
+    s[np.ix_(mom, mom)] = pp
+    s[2:4, 2:4] = _minus_rotation(model, np.array([t]))[0]
+    return s
 
 
 def full_initial_covariance(model: FullModel, initial_system: GaussianState) -> np.ndarray:
@@ -172,3 +204,146 @@ def asymptotic_state(
     rot = np.array([[c, sn / s], [-s * sn, c]])
     minus = rot @ np.diag([dx_minus**2, dp_minus**2]) @ rot.T
     return state_from_virtual_blocks(plus, minus)
+
+
+def plus_variance_series(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Series (<x+^2>, <p+^2>, <{x+,p+}>/2) of the virtual (+) mode."""
+    sbs = BEAM_SPLITTER
+    covs = np.einsum("ij,tjk,lk->til", sbs, traj.covs, sbs)
+    return covs[:, 0, 0], covs[:, 1, 1], covs[:, 0, 1]
+
+
+def equilibrium_variances_sim(
+    model: FullModel,
+    initial_system: GaussianState | None = None,
+    rel_drift: float = 1e-3,
+    n_samples: int = 2400,
+) -> tuple[float, float]:
+    """Stationary dispersions (dx+, dp+) extracted from a long exact run.
+
+    Evolves until the windowed relative drift of both (+) variances falls
+    below ``rel_drift`` (window = one period of the dressed (+) mode), then
+    averages over one (-) period.  Raises HorizonError when the drift target is
+    not reached inside the validity horizon.
+    """
+    if initial_system is None:
+        initial_system = initial_state(model, "coherent-product")
+    ref_freq = model.omega_plus_dressed or model.omega_plus_bare
+    period = 2.0 * math.pi / ref_freq
+    period_minus = 2.0 * math.pi / model.minus_mode.frequency
+    t_end = 0.98 * model.validity_horizon
+    if t_end <= 6.0 * period:
+        raise HorizonError("validity horizon too short; increase the number of bath modes")
+    times = np.linspace(t_end / n_samples, t_end, n_samples)
+    traj = evolve(model, initial_system, times)
+    vx, vp, _ = plus_variance_series(traj)
+
+    dt = times[1] - times[0]
+    wlen = max(2, int(round(period / dt)))
+    kernel = np.ones(wlen) / wlen
+    sx = np.convolve(vx, kernel, mode="valid")
+    sp = np.convolve(vp, kernel, mode="valid")
+    lag = wlen
+    drift = np.maximum(
+        np.abs(sx[lag:] / sx[:-lag] - 1.0), np.abs(sp[lag:] / sp[:-lag] - 1.0)
+    )
+    # index i of `drift` corresponds to smoothed sample i+lag, raw sample ~ i+lag+wlen/2
+    settle = np.nonzero(drift < rel_drift)[0]
+    t_star = None
+    for i in settle:
+        t_candidate = times[min(i + lag + wlen // 2, times.size - 1)]
+        if t_candidate + period_minus <= t_end:
+            t_star = t_candidate
+            break
+    if t_star is None:
+        raise HorizonError(
+            "variances did not settle below the drift target before the horizon; "
+            "increase the number of bath modes"
+        )
+    sel = (times >= t_star) & (times <= t_star + period_minus)
+    return float(np.sqrt(vx[sel].mean())), float(np.sqrt(vp[sel].mean()))
+
+
+def stationary_variances_symmetric(
+    trace: CoefficientTrace, mass_omega: float, max_drift: float = 0.01
+) -> tuple[float, float]:
+    """Balanced stationary dispersions for symmetric coupling.
+
+    dp+ = M Omega dx+ = sqrt(D / 2 gamma), with ``mass_omega`` the invariant
+    M*Omega (= m*omega0) product of the (+) mode.  The ratio D/gamma is the
+    stationary symmetrized occupation; it is evaluated pointwise over the
+    trailing quarter of the trace, where it has settled even when the two
+    coefficients individually still breathe (they oscillate together once the
+    occupation is stationary).  A drifting ratio raises a validation error.
+    """
+    n = trace.times.size
+    start = max(1, n - max(4, n // 4))
+    gam = trace.gamma[start:]
+    dif = trace.diffusion[start:]
+    good = np.abs(gam) > 1e-12 * np.abs(gam).max()
+    if good.sum() < 4:
+        raise ValidationError("dissipation coefficient vanishes on the late window")
+    ratio = dif[good] / gam[good]
+    sym_occ = float(np.median(ratio))
+    drift = float((ratio.max() - ratio.min()) / max(abs(sym_occ), 1e-300))
+    if drift > max_drift:
+        raise ValidationError(
+            f"stationary occupation not settled (drift {drift:.3g} over the "
+            "late window); extend the trace"
+        )
+    if sym_occ <= 0.0:
+        raise ValidationError("stationary occupation must be positive")
+    dp = math.sqrt(0.5 * sym_occ * mass_omega)
+    dx = dp / mass_omega
+    return dx, dp
+
+
+def dominant_frequency(times: np.ndarray, values: np.ndarray) -> float:
+    """Angular frequency of the strongest oscillation in a uniformly sampled series.
+
+    Linear detrend, Hann window, FFT peak with parabolic interpolation; used to
+    read the late-time entanglement oscillation frequency off a trajectory.
+    """
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if times.size < 16:
+        raise ValidationError("need at least 16 samples to fit a frequency")
+    dt = np.diff(times)
+    if (dt.max() - dt.min()) > 1e-9 * dt[0]:
+        raise ValidationError("frequency fit needs a uniform grid")
+    detrended = values - np.polyval(np.polyfit(times, values, 1), times)
+    if np.max(np.abs(detrended)) < 1e-13 * max(1.0, np.max(np.abs(values))):
+        raise ValidationError("series carries no resolvable oscillation")
+    window = np.hanning(times.size)
+    spectrum = np.abs(np.fft.rfft(detrended * window))
+    k = int(np.argmax(spectrum[1:]) + 1)
+    if 1 <= k < spectrum.size - 1:
+        a, b, c = np.log(spectrum[k - 1 : k + 2] + 1e-300)
+        denom = a - 2.0 * b + c
+        shift = 0.5 * (a - c) / denom if abs(denom) > 0.0 else 0.0
+        shift = float(np.clip(shift, -0.5, 0.5))
+    else:
+        shift = 0.0
+    freq = (k + shift) / (times.size * float(dt[0]))
+    return 2.0 * math.pi * freq
+
+
+def beam_splitter(state: GaussianState) -> GaussianState:
+    """Apply the 50/50 beam splitter mapping site modes to (+,-) virtual modes.
+
+    The map is its own inverse, so it also converts a state expressed in the
+    virtual ordering (x+, p+, x-, p-) back to the site ordering.
+    """
+    s = BEAM_SPLITTER
+    return GaussianState(s @ state.mean, s @ state.cov @ s.T)
+
+
+def two_mode_squeezed_state(r: float, mode: ModeSpec, area_product: float = 0.5) -> GaussianState:
+    """Two-mode squeezed state whose (-) virtual mode carries squeezing ``r``.
+
+    The (+) mode carries the opposite squeezing; for a pure state
+    (``area_product`` = 1/2 on the minus mode) the logarithmic negativity is 2|r|.
+    """
+    return state_from_virtual_blocks(
+        squeezed_cov(-r, mode), squeezed_cov(r, mode, area_product=area_product)
+    )

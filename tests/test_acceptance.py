@@ -12,32 +12,29 @@ import pytest
 
 from entbath.asymptotics import (
     Phase,
-    dominant_frequency,
     envelope_band,
     r_crit,
     stationary_variances_position,
-    stationary_variances_symmetric,
     summarize,
 )
-from entbath.bathsim import (
-    FullModel,
-    entanglement_trajectory,
-    equilibrium_variances_sim,
-    evolve,
-    full_propagator,
-    initial_state,
-    plus_variance_series,
-)
+from entbath.bathsim import FullModel, entanglement_trajectory, evolve, initial_state
 from entbath.gaussian import (
     BEAM_SPLITTER,
     ModeSpec,
     log_negativity,
     physicality_defect,
     symplectic_form,
-    two_mode_squeezed_state,
 )
 from entbath.rwa import evolve_moments_me, extract_coefficients, solve_amplitude
 from entbath.spectra import OhmicSpectralDensity
+from oracles import (
+    dominant_frequency,
+    equilibrium_variances_sim,
+    full_propagator,
+    plus_variance_series,
+    stationary_variances_symmetric,
+    two_mode_squeezed_state,
+)
 
 DENSITY = OhmicSpectralDensity(gamma0=0.1, cutoff=20.0, mass=1.0)
 UNIT = ModeSpec(1.0, 1.0)

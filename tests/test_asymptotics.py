@@ -15,18 +15,16 @@ from entbath.asymptotics import (
     ladder_spectral_function,
     ohmic_susceptibility_im,
     r_crit,
-    resource_conditions,
     s_crit,
     stationary_variances_ladder,
     stationary_variances_position,
-    stationary_variances_symmetric,
     summarize,
 )
-from entbath.bathsim import FullModel, equilibrium_variances_sim
+from entbath.bathsim import FullModel
 from entbath.errors import NumericsError, ParameterRegimeError, ValidationError
 from entbath.gaussian import ModeSpec, log_negativity, mode_squeezing
 from entbath.spectra import OhmicSpectralDensity
-from oracles import asymptotic_state
+from oracles import asymptotic_state, equilibrium_variances_sim, stationary_variances_symmetric
 
 DENSITY = OhmicSpectralDensity(gamma0=0.1, cutoff=20.0, mass=1.0)
 UNIT = ModeSpec(1.0, 1.0)
@@ -120,26 +118,26 @@ class TestEnvelopeAndPhases:
 
 
 class TestResourceConditions:
-    def test_balanced_equilibrium_never_entangles_coherent_input(self):
-        flags = resource_conditions(0.0, 0.0, 0.3, 1.0, 1.0)
-        assert not flags.coherent_entangles
+    """A coherent (r = 0, pure) input ends up entangled exactly where the mean
+    E_mean = |r_crit| - S_crit of its asymptotic band is positive, with
+    S_crit = (1/2) ln(2 dx+ dp+) at purity 1/2."""
+
+    def test_balanced_equilibrium_never_entangles_coherent_input(self, rng):
+        for _ in range(50):
+            mode = ModeSpec(float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)))
+            dx = math.sqrt(0.5 / mode.xp_scale) * float(rng.uniform(1.0, 3.0))
+            summary = summarize(dx, mode.xp_scale * dx, 0.0, mode)
+            assert summary.r_crit == 0.0 and not summary.e_mean > 0.0
 
     def test_coherent_condition_equals_subvacuum_variance(self, rng):
-        # |r_crit| > (1/2) ln(2 dx dp)  <=>  min scaled variance < 1/2
+        # E_mean > 0 at r = 0  <=>  |r_crit| > (1/2) ln(2 dx dp)  <=>  min scaled variance < 1/2
         for _ in range(200):
             mode = ModeSpec(float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)))
             dx = float(rng.uniform(0.3, 2.0))
             dp = max(float(rng.uniform(0.3, 2.0)), 0.5 / dx)
-            rc = r_crit(dx, dp, mode)
-            sc = s_crit(dx, dp, *_pure_minus(mode))
-            flags = resource_conditions(0.0, rc, sc, dx, dp)
             s = mode.xp_scale
             subvacuum = min(s * dx**2, dp**2 / s) < 0.5
-            assert flags.coherent_entangles == subvacuum
-
-    def test_amplification_inequality(self):
-        assert resource_conditions(0.1, 1.5, 0.5, 1.0, 1.0).environment_amplifies
-        assert not resource_conditions(0.6, 1.5, 0.5, 1.0, 1.0).environment_amplifies
+            assert (summarize(dx, dp, 0.0, mode).e_mean > 0.0) == subvacuum
 
 
 def _pure_minus(mode):
@@ -180,7 +178,6 @@ class TestStationarySymmetric:
     def test_zero_temperature_gives_pure_balanced_state(self):
         from entbath.bathsim import FullModel
         from entbath.rwa import extract_coefficients, solve_amplitude
-        from entbath.asymptotics import stationary_variances_symmetric
 
         model = FullModel.renormalized(DENSITY, 320, 0.0, omega_r=1.0,
                                        coupling_type="symmetric")
@@ -215,21 +212,21 @@ class TestStationaryVariancesPosition:
         assert mode_squeezing(dx, dp, UNIT) == pytest.approx(rc, abs=1e-6)
 
     def test_coherent_flag_agrees_with_direct_simulation(self):
-        # the flag claims a coherent input ends up entangled at T = 0; verify
-        # against the exact simulation of a coherent-product state
+        # a positive E_mean at r = 0 claims a coherent input ends up entangled
+        # at T = 0; verify against the exact simulation of a coherent-product state
         from entbath.bathsim import FullModel, entanglement_trajectory, initial_state
 
         dx, dp = stationary_variances_position(DENSITY, 1.0, 0.0)
         rc = r_crit(dx, dp, UNIT)
         sc = s_crit(dx, dp, *_pure_minus(UNIT))
-        flags = resource_conditions(0.0, rc, sc, dx, dp)
-        assert flags.coherent_entangles  # subvacuum x-variance at T = 0
+        coherent_entangles = summarize(dx, dp, 0.0, UNIT).e_mean > 0.0
+        assert coherent_entangles  # subvacuum x-variance at T = 0
 
         model = FullModel.renormalized(DENSITY, 450, 0.0, omega_r=1.0)
         state = initial_state(model, "coherent-product")
         times = np.linspace(45.0, 45.0 + 2 * math.pi, 200)
         _, energies = entanglement_trajectory(model, state, times)
-        assert (energies.max() > 1e-4) == flags.coherent_entangles
+        assert (energies.max() > 1e-4) == coherent_entangles
         assert energies.max() == pytest.approx(max(0.0, abs(rc) - sc), abs=5e-3)
 
     def test_requires_damping_and_in_band_frequency(self):

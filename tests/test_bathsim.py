@@ -6,15 +6,7 @@ import pytest
 from scipy.linalg import expm
 
 from entbath import bathsim
-from entbath.bathsim import (
-    FullModel,
-    entanglement_trajectory,
-    equilibrium_variances_sim,
-    evolve,
-    full_propagator,
-    initial_state,
-    plus_variance_series,
-)
+from entbath.bathsim import FullModel, entanglement_trajectory, evolve, initial_state
 from entbath.cli import main
 from entbath.config import load_config
 from entbath.errors import HorizonError, NumericsError, ParameterRegimeError, ValidationError
@@ -29,7 +21,15 @@ from entbath.gaussian import (
     symplectic_form,
 )
 from entbath.spectra import OhmicSpectralDensity
-from oracles import build_generator, full_initial_covariance, hamiltonian_matrix, row_route_blocks
+from oracles import (
+    build_generator,
+    equilibrium_variances_sim,
+    full_initial_covariance,
+    full_propagator,
+    hamiltonian_matrix,
+    plus_variance_series,
+    row_route_blocks,
+)
 
 DENSITY = OhmicSpectralDensity(gamma0=0.1, cutoff=20.0, mass=1.0)
 
@@ -284,8 +284,7 @@ class TestThermalRoute:
     def by_rows(monkeypatch, model, state, times):
         def rows_at_every_time(solver, bath, grid):
             a2, theta = row_route_blocks(model, grid)
-            return a2, theta, {"thermal_integrals": 1, "thermal_grids": 1,
-                               "thermal_nodes": 0, "thermal_drift": 0.0}
+            return a2, theta, {"thermal_grids": 1, "thermal_nodes": 0, "thermal_drift": 0.0}
 
         with monkeypatch.context() as patch:
             patch.setattr(bathsim._PlusSector, "plus_blocks", rows_at_every_time)
@@ -380,9 +379,9 @@ class TestThermalRoute:
 
 
 class TestSharedThermalIntegral:
-    """Consecutive runs at one temperature on one grid reuse the shared
-    solver's thermal integral, bit for bit; anything else integrates again,
-    reusing the grid part of the integral when only the temperature changed."""
+    """Consecutive runs on one grid share the part of the thermal integral that
+    the occupations do not enter; each run integrates Theta itself, so a
+    second temperature sums only the occupation columns."""
 
     TIMES = np.linspace(20.0, 30.0, 200)
 
@@ -391,49 +390,32 @@ class TestSharedThermalIntegral:
         state = initial_state(model, "two-mode-squeezed", r=r, purity_product=purity)
         return entanglement_trajectory(model, state, times)
 
-    @staticmethod
-    def stored_theta():
-        return bathsim._shared[1]._thermal[1][1]
-
-    def test_a_reused_integral_gives_the_fresh_states_bitwise(self):
+    def test_a_new_temperature_or_grid_integrates_again(self, integrals):
+        bathsim.release_shared_solver()
         model = small_model(n=400, temperature=2.0)
-        bathsim.release_shared_solver()
-        first, _ = self.run(model, 0.5, 0.5)
-        second, energies = self.run(model, 2.0, 0.8)
-        assert (first.info["thermal_integrals"], second.info["thermal_integrals"]) == (1, 0)
-        assert second.info["normal_mode_solves"] == 0
-        assert second.info["thermal_nodes"] == first.info["thermal_nodes"] > 0
-        bathsim.release_shared_solver()
-        fresh, fresh_energies = self.run(model, 2.0, 0.8)
-        assert fresh.info["normal_mode_solves"] == 1 == fresh.info["thermal_integrals"]
-        assert np.array_equal(second.means, fresh.means)
-        assert np.array_equal(second.covs, fresh.covs)
-        assert np.array_equal(energies, fresh_energies)
-
-    def test_a_new_temperature_or_grid_integrates_again(self):
-        bathsim.release_shared_solver()
-        self.run(small_model(n=400, temperature=2.0), 1.0, 0.5)
-        theta = self.stored_theta()
+        self.run(model, 1.0, 0.5)
+        self.run(model, 2.0, 0.8)  # the same temperature and grid: no integral is kept
+        assert len(integrals) == 2 and np.array_equal(integrals[1][0], integrals[0][0])
         warmer = small_model(n=400, temperature=6.0)
         traj, _ = self.run(warmer, 1.0, 0.5)
-        assert traj.info["normal_mode_solves"] == 0 and traj.info["thermal_integrals"] == 1
-        assert not np.array_equal(self.stored_theta(), theta)
+        assert traj.info["normal_mode_solves"] == 0 and len(integrals) == 3
+        assert not np.array_equal(integrals[2][0], integrals[0][0])
         traj, _ = self.run(warmer, 1.0, 0.5, times=self.TIMES + 0.5)
-        assert traj.info["normal_mode_solves"] == 0 and traj.info["thermal_integrals"] == 1
+        assert traj.info["normal_mode_solves"] == 0 and len(integrals) == 4
 
-    def test_a_second_temperature_reuses_the_grid_part(self):
+    def test_a_second_temperature_reuses_the_grid_part(self, integrals):
         bathsim.release_shared_solver()
         first, _ = self.run(small_model(n=400, temperature=2.0), 1.0, 0.5)
         grid = bathsim._shared[1]._grid
         warmer = small_model(n=400, temperature=6.0)
         second, _ = self.run(warmer, 1.0, 0.5)
         assert (first.info["thermal_grids"], second.info["thermal_grids"]) == (1, 0)
-        assert second.info["thermal_integrals"] == 1 and bathsim._shared[1]._grid is grid
-        a2, theta, _ = bathsim._shared[1]._thermal[1]
+        assert len(integrals) == 2 and bathsim._shared[1]._grid is grid
+        a2, theta = grid.a2, integrals[1][0]
         bathsim.release_shared_solver()
         fresh, _ = self.run(warmer, 1.0, 0.5)
         assert fresh.info["thermal_grids"] == 1
-        fresh_a2, fresh_theta, _ = bathsim._shared[1]._thermal[1]
+        fresh_a2, fresh_theta = bathsim._shared[1]._grid.a2, integrals[2][0]
         # the two u y columns summed alone give the bits of the five-column product
         assert np.array_equal(a2, fresh_a2) and np.array_equal(theta, fresh_theta)
         assert np.array_equal(second.covs, fresh.covs)
@@ -464,23 +446,23 @@ class TestSharedThermalIntegral:
             assert np.array_equal(stack.covs[i], one.covs)
             assert np.array_equal(energies[i], one_energies)
 
-    def test_stored_blocks_are_read_only_and_released_with_the_solver(self):
+    def test_stored_blocks_are_read_only_and_released_with_the_solver(self, integrals):
         bathsim.release_shared_solver()
         model = small_model(n=400)
         self.run(model, 1.0, 0.5)
         solver = bathsim._shared[1]
-        a2, theta = solver._thermal[1][:2]
         grid = solver._grid
-        assert grid.a2 is a2
-        kept = (a2, theta, *grid.ends, grid.weights, grid.turn, grid.block, grid.first, *grid.sums)
+        (theta, _, _), = integrals
+        kept = (grid.a2, theta, *grid.ends, grid.weights, grid.turn, grid.block, grid.first,
+                *grid.sums)
         assert not any(array.flags.writeable for array in kept)
         with pytest.raises(ValueError):
             theta[0, 0, 0] = 0.0
         bathsim.release_shared_solver()
         assert bathsim._shared is None
         traj, _ = self.run(model, 1.0, 0.5)
-        assert traj.info["normal_mode_solves"] == 1 == traj.info["thermal_integrals"]
-        assert bathsim._shared[1] is not solver
+        assert traj.info["normal_mode_solves"] == 1 == traj.info["thermal_grids"]
+        assert len(integrals) == 2 and bathsim._shared[1] is not solver
 
 
 class TestModelConstruction:

@@ -126,7 +126,7 @@ class TestEvolveCommand:
         assert -1e-12 < info["min_physicality_defect"] <= 1e-9
         # 120 steps of 0.25, each 5 sub-intervals no longer than 1/w_max ~ 1/20, 8 nodes each
         assert info["thermal_nodes"] == 120 * 5 * 8 and 0.0 <= info["thermal_drift"] < 1e-12
-        assert info["thermal_grids"] == 1 == info["thermal_integrals"]
+        assert info["thermal_grids"] == 1 and "thermal_integrals" not in info
         assert set(info["wall_time_s"]) == {"config", "model", "states", "entanglement", "write"}
         assert info["wall_time_s"]["config"] > 0.0
         assert_same_artifacts(tmp_path / "a", tmp_path / "b")
@@ -182,19 +182,22 @@ class TestSharedNormalModes:
         (GRID + "c12_values = 0.0, -0.3\n", {0.0, -0.3}),
         (GRID.replace("8.0", "8.0, 0.5"), {0.0}),  # a repeated T shares its integral
     ], ids=["grid", "two-c12", "repeated-T"])
-    def test_one_thermal_integral_per_c12_and_temperature(self, tmp_path, solves, axes, c12s):
+    def test_one_thermal_integral_per_c12_and_temperature(self, tmp_path, solves, integrals,
+                                                         axes, c12s):
         code, info = self.verify(tmp_path, BASE + axes)
         report = json.loads((tmp_path / "o" / "verify_report.json").read_text())
         pairs = {(p["T"], p["C12"]) for p in report["points"] if "simulated" in p}
         assert code == 0 and {c12 for _, c12 in pairs} == c12s
-        assert info["thermal_integrals"] == len(pairs) < info["simulated_points"]
+        assert len(integrals) == len(pairs) < info["simulated_points"]
+        assert info["thermal_nodes"] == sum(nodes for _, nodes, _ in integrals) > 0
         assert info["thermal_grids"] == len(c12s)  # one window per C12
 
-    def test_evolve_integrates_once(self, tmp_path, solves):
+    def test_evolve_integrates_once(self, tmp_path, solves, integrals):
         cfg = write_cfg(tmp_path, BASE)
         assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         info = json.loads((tmp_path / "o" / "run_info.json").read_text())
-        assert info["thermal_integrals"] == 1 == info["thermal_grids"]
+        assert len(integrals) == 1 == info["thermal_grids"]
+        assert info["thermal_nodes"] == integrals[0][1] > 0
 
     def test_nothing_is_shared_across_commands(self, tmp_path, solves):
         self.verify(tmp_path, BASE + self.GRID, name="a")
@@ -688,7 +691,7 @@ squeezings = 1.67
 
         monkeypatch.setattr(bathsim, "check_states", corrupt_second_state)
         code, points, info = self.run_pair(tmp_path, "o")
-        assert code == 3 and info["simulated_points"] == 1 and info["thermal_integrals"] == 1
+        assert code == 3 and info["simulated_points"] == 1 and info["thermal_nodes"] == 359 * 7
         assert points[0] == clean[0] and points[0]["status"] == "pass"
         t = 40.0 + 5 * (3 * math.pi / 359)  # the sixth time of the window [40, 40 + 3 pi]
         assert points[1]["reason"].startswith(
@@ -727,7 +730,7 @@ squeezings = 1.67
         assert info["bath_modes"] == {"c12=0": 331}
         # one integral per temperature: 359 steps of 3 pi / 359, each one sub-interval
         # (step w_max ~ 0.53) of 7 nodes
-        assert info["thermal_integrals"] == 2 and info["thermal_nodes"] == 2 * 359 * 7
+        assert info["thermal_nodes"] == 2 * 359 * 7
         assert info["thermal_grids"] == 1  # both temperatures share the window
         assert -1e-12 < info["min_physicality_defect"] <= 1e-9
         assert 0.0 <= info["thermal_drift"] < 1e-12

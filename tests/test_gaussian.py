@@ -11,15 +11,14 @@ from entbath.gaussian import (
     SYMPLECTIC_FORM,
     GaussianState,
     ModeSpec,
-    beam_splitter,
     log_negativity,
     mode_squeezing,
     squeezed_cov,
     state_from_virtual_blocks,
-    two_mode_squeezed_state,
 )
 
 from conftest import random_physical_state, single_mode_symplectic
+from oracles import beam_splitter, two_mode_squeezed_state
 
 UNIT = ModeSpec(1.0, 1.0)
 
@@ -209,3 +208,13 @@ def test_virtual_block_assembly_roundtrip(rng):
     virt = beam_splitter(state)
     assert np.allclose(virt.cov[:2, :2], plus, atol=1e-14)
     assert np.allclose(virt.cov[2:, 2:], minus, atol=1e-14)
+
+
+@pytest.mark.parametrize("plus, minus", [
+    (np.diag([0.1, 0.1]), squeezed_cov(0.0, UNIT)),
+    (squeezed_cov(0.3, UNIT), np.diag([2.0, 0.1])),
+], ids=["plus", "minus"])
+def test_unphysical_virtual_block_is_rejected(plus, minus):
+    # the one check of the site-basis state decides the virtual blocks too
+    with pytest.raises(ValidationError, match="unphysical covariance"):
+        state_from_virtual_blocks(plus, minus)

@@ -20,8 +20,15 @@ def test_test_only_helpers_are_not_exported():
     # the reference routes live in tests/oracles.py; the package neither defines nor exports them
     for module, name in ((bathsim, "build_generator"), (bathsim, "hamiltonian_matrix"),
                          (bathsim, "full_initial_covariance"), (rwa, "solve_amplitude_stepping"),
-                         (asymptotics, "asymptotic_state")):
-        assert name not in entbath.__all__ and not hasattr(module, name)
+                         (asymptotics, "asymptotic_state"),
+                         (bathsim, "equilibrium_variances_sim"), (bathsim, "plus_variance_series"),
+                         (bathsim, "full_propagator"),
+                         (asymptotics, "stationary_variances_symmetric"),
+                         (asymptotics, "dominant_frequency"),
+                         (gaussian, "two_mode_squeezed_state"), (gaussian, "beam_splitter")):
+        assert name not in entbath.__all__ and not hasattr(module, name), name
+    assert not hasattr(bathsim._PlusSector, "full_blocks")
+    assert not hasattr(asymptotics, "CoefficientTrace")  # asymptotics does not import rwa
 
 
 def test_star_import_gives_the_readme_names():
@@ -36,8 +43,12 @@ def test_removed_names_are_gone():
     for module, name in ((gaussian, "symplectic_eigenvalues"), (gaussian, "DEGENERACY_RTOL"),
                          (gaussian, "partial_transpose"), (gaussian, "_PT"), (gaussian, "purity"),
                          (gaussian, "thermal_cov"), (gaussian, "coherent_product_state"),
-                         (gaussian, "squeezed_product_state"), (bathsim, "_runs")):
+                         (gaussian, "squeezed_product_state"), (bathsim, "_runs"),
+                         (asymptotics, "resource_conditions"), (asymptotics, "ResourceFlags")):
         assert name not in entbath.__all__ and not hasattr(module, name), name
+    # no artifact wrote the resource flags; a coherent input's fate is e_mean > 0 at r = 0
+    assert not {"coherent_entangles", "environment_amplifies"} & set(
+        asymptotics.PhaseSummary.__dataclass_fields__)
     for cls, name in ((gaussian.GaussianState, "from_cov"), (bathsim.Trajectory, "covariances"),
                       (bathsim.Trajectory, "entanglement"),
                       (spectra.OhmicSpectralDensity, "total_weight"),

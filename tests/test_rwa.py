@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from entbath.bathsim import FullModel, evolve, initial_state, plus_variance_series
+from entbath.bathsim import FullModel, evolve, initial_state
 from entbath.errors import ValidationError
 from entbath.gaussian import BEAM_SPLITTER
 from entbath.rwa import (
@@ -13,7 +13,7 @@ from entbath.rwa import (
     solve_amplitude,
 )
 from entbath.spectra import OhmicSpectralDensity, discretize
-from oracles import solve_amplitude_stepping
+from oracles import plus_variance_series, solve_amplitude_stepping
 
 DENSITY = OhmicSpectralDensity(gamma0=0.1, cutoff=20.0, mass=1.0)
 

@@ -69,6 +69,13 @@ class TestThermalOccupation:
         values = [thermal_occupation(w, 1.0) for w in freqs]
         assert np.all(np.diff(values) < 0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_far_below_the_frequency_is_zero_without_a_warning(self):
+        # w / T = 2000 overflows expm1 to inf; 1/inf = 0 is the occupation
+        out = thermal_occupation(np.array([1.0, 20.0]), 0.01)
+        assert out[0] == pytest.approx(math.exp(-100.0), rel=1e-12) and out[1] == 0.0
+        assert thermal_occupation(800.0, 1.0) == 0.0
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValidationError):
             thermal_occupation(0.0, 1.0)
