@@ -46,6 +46,8 @@ from .gaussian import (
     ModeSpec,
     check_states,
     log_negativity,
+    relative_defect,
+    site_cov,
     squeezed_cov,
     state_from_virtual_blocks,
 )
@@ -642,7 +644,7 @@ def evolve(
     kept, unphysical = list(range(len(states))), {}
     while True:  # a failed state leaves the stack, and the rest are checked again
         try:
-            covs, defects = check_states(means[kept], cov_site[kept])
+            covs, tightest = check_states(means[kept], cov_site[kept])
             break
         except ValidationError as exc:
             state, sample = divmod(exc.index, times.size)
@@ -661,7 +663,9 @@ def evolve(
         **solver.health,
         **health,
         "states_s": time.perf_counter() - start,
-        "min_physicality_defect": float(defects.min()) if defects.size else None,
+        # of the state with the smallest pivot of the check, not a minimum over all
+        "min_physicality_defect": (None if tightest is None
+                                   else relative_defect(covs.reshape(-1, 4, 4)[tightest])),
         "unphysical": unphysical,
     }
     if single:
@@ -718,7 +722,6 @@ def initial_state(
     else:  # coherent-product
         plus = squeezed_cov(0.0, model.plus_state_mode)
         minus = squeezed_cov(0.0, model.minus_mode, area_product=purity_product)
-    state = state_from_virtual_blocks(plus, minus)
-    if mean is not None:
-        state = GaussianState(np.asarray(mean, dtype=float), state.cov)
-    return state
+    if mean is None:
+        return state_from_virtual_blocks(plus, minus)
+    return GaussianState(np.asarray(mean, dtype=float), site_cov(plus, minus))  # one check

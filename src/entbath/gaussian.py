@@ -73,8 +73,9 @@ class GaussianState:
     """Two-mode Gaussian state: first moments and 4x4 covariance matrix.
 
     The covariance is symmetrized on construction (rejecting asymmetry beyond
-    ``SYMMETRY_TOL``) and checked for physicality: all eigenvalues of
-    V + (i/2)J must be >= -``PHYSICALITY_TOL``.
+    ``SYMMETRY_TOL``) and checked for physicality by :func:`check_states`:
+    V + (i/2)J must have no eigenvalue below -``PHYSICALITY_TOL`` times the
+    state's scale.
     """
 
     mean: np.ndarray
@@ -94,34 +95,66 @@ class GaussianState:
         object.__setattr__(self, "cov", cov)
 
 
-def check_states(mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def check_states(mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, int | None]:
     """The checks of :class:`GaussianState` over a stack of states.
 
     ``mean`` is (..., 4) and ``cov`` (..., 4, 4); every entry must be finite,
     each covariance symmetric within ``SYMMETRY_TOL`` and physical within
-    ``PHYSICALITY_TOL``, both relative to its scale max(1, max|V|).  Returns the
-    symmetrized covariances and each state's physicality defect over its scale.
-    The first failing state in row-major order raises ValidationError with
-    that state's flat index as ``index``.
+    ``PHYSICALITY_TOL``, both relative to its scale max(1, max|V|).  Physical
+    means that (V + iJ/2)/scale + PHYSICALITY_TOL*I is positive definite: every
+    pivot of its LDL^H factorisation, taken for the whole stack at once, is
+    > 0.  That is min eig(V + iJ/2) >= -PHYSICALITY_TOL*scale, up to rounding
+    at the threshold.  Returns the symmetrized covariances and the flat index
+    of the state with the smallest pivot (None for an empty stack), whose
+    ``physicality_defect`` a run reports.  The first failing state in
+    row-major order raises ValidationError with that state's flat index as
+    ``index``; its message is the one place an eigenvalue is taken.
     """
-    finite = np.isfinite(cov).all(axis=(-2, -1)) & np.isfinite(mean).all(axis=-1)
-    scale = np.maximum(1.0, np.abs(np.where(finite[..., None, None], cov, 0.0)).max(axis=(-2, -1)))
-    asym = np.abs(cov - np.swapaxes(cov, -1, -2)).max(axis=(-2, -1))
+    n = cov.size // 16
+    rows = np.ascontiguousarray(cov.reshape(n, 16).T).reshape(4, 4, n)
+    size = np.abs(rows).max(axis=(0, 1))  # not finite where an entry is not
+    finite = np.isfinite(size)
+    if not finite.all():
+        rows = np.where(finite, rows, 0.0)
+        size = np.where(finite, size, 0.0)
+    finite &= np.isfinite(mean).all(axis=-1).reshape(-1)
+    scale = np.maximum(1.0, size)
+    swapped = rows.transpose(1, 0, 2)
+    asym = np.abs(rows - swapped).max(axis=(0, 1))
+    half = 0.5 / scale  # real arithmetic first: a complex division costs more
+    pivots = _ldl_pivots((rows + swapped) * half + _SHIFT + _HALF_J * (2.0 * half))
     cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
-    defect = physicality_defect(np.where(finite[..., None, None], cov, 0.0))
     bad_asym = finite & (asym > SYMMETRY_TOL * scale)
-    bad_defect = finite & ~bad_asym & (defect < -PHYSICALITY_TOL * scale)
-    bad = (~finite | bad_asym | bad_defect).reshape(-1)
+    bad = ~finite | bad_asym | ~(pivots > 0.0)
     if bad.any():
         i = int(np.argmax(bad))
-        if not finite.reshape(-1)[i]:
+        if not finite[i]:
             message = "non-finite entries in state"
-        elif bad_asym.reshape(-1)[i]:
-            message = f"covariance asymmetry {asym.reshape(-1)[i]:.3e} exceeds tolerance"
+        elif bad_asym[i]:
+            message = f"covariance asymmetry {asym[i]:.3e} exceeds tolerance"
         else:
-            message = f"unphysical covariance: min eig of V + iJ/2 is {np.reshape(defect, -1)[i]:.3e}"
+            defect = physicality_defect(cov.reshape(-1, 4, 4)[i])
+            message = f"unphysical covariance: min eig of V + iJ/2 is {defect:.3e}"
         raise ValidationError(message, index=i)
-    return cov, defect / scale
+    return cov, int(np.argmin(pivots)) if n else None
+
+
+_HALF_J = (0.5j * SYMPLECTIC_FORM)[..., None]
+_SHIFT = (PHYSICALITY_TOL * np.eye(4))[..., None]
+
+
+def _ldl_pivots(h: np.ndarray) -> np.ndarray:
+    """Smallest pivot of the LDL^H factorisation of each Hermitian h[:, :, s],
+    (4, 4, n) and overwritten: four right-looking steps over the whole stack.
+    A pivot that is not > 0 ends that state's factorisation in effect: it is
+    replaced by 1 for the steps that follow, which cannot make it pass."""
+    smallest = h[0, 0].real.copy()
+    for k in range(3):
+        pivot = h[k, k].real
+        np.minimum(smallest, pivot, out=smallest)
+        row = h[k, k + 1:]
+        h[k + 1:, k + 1:] -= (row.conj() / np.where(pivot > 0.0, pivot, 1.0))[:, None] * row
+    return np.minimum(smallest, h[3, 3].real)
 
 
 def physicality_defect(cov: np.ndarray):
@@ -132,6 +165,12 @@ def physicality_defect(cov: np.ndarray):
     h = np.asarray(cov, dtype=complex) + 0.5j * SYMPLECTIC_FORM
     defect = np.linalg.eigvalsh(h).min(axis=-1)
     return float(defect) if defect.ndim == 0 else defect
+
+
+def relative_defect(cov: np.ndarray) -> float:
+    """``physicality_defect`` of one covariance over its scale max(1, max|V|),
+    the scale of :func:`check_states`."""
+    return physicality_defect(cov) / max(1.0, float(np.abs(cov).max()))
 
 
 def _four_by_four(cov) -> np.ndarray:
@@ -157,9 +196,8 @@ def log_negativity(state):
     nu_sq = 2.0 * det / (delta + np.sqrt(np.maximum(delta * delta - 4.0 * det, 0.0)))
     if np.any(~(nu_sq > 0.0)):
         raise ValidationError("vanishing symplectic eigenvalue; state is not physical")
-    # math.log, not np.log: the two differ in the last bit
-    energies = [max(0.0, -0.5 * math.log(4.0 * v)) for v in nu_sq.reshape(-1).tolist()]
-    return energies[0] if nu_sq.ndim == 0 else np.array(energies).reshape(nu_sq.shape)
+    energies = np.maximum(-0.5 * np.log(4.0 * nu_sq), 0.0)  # this order maps -0.0 to 0.0
+    return float(energies) if energies.ndim == 0 else energies
 
 
 def _det2(m: np.ndarray) -> np.ndarray:
@@ -189,14 +227,19 @@ def squeezed_cov(r: float, mode: ModeSpec, area_product: float = 0.5) -> np.ndar
     return np.diag([area_product * math.exp(2.0 * r) / s, area_product * math.exp(-2.0 * r) * s])
 
 
+def site_cov(plus_cov: np.ndarray, minus_cov: np.ndarray) -> np.ndarray:
+    """Site-basis covariance, unchecked, from the covariances of the (+,-) modes."""
+    v = np.zeros((4, 4))
+    v[:2, :2] = plus_cov
+    v[2:, 2:] = minus_cov
+    return BEAM_SPLITTER @ v @ BEAM_SPLITTER.T
+
+
 def state_from_virtual_blocks(plus_cov: np.ndarray, minus_cov: np.ndarray) -> GaussianState:
     """Site-basis state, zero means, from the covariances of the (+,-) modes.
 
     The beam splitter is orthogonal and symplectic, so the one check of the
     site-basis state also decides the virtual one.
     """
-    v = np.zeros((4, 4))
-    v[:2, :2] = plus_cov
-    v[2:, 2:] = minus_cov
-    return GaussianState(np.zeros(4), BEAM_SPLITTER @ v @ BEAM_SPLITTER.T)
+    return GaussianState(np.zeros(4), site_cov(plus_cov, minus_cov))
 

@@ -99,6 +99,14 @@ class TestEvolveCommand:
         rows = read_csv(tmp_path / "b" / "trajectory.csv")
         assert float(rows[-1]["t"]) == 30.0
 
+    def test_fig3c_starts_separable(self, tmp_path):
+        # the benchmark's seed-0 fig3c run; its E_N(0) is 0 only up to rounding
+        # of the normal modes, so guard it against the benchmark's 1e-9
+        cfg = Path(__file__).resolve().parent.parent / "configs" / "fig3c.cfg"
+        assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        first = read_csv(tmp_path / "o" / "trajectory.csv")[0]
+        assert float(first["t"]) == 0.0 and float(first["EN"]) <= 1e-9
+
     def test_config_error_exit_code(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE.replace("omega_r = 1.0", ""))
         assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -741,15 +749,28 @@ squeezings = 1.67
         assert info["wall_time_s"]["config"] > 0.0
         assert_same_artifacts(tmp_path / "a", tmp_path / "b")
 
-    def test_grid_size_limit(self, tmp_path):
+    def test_grid_size_limit(self, tmp_path, monkeypatch):
+        # the limit is on the points one (C12, T) group stacks, not on the grid
+        monkeypatch.setattr(sweep, "run_phase_sweep", None)  # raised before any work
         text = BASE + """
 [sweep]
 temperatures = 0:10:6
-squeezings = 0:3:6
+squeezings = 0:3:501
+purity_values = 0.5, 1.0
 """
         cfg = load_config(write_cfg(tmp_path, text))
-        with pytest.raises(Exception):
+        with pytest.raises(ValidationError, match="stacks 1002 points per \\(C12, T\\); limit is 1000"):
             verify_grid(cfg)
+
+    def test_full_paper_figure_verifies(self, tmp_path):
+        # all 676 points of fig2_left, 26 per (C12, T) group
+        cfg = Path(__file__).resolve().parent.parent / "configs" / "fig2_left.cfg"
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        report = json.loads((tmp_path / "o" / "verify_report.json").read_text())
+        assert report["n_fail"] == 0 and report["passed"] and len(report["points"]) == 676
+        info = json.loads((tmp_path / "o" / "run_info.json").read_text())
+        assert info["simulated_points"] > 600 and info["normal_mode_solves"] == 1
+        assert -1e-12 < info["min_physicality_defect"] <= 1e-9
 
     def test_axes_default_to_point_values(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, BASE))

@@ -5,13 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entbath import gaussian
 from entbath.errors import ValidationError
 from entbath.gaussian import (
     BEAM_SPLITTER,
+    PHYSICALITY_TOL,
     SYMPLECTIC_FORM,
     GaussianState,
     ModeSpec,
+    check_states,
     log_negativity,
+    physicality_defect,
     mode_squeezing,
     squeezed_cov,
     state_from_virtual_blocks,
@@ -166,6 +170,14 @@ class TestStateValidation:
         with pytest.raises(ValidationError):
             _state(np.eye(4) * 0.1)
 
+    def test_rejects_nonfinite_and_names_the_first_state(self):
+        covs = np.stack([np.eye(4)] * 3)
+        covs[1, 2, 3] = np.nan
+        covs[2] *= 0.1
+        with pytest.raises(ValidationError, match="non-finite") as info:
+            check_states(np.zeros((3, 4)), covs)
+        assert info.value.index == 1
+
     def test_immutable_arrays(self):
         state = two_mode_squeezed_state(0.0, UNIT)
         with pytest.raises(ValueError):
@@ -218,3 +230,93 @@ def test_unphysical_virtual_block_is_rejected(plus, minus):
     # the one check of the site-basis state decides the virtual blocks too
     with pytest.raises(ValidationError, match="unphysical covariance"):
         state_from_virtual_blocks(plus, minus)
+
+
+def _oracle_stack(rng):
+    """Seeded (5, 20, 4, 4) stack: mixed states; edge states (10 pure, 10 with
+    one symplectic eigenvalue at 1/2); the edge states shifted by -3 and +3
+    PHYSICALITY_TOL times their scale; the mixed states shifted by -3."""
+    from conftest import random_symplectic
+
+    covs = []
+    for edges in (0, 2, 1):
+        for _ in range(20 if edges == 0 else 10):
+            nus = 0.5 + 2.0 * rng.random(2)
+            nus[:edges] = 0.5
+            s = random_symplectic(rng, strength=rng.uniform(0.1, 1.2))
+            covs.append(s @ np.diag(np.repeat(nus, 2)) @ s.T)
+    covs = np.array(covs)
+    scale = np.maximum(1.0, np.abs(covs).max(axis=(1, 2)))[:, None, None]
+    shift = 3.0 * PHYSICALITY_TOL * scale * np.eye(4)
+    return np.stack([covs[:20], covs[20:], covs[20:] - shift[20:], covs[20:] + shift[20:],
+                     covs[:20] - shift[:20]])
+
+
+class TestPivotCheck:
+    """The LDL^H pivot decision of check_states against the eigvalsh oracle."""
+
+    @staticmethod
+    def oracle_physical(covs):
+        scale = np.maximum(1.0, np.abs(covs).max(axis=(-2, -1)))
+        return physicality_defect(covs) >= -PHYSICALITY_TOL * scale
+
+    def test_decisions_equal_the_eigvalsh_oracle(self, rng):
+        stack = _oracle_stack(rng)
+        expected = self.oracle_physical(stack)
+        # the edge states shifted down fail, everything else passes
+        assert expected[[0, 1, 3, 4]].all() and not expected[2].any()
+        for covs, want in zip(stack.reshape(-1, 4, 4), expected.reshape(-1)):
+            try:
+                check_states(np.zeros(4), covs)
+                got = True
+            except ValidationError:
+                got = False
+            assert got == want
+
+    def test_failing_state_index_and_message_follow_the_oracle(self, rng):
+        stack = _oracle_stack(rng)
+        flat = stack.reshape(-1, 4, 4)
+        first = int(np.argmin(self.oracle_physical(stack).reshape(-1)))
+        with pytest.raises(ValidationError, match="unphysical covariance: min eig of V") as info:
+            check_states(np.zeros(stack.shape[:-1]), stack)
+        assert info.value.index == first == 40
+        assert f"is {physicality_defect(flat[first]):.3e}" in str(info.value)
+
+    def test_smallest_pivot_names_an_edge_state(self, rng):
+        stack = _oracle_stack(rng)[:2]  # mixed, then edge
+        covs, tightest = check_states(np.zeros(stack.shape[:-1]), stack)
+        assert np.array_equal(covs, 0.5 * (stack + np.swapaxes(stack, -1, -2)))
+        assert 20 <= tightest < 40
+
+    def test_physical_stack_takes_no_eigenvalue(self, rng, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(h):
+            calls.append(h.shape)
+            return eigvalsh(h)
+
+        monkeypatch.setattr(gaussian.np.linalg, "eigvalsh", spy)
+        stack = _oracle_stack(rng)[:2]
+        check_states(np.zeros(stack.shape[:-1]), stack)
+        assert calls == []
+        with pytest.raises(ValidationError):
+            check_states(np.zeros(4), stack[1, 0] - 1e-3 * np.eye(4))
+        assert calls == [(4, 4)]  # one state, for its message
+
+
+def test_array_entanglement_is_within_1e15_of_math_log(rng):
+    stack = _oracle_stack(rng)
+    vacuum = np.eye(4) * 0.5  # nu^2 = 1/4 exactly, so -ln(4 nu^2)/2 is -0.0
+    covs = np.concatenate([stack[:2].reshape(-1, 4, 4), stack[3], [vacuum]])
+    def det2(m):  # as log_negativity takes the 2x2 determinants
+        return m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+
+    delta = det2(covs[:, :2, :2]) + det2(covs[:, 2:, 2:]) - 2.0 * det2(covs[:, :2, 2:])
+    det = np.linalg.det(covs)
+    nu_sq = 2.0 * det / (delta + np.sqrt(np.maximum(delta * delta - 4.0 * det, 0.0)))
+    reference = [max(0.0, -0.5 * math.log(4.0 * v)) for v in nu_sq.tolist()]
+    energies = log_negativity(covs)
+    assert np.abs(energies - reference).max() <= 1e-15
+    assert (energies > 0.0).sum() > 10 and not np.signbit(energies).any()
+    assert energies[-1] == 0.0 and not np.signbit(log_negativity(_state(vacuum)))
