@@ -23,6 +23,7 @@ from .gaussian import ModeSpec, mode_squeezing
 from .spectra import OhmicSpectralDensity
 
 PHASE_TIE_TOL = 1e-9
+_EPS = float(np.finfo(float).eps)
 
 
 class Phase(enum.Enum):
@@ -74,6 +75,17 @@ def ohmic_susceptibility_im(
     denom = m * (omega_plus**2 - w**2) - remainder
     out = math.pi * j / (denom**2 + (math.pi * j) ** 2)
     return out
+
+
+def _check_resolvable(density: OhmicSpectralDensity, width: float, frequency: float) -> None:
+    """Raise ParameterRegimeError unless the (+) resonance, ``width`` wide at
+    ``frequency``, is wider than the spacing eps*frequency of the doubles
+    there; below it no quadrature node resolves the resonance, and the
+    squares in its Lorentzian underflow to a division by zero."""
+    if not width > _EPS * frequency:
+        raise ParameterRegimeError(
+            f"gamma0 = {density.gamma0:.3g}: the (+) resonance, {width:.3g} wide at "
+            f"{frequency:.6g}, is narrower than the spacing of doubles there")
 
 
 #: Gauss-Legendre nodes and weights on [-1, 1]: the rule applied on every
@@ -140,7 +152,8 @@ def _thermal_sums(nodes: np.ndarray, weights: np.ndarray, temperature: float) ->
     """Rows of ``weights`` summed against coth(w/2T); plain sums at T = 0."""
     if temperature == 0.0:
         return weights.sum(axis=1)
-    return (weights / np.tanh(nodes / (2.0 * temperature))).sum(axis=1)
+    with np.errstate(over="ignore"):  # w >> T: w/2T overflows to inf, and tanh(inf) = 1 is right
+        return (weights / np.tanh(nodes / (2.0 * temperature))).sum(axis=1)
 
 
 def _stationary_dispersions(rules: tuple, temperature: float, diagnostics: dict | None) -> tuple:
@@ -186,6 +199,7 @@ def stationary_variances_position(
     if density.gamma0 <= 0.0:
         raise ValidationError("stationary variances need gamma0 > 0")
     lam = density.cutoff
+    _check_resolvable(density, density.gamma0, omega_plus)
     if not 0.0 < omega_plus < 0.98 * lam:
         raise ParameterRegimeError(
             f"dressed frequency {omega_plus} must lie well inside the bath band (0, {lam})"
@@ -272,6 +286,7 @@ def stationary_variances_ladder(
     """
     if density.gamma0 <= 0.0:
         raise ValidationError("stationary variances need gamma0 > 0")
+    _check_resolvable(density, 4.0 * density.gamma0 * centre / omega0, centre)  # pi J_l
     if 4.0 * density.gamma0 * density.cutoff / (math.pi * omega0) >= omega_plus:
         raise ParameterRegimeError(f"the bath pulls the (+) ladder level {omega_plus} below 0")
     rules, z, residual = _ladder_rules(density, omega_plus, omega0, centre)

@@ -6,19 +6,18 @@ for position coupling from the mass-weighted stiffness matrix, for symmetric
 (position-momentum) coupling from the single rotation matrix that generates
 both quadrature channels.  Both are arrowheads (a diagonal bath plus the row
 and column of x+), so the normal modes come from an O(N^2) secular solve
-(``spectra.arrowhead_eigh``), not a dense eigendecomposition.  The thermal
-bath term of the (+) covariance is integrated from its time derivative, which
-needs only the system block of the flow and one bath-weighted vector per
-normal mode, O(N) per time (the single-integral form of the noise kernel in
-the exact master equation; Hu, Paz & Zhang, Phys. Rev. D 45, 2843 (1992)).
-Dense propagator rows are formed at the first and last output time only: the
-start of the integral and its check.  Temperature enters only through the
-bath occupations and squeezing only through the initial state, so
-consecutive runs of one model physics share the normal modes, and those on one
-time grid the part of the thermal integral that the occupations do not
-enter, until ``release_shared_solver`` (the CLI calls it when a command ends).
-The states of one run differ only in their initial block and share its
-thermal integral; they are assembled as one stack.
+(``spectra.arrowhead_eigh``), not a dense eigendecomposition, and are held in
+O(N) memory: the eigenvectors are only contracted, a row block at a time.  The
+thermal bath term of the (+) covariance is integrated from its time
+derivative, which needs only the system block of the flow and one
+bath-weighted vector per normal mode, O(N) per time (the single-integral form
+of the noise kernel in the exact master equation; Hu, Paz & Zhang, Phys. Rev.
+D 45, 2843 (1992)).  Propagator rows are formed at the first and last output
+time only: the start of the integral and its check.  Temperature enters only
+through the bath occupations and squeezing only through the initial state, so
+the models of one physics at several temperatures share one normal-mode
+solve and one pass over their time grid (``plus_flows``), and the states of
+one model are assembled as one stack on its flow.
 
 Internally the virtual ordering (x+, p+, x-, p-, q_1, pi_1, ...) is used: the
 bath couples to the (+) mode only and the (-) mode rotates freely.  States
@@ -49,7 +48,6 @@ from .gaussian import (
     relative_defect,
     site_cov,
     squeezed_cov,
-    state_from_virtual_blocks,
 )
 from .spectra import DiscretizedBath, OhmicSpectralDensity, arrowhead_eigh, discretize
 
@@ -272,24 +270,22 @@ class _PlusSector:
 
     Both couplings make the sector matrix an arrowhead (a diagonal bath plus
     the row and column of x+), which ``arrowhead_eigh`` diagonalizes in
-    O(N^2).  Position coupling: the mass-weighted stiffness
-    K = [[w+^2, z], [z, w_k^2]], z_k = c_k / sqrt(m m_k), has the squared
-    normal frequencies as eigenvalues.  Symmetric coupling: in quadratures
-    scaled by sqrt(m_i w_i) the Hamiltonian is (X^T G X + P^T G P)/2 with the
-    one-excitation matrix G = [[w+, g], [g, w_k]], so the flow is the rotation
-    generated by G acting identically on both quadrature channels.
+    O(N^2) time and O(N) memory.  Position coupling: the mass-weighted
+    stiffness K = [[w+^2, z], [z, w_k^2]], z_k = c_k / sqrt(m m_k), has the
+    squared normal frequencies as eigenvalues.  Symmetric coupling: in
+    quadratures scaled by sqrt(m_i w_i) the Hamiltonian is
+    (X^T G X + P^T G P)/2 with the one-excitation matrix G = [[w+, g], [g, w_k]],
+    so the flow is the rotation generated by G acting identically on both
+    quadrature channels.
 
     In the quadratures X = s x, P = p / s of ``scales`` each (x+, p+) entry of
     the flow sums, over the normal modes a, a fixed vector against cos(w_a t)
     or a sine kernel: sigma = sin(w_a t) / w_a and mu = w_a sin(w_a t) for
     position coupling, sigma = mu = sin(w_a t) for symmetric coupling.  A
     position-coupling normal mode at or below zero frequency is a regime error.
-
-    T enters a model only through the bath occupations and r only through the
-    initial state, so every point of a verify grid at one C12 shares one
-    normal-mode solve and one ``_TimeGrid`` pass (``plus_blocks`` keeps the
-    last grid), and the points at one (C12, T), evolved as one stack, one
-    thermal integral.
+    The eigenvectors are only ever contracted, a row block at a time
+    (``NormalModes.products``): into the propagator rows at two times and the
+    thermal vector of each temperature.
     """
 
     def __init__(self, model: FullModel):
@@ -304,13 +300,13 @@ class _PlusSector:
             self.arrowhead = (model.omega_plus_bare, bath.ladder_couplings, bath.frequencies)
             scales = np.concatenate(([model.mass * model.omega0], bath.masses * bath.frequencies))
         self.scales = np.sqrt(scales)  # square roots of each coordinate's x-to-p scale
-        self.freqs, self.modes, self.health = arrowhead_eigh(*self.arrowhead)
-        self._grid = None  # _TimeGrid of the last times
+        self.modes = arrowhead_eigh(*self.arrowhead)
+        self.health = self.modes.health
         _, z, d = self.arrowhead
         # per mode, cos, sigma and mu as Re(kernel e^{i w t})
-        ones = np.ones_like(self.freqs)
+        ones = np.ones_like(self.modes.values)
         if self.position:
-            w2 = self.freqs
+            w2 = self.modes.values
             if not w2[0] > 0.0:
                 raise ParameterRegimeError(
                     "dressed (+) sector is unstable (normal frequency squared "
@@ -322,19 +318,19 @@ class _PlusSector:
             self.noise = z / np.sqrt(d)  # s_k c_k var(q_k) / (s_0 (n_k + 1/2))
             self.feeds_momentum = 0.0
         else:
+            self.freqs = self.modes.values
             self.kernels = np.array([ones, -1j * ones, -1j * ones])
             self.noise = z
             self.feeds_momentum = 1.0  # the bath also drives x+, through pi_k
 
-    def _flow(self, phases, left, left_scale):
-        """Blocks (xx, xp, px, pp) of the propagator rows ``left`` (of the
-        modes) at the given phases: two products, the cosine and the sine rows."""
-        o, s = self.modes, self.scales
-        sine = np.sin(phases)
-        if self.position:
-            sine = sine / self.freqs
-        crow = (np.cos(phases) * left) @ o.T
-        srow = (sine * left) @ o.T
+    def sine(self, phases: np.ndarray) -> np.ndarray:
+        """The sine kernel sigma of each mode at the given phases."""
+        return np.sin(phases) / self.freqs if self.position else np.sin(phases)
+
+    def flow(self, crow, srow, left_scale):
+        """Blocks (xx, xp, px, pp) of the propagator rows whose cosine and sine
+        sums over the modes are ``crow`` and ``srow``."""
+        s = self.scales
         mom = srow
         if self.position:  # p = -K sin(wt)/w x0, as K commutes with the flow; O(T n)
             a, z, d = self.arrowhead
@@ -344,115 +340,93 @@ class _PlusSector:
         sl = left_scale
         return crow * (s / sl), srow / (s * sl), mom * -(s * sl), crow * (sl / s)
 
-    def rows(self, times: np.ndarray):
-        """Propagator rows of (x+, p+) over the sector inputs, shape (T, n+1) each."""
-        return self._flow(np.outer(times, self.freqs), self.modes[0], self.scales[0])
+    def rows(self, times: np.ndarray, bath: np.ndarray | None = None):
+        """Propagator rows of (x+, p+) over the sector inputs at ``times``,
+        (T, n+1) each, and ``bath`` (N, p) summed against the bath entries of
+        each normal mode, (n+1, p): one pass over the eigenvectors."""
+        phases = np.outer(times, self.freqs)
+        u = self.modes.first_row
+        left = np.concatenate((np.cos(phases) * u, self.sine(phases) * u))
+        rows, weights = self.modes.products(left, bath)
+        return self.flow(*np.split(rows, 2), self.scales[0]), weights
 
-    def plus_blocks(self, bath: DiscretizedBath, times: np.ndarray):
-        """a2 and Theta of ``_integrate``, each (T, 2, 2) and read-only, and the
-        health of this call: ``thermal_grids`` is 1 when it made the grid part
-        of the integral and 0 when it reused the last call's for the same times."""
-        grid = self._grid
-        if grid is None or grid.key != times.tobytes():
-            self._grid = None  # free the last grid's phase block first
-            grid = self._grid = _TimeGrid(self, times)
-        fresh = grid.a2 is None
-        theta, nodes, drift = self._integrate(grid, bath, times)
-        _read_only(theta)
-        return grid.a2, theta, {"thermal_grids": int(fresh), "thermal_nodes": nodes,
-                                "thermal_drift": drift}
-
-    def _integrate(self, grid: "_TimeGrid", bath: DiscretizedBath, times: np.ndarray):
-        """Thermal covariance Theta of (x+, p+) at ``times``, (T, 2, 2);
-        quadrature nodes used; relative drift of Theta from its direct value at
-        the last time.  The first call on ``grid`` also keeps on it the system
-        block a2 of the sector propagator, (T, 2, 2).
+    def thermal(self, baths: list, times: np.ndarray):
+        """The system block a2 of the sector propagator at ``times``, (T, 2, 2);
+        the thermal covariance Theta of (x+, p+) of each bath, (B, T, 2, 2);
+        the quadrature nodes each Theta took; and the relative drift of each
+        from its direct value at the last time, (B,).
 
         Theta = B V_b B^T, B the bath columns of the (x+, p+) rows and V_b the
         thermal bath covariance.  As dS/dt = S A and the free bath keeps V_b,
         dTheta/dt = a2 K^T + K a2^T with K = B V_b A_sb^T, A_sb the generator
         block that feeds the bath into (x+, p+).  Scaled, with c, sigma, mu
-        summed against u^2 and c', mu' against u y (u = modes[0],
-        y_a = sum_k modes[k, a] (n_k + 1/2) noise_k, b = feeds_momentum):
+        summed against u^2 and c', mu' against u y (u the first row of the
+        eigenvectors V, y_a = sum_k V[k, a] (n_k + 1/2) noise_k, b = feeds_momentum):
         a2 = [[c, sigma], [-mu, c]] and K = [[b mu', -c'], [b c', mu']], as
         b = 1 only where sigma = mu.  Theta starts at the direct row
         contraction and is integrated by Gauss-Legendre on equal sub-intervals
-        no longer than 1/w_max.  Only c' and mu' depend on the occupations: the
-        first call on a grid sums all five columns in one product per chunk
-        and keeps a2 and the c, sigma node values on it; a call at another
-        temperature on the same grid sums only c' and mu'.
+        no longer than 1/w_max.  Only c' and mu' depend on the occupations, so
+        one pass over the eigenvectors gives the rows at the two end times and
+        every bath's y, and one product per time chunk sums c, sigma, mu and
+        every bath's c', mu'.  At t = 0 the flow is the identity and Theta 0,
+        exactly.
         """
-        a2_ends, theta_ends = _row_blocks(grid.ends, bath)
-        theta = np.empty((times.size, 2, 2))
-        theta[0] = theta_ends[0]
-        fresh = grid.a2 is None
-        if not grid.steps:
-            if fresh:
-                grid.a2 = a2_ends[-1:]
-                _read_only(grid.a2)
-            return theta, 0, 0.0
-        u = self.modes[0]
-        y = ((bath.occupations + 0.5) * self.noise) @ self.modes[1:]
-        coef = (u * y) * self.kernels[[0, 2]]
-        if fresh:  # c, sigma, mu of u^2 in the same product
-            coef = np.concatenate(((u * u) * self.kernels, coef))
-        b = self.feeds_momentum
-        starts, sums, gains = [], [], []
-        for chunk, values in enumerate(grid.node_sums(coef)):
-            if fresh:
+        scaled = np.stack([(bath.occupations + 0.5) * self.noise for bath in baths], axis=1)
+        rows, y = self.rows(times[[0, -1]], scaled)
+        a2 = np.empty((times.size, 2, 2))
+        a2[-1] = [[rows[0][-1, 0], rows[1][-1, 0]], [rows[2][-1, 0], rows[3][-1, 0]]]
+        ends = np.stack([_row_theta(rows, bath) for bath in baths])
+        theta = np.empty((len(baths), times.size, 2, 2))
+        theta[:, 0] = 0.0 if times[0] == 0.0 else ends[:, 0]
+        nodes, drift = 0, np.zeros(len(baths))
+        if times.size > 1:
+            grid = _TimeGrid(self.freqs, times)
+            u = self.modes.first_row
+            coef = np.concatenate(((u * u) * self.kernels,
+                                   ((u * y.T)[:, None] * self.kernels[[0, 2]]).reshape(-1, u.size)))
+            b = self.feeds_momentum
+            starts, gains = [], []
+            for values in grid.node_sums(coef):
                 starts.append(values[:, :3, 0])
-                sums.append(values[:, :2, 1:].copy())
-            c, sigma = (sums if fresh else grid.sums)[chunk].transpose(1, 0, 2)
-            c1, mu1 = values[:, -2:, 1:].transpose(1, 0, 2)
-            # xx, xp and pp of a2 K^T + K a2^T at the nodes
-            rates = np.stack((2.0 * (b * c * mu1 - sigma * c1), (1.0 - b) * (sigma * mu1 - c * c1),
-                              2.0 * (c * mu1 - b * sigma * c1)), axis=1)
-            gains.append(0.5 * grid.h * rates @ grid.weights)
-        s0sq = self.scales[0] ** 2
-        if fresh:
+                c, sigma = values[:, :2, None, 1:].transpose(1, 0, 2, 3)
+                c1, mu1 = values[:, 3::2, 1:], values[:, 4::2, 1:]
+                # xx, xp and pp of a2 K^T + K a2^T at the nodes, per bath
+                rates = np.stack((2.0 * (b * c * mu1 - sigma * c1),
+                                  (1.0 - b) * (sigma * mu1 - c * c1),
+                                  2.0 * (c * mu1 - b * sigma * c1)), axis=2)
+                gains.append(0.5 * grid.h * rates @ grid.weights)
+            s0sq = self.scales[0] ** 2
             c, sigma, mu = np.concatenate(starts)[grid.first].T
-            a2 = np.empty((times.size, 2, 2))
             a2[:-1] = np.stack((c, sigma / s0sq, -mu * s0sq, c), axis=1).reshape(-1, 2, 2)
-            a2[-1] = a2_ends[-1]
-            grid.a2, grid.sums = a2, sums
-            _read_only(a2, *sums)
-        gain = np.cumsum(np.concatenate(gains), axis=0)[grid.first + grid.per - 1]
-        theta[1:] = theta[0] + (gain[:, [0, 1, 1, 2]] * [1 / s0sq, 1, 1, s0sq]).reshape(-1, 2, 2)
-        drift = float(np.abs(theta[-1] - theta_ends[-1]).max()
-                      / max(1.0, np.abs(theta_ends[-1]).max()))
-        if drift > _THERMAL_DRIFT_TOL:
-            raise NumericsError(
-                f"numerical instability: the integrated thermal bath term drifted by {drift:.3e} "
-                f"from its direct value at t={times[-1]:.6g}; the normal modes do not give the flow"
-            )
-        return theta, grid.done * grid.weights.size, drift
+            gain = np.cumsum(np.concatenate(gains), axis=0)[grid.first + grid.per - 1]
+            gain = (gain[..., [0, 1, 1, 2]] * [1 / s0sq, 1, 1, s0sq]).reshape(-1, len(baths), 2, 2)
+            theta[:, 1:] = theta[:, :1] + gain.transpose(1, 0, 2, 3)
+            drift = (np.abs(theta[:, -1] - ends[:, -1]).max(axis=(1, 2))
+                     / np.maximum(1.0, np.abs(ends[:, -1]).max(axis=(1, 2))))
+            nodes = grid.done * grid.weights.size
+        if times[0] == 0.0:
+            a2[0] = np.eye(2)
+        _read_only(a2, theta)
+        return a2, theta, nodes, drift
 
 
 class _TimeGrid:
-    """The part of the thermal integral that the normal modes and the time grid
-    fix, whatever the occupations: the propagator rows at the first and last
-    time, the Gauss-Legendre sub-intervals and nodes, the (chunk x N) phase
-    block, and, once the first integral on the grid has summed them, a2 and
-    the c, sigma node values.  ``times`` is uniform to rounding
+    """The Gauss-Legendre sub-intervals and nodes of a grid of at least two
+    times and its (chunk x N) phase block.  ``times`` is uniform to rounding
     (``_validate_times``).  Every array it keeps is read-only."""
 
-    def __init__(self, solver: _PlusSector, times: np.ndarray):
-        self.key = times.tobytes()
-        self.ends = solver.rows(times[[0, -1]])
-        self.a2, self.sums = None, None
-        self.steps = times.size - 1
-        if not self.steps:
-            return
-        step = (times[-1] - times[0]) / self.steps
-        self.per = math.ceil(step * solver.freqs[-1])  # sub-intervals per step
-        self.h, self.done = step / self.per, self.per * self.steps
-        x, self.weights = np.polynomial.legendre.leggauss(_gauss_nodes(self.h * solver.freqs[-1]))
+    def __init__(self, freqs: np.ndarray, times: np.ndarray):
+        steps = times.size - 1
+        step = (times[-1] - times[0]) / steps
+        self.per = math.ceil(step * freqs[-1])  # sub-intervals per step
+        self.h, self.done = step / self.per, self.per * steps
+        x, self.weights = np.polynomial.legendre.leggauss(_gauss_nodes(self.h * freqs[-1]))
         offsets = np.r_[0.0, 0.5 * (x + 1.0)]  # the sub-interval's start, then its nodes
-        self.turn = np.exp(1j * np.outer(solver.freqs, self.h * offsets))
-        self.block = _phase_block(solver.freqs, self.h, min(_TIME_CHUNK, self.done))
-        self.first = self.per * np.arange(self.steps)
-        self.start, self.freqs = times[0], solver.freqs
-        _read_only(*self.ends, self.weights, self.turn, self.block, self.first)
+        self.turn = np.exp(1j * np.outer(freqs, self.h * offsets))
+        self.block = _phase_block(freqs, self.h, min(_TIME_CHUNK, self.done))
+        self.first = self.per * np.arange(steps)
+        self.start, self.freqs = times[0], freqs
+        _read_only(self.weights, self.turn, self.block, self.first)
 
     def node_sums(self, coef: np.ndarray):
         """Each row of ``coef`` (k, N) summed against the mode phases at each
@@ -470,17 +444,16 @@ def _read_only(*arrays: np.ndarray) -> None:
         array.setflags(write=False)
 
 
-def _row_blocks(rows, bath: DiscretizedBath) -> tuple[np.ndarray, np.ndarray]:
-    """a2 and the thermal covariance of (x+, p+), each (k, 2, 2), from the dense
-    propagator rows at k times contracted with the thermal bath variances."""
+def _row_theta(rows, bath: DiscretizedBath) -> np.ndarray:
+    """The thermal covariance of (x+, p+), (k, 2, 2), from the propagator rows
+    at k times contracted with the thermal bath variances."""
     xx, xp, px, pp = rows
     occ, scale = bath.occupations + 0.5, bath.masses * bath.frequencies
-    a2 = np.stack([xx[:, 0], xp[:, 0], px[:, 0], pp[:, 0]], axis=1).reshape(-1, 2, 2)
     bq, bp = np.stack((xx, px), axis=1)[:, :, 1:], np.stack((xp, pp), axis=1)[:, :, 1:]
     theta = (np.einsum("tik,k,tjk->tij", bq, occ / scale, bq)
              + np.einsum("tik,k,tjk->tij", bp, occ * scale, bp))
     theta[:, 1, 0] = theta[:, 0, 1]
-    return a2, theta
+    return theta
 
 
 def _gauss_nodes(h_omega: float) -> int:
@@ -495,48 +468,24 @@ def _gauss_nodes(h_omega: float) -> int:
 
 
 def _phase_block(freqs: np.ndarray, h: float, size: int) -> np.ndarray:
-    """[cos | sin](w j h) for j < size, (size, 2 n): the rows j = 2^k from exp,
-    each other row a product of at most log2(size) of them."""
-    block = np.empty((size, freqs.size), dtype=complex)
-    block[0] = 1.0
+    """[cos | sin](w j h) for j < size, (size, 2 n): the rows j = 2^k from the
+    angles, each other row a rotation by at most log2(size) of them, formed in
+    place so that no temporary exceeds half the block's rows."""
+    n = freqs.size
+    block = np.empty((size, 2 * n))
+    cos, sin = block[:, :n], block[:, n:]
+    cos[0], sin[0] = 1.0, 0.0
     k = 1
     while k < size:
-        block[k : 2 * k] = block[: min(k, size - k)] * np.exp(1j * (k * h) * freqs)
+        m = min(k, size - k)
+        angle = (k * h) * freqs
+        ck, sk = np.cos(angle), np.sin(angle)
+        np.multiply(cos[:m], ck, out=cos[k : k + m])
+        cos[k : k + m] -= sin[:m] * sk
+        np.multiply(sin[:m], ck, out=sin[k : k + m])
+        sin[k : k + m] += cos[:m] * sk
         k *= 2
-    return np.concatenate((block.real, block.imag), axis=1)
-
-
-def _physics_key(model: FullModel) -> tuple:
-    """What the (+)-sector matrix is built from; the temperature is not part of it."""
-    bath = model.bath
-    return (
-        model.coupling_type, model.mass, model.omega0, model.c12, bath.ladder_scale,
-        bath.frequencies.tobytes(), bath.position_couplings.tobytes(), bath.masses.tobytes(),
-    )
-
-
-#: (physics key, solver) of the last model evolved, or None
-_shared: tuple | None = None
-
-
-def _plus_solver(model: FullModel) -> tuple[_PlusSector, float | None]:
-    """The shared solver of ``model``'s physics, and the seconds its normal
-    modes took in this call (None when shared); a new physics replaces the last."""
-    global _shared
-    key = _physics_key(model)
-    if _shared is not None and _shared[0] == key:
-        return _shared[1], None
-    _shared = None  # free the old normal modes before the new solve
-    start = time.perf_counter()
-    solver = _PlusSector(model)
-    _shared = (key, solver)
-    return solver, time.perf_counter() - start
-
-
-def release_shared_solver() -> None:
-    """End the sharing of normal modes; one command is its scope."""
-    global _shared
-    _shared = None
+    return block
 
 
 def _minus_rotation(model: FullModel, times: np.ndarray) -> np.ndarray:
@@ -600,11 +549,43 @@ def _validate_times(model: FullModel, times, override_horizon: bool) -> np.ndarr
     return times
 
 
+@dataclass(frozen=True, eq=False)
+class PlusFlow:
+    """The (+)-sector part of V(t) = S(t) V0 S(t)^T + Theta(t) of one model on
+    one time grid: the system block ``a2`` of the flow and the thermal
+    covariance ``theta`` of (x+, p+), each (T, 2, 2) and read-only, and the
+    health of the solve and the integral that gave them."""
+
+    a2: np.ndarray
+    theta: np.ndarray
+    info: dict
+
+
+def plus_flows(models: list, times, override_horizon: bool = False) -> list[PlusFlow]:
+    """The PlusFlow of each model on ``times``, from one normal-mode solve and
+    one thermal product.  The models differ in temperature only, which enters
+    through the bath occupations: ``verify`` passes one per temperature of a
+    C12.  The first flow counts the solve and the grid pass
+    (``normal_mode_solves``, ``thermal_grids``); each has its own
+    ``thermal_nodes`` and ``thermal_drift``, which ``evolve`` checks."""
+    times = _validate_times(models[0], times, override_horizon)
+    start = time.perf_counter()
+    solver = _PlusSector(models[0])
+    solve_s = time.perf_counter() - start
+    a2, thetas, nodes, drifts = solver.thermal([model.bath for model in models], times)
+    return [PlusFlow(a2, theta, {**solver.health, "normal_mode_solves": int(i == 0),
+                                 "normal_modes_s": solve_s if i == 0 else 0.0,
+                                 "thermal_grids": int(i == 0), "thermal_nodes": nodes,
+                                 "thermal_drift": float(drift)})
+            for i, (theta, drift) in enumerate(zip(thetas, drifts))]
+
+
 def evolve(
     model: FullModel,
     initial_system,
     times,
     override_horizon: bool = False,
+    flow: PlusFlow | None = None,
 ) -> Trajectory:
     """Exact reduced dynamics of the two-oscillator system on a uniform grid.
 
@@ -612,36 +593,49 @@ def evolve(
     ends inside the validity horizon unless ``override_horizon``.  The bath
     starts thermal and factorized from the system.  Output states are in the
     site ordering and validated for physicality in one stacked check; an
-    unphysical sample raises NumericsError.
+    unphysical sample raises NumericsError, and so does a thermal integral
+    that drifted from its direct value at the last time.
 
-    ``initial_system`` is one GaussianState, or a list or tuple of P of them: as
-    V(t) = S(t) V0 S(t)^T + Theta(t), they share the flow and Theta and are
+    ``initial_system`` is one GaussianState, a list or tuple of P of them, or a
+    (P, 4, 4) array of zero-mean site covariances that ``check_states`` passed:
+    as V(t) = S(t) V0 S(t)^T + Theta(t), they share the flow and Theta and are
     assembled as one (P, T, 4, 4) stack.  ``means`` and ``covs`` then hold the
     states whose every sample is physical, in order, with a leading state
     axis, and ``info["unphysical"]`` maps the index of each other state to its
-    NumericsError.
+    NumericsError.  ``flow`` is the model's PlusFlow on ``times`` from
+    ``plus_flows``, where models of other temperatures share its solve; by
+    default ``evolve`` makes its own.
     """
     times = _validate_times(model, times, override_horizon)
-    bath = model.bath
-    solver, solve_s = _plus_solver(model)
+    if flow is None:
+        flow, = plus_flows([model], times, override_horizon)
+    drift = flow.info["thermal_drift"]
+    if drift > _THERMAL_DRIFT_TOL:
+        raise NumericsError(
+            f"numerical instability: the integrated thermal bath term drifted by {drift:.3e} "
+            f"from its direct value at t={times[-1]:.6g}; the normal modes do not give the flow"
+        )
     start = time.perf_counter()
-
-    single = not isinstance(initial_system, (list, tuple))
-    states = [initial_system] if single else initial_system
+    single = not isinstance(initial_system, (list, tuple, np.ndarray))
+    if isinstance(initial_system, np.ndarray):
+        covs0, means0 = initial_system, np.zeros((len(initial_system), 4))
+    else:
+        states = [initial_system] if single else initial_system
+        covs0 = np.array([state.cov for state in states])
+        means0 = np.array([state.mean for state in states])
     sbs = BEAM_SPLITTER
-    v0 = sbs @ np.array([state.cov for state in states]) @ sbs.T
-    m0 = sbs @ np.array([state.mean for state in states])[..., None]
-    a2, theta, health = solver.plus_blocks(bath, times)
-    flow = np.zeros((times.size, 4, 4))  # block-diagonal: the (+) and (-) sectors
-    flow[:, :2, :2], flow[:, 2:, 2:] = a2, _minus_rotation(model, times)
-    virtual_cov = flow @ v0[:, None] @ np.swapaxes(flow, 1, 2)
-    virtual_cov[..., :2, :2] += theta
+    v0 = sbs @ covs0 @ sbs.T
+    m0 = sbs @ means0[..., None]
+    flow_4 = np.zeros((times.size, 4, 4))  # block-diagonal: the (+) and (-) sectors
+    flow_4[:, :2, :2], flow_4[:, 2:, 2:] = flow.a2, _minus_rotation(model, times)
+    virtual_cov = flow_4 @ v0[:, None] @ np.swapaxes(flow_4, 1, 2)
+    virtual_cov[..., :2, :2] += flow.theta
     virtual_cov[..., 2:, :2] = np.swapaxes(virtual_cov[..., :2, 2:], -1, -2)
-    virtual_mean = flow @ m0[:, None]
+    virtual_mean = flow_4 @ m0[:, None]
     cov_site = sbs @ virtual_cov @ sbs.T
     cov_site = 0.5 * (cov_site + np.swapaxes(cov_site, -1, -2))
     means = (sbs @ virtual_mean)[..., 0]
-    kept, unphysical = list(range(len(states))), {}
+    kept, unphysical = list(range(len(covs0))), {}
     while True:  # a failed state leaves the stack, and the rest are checked again
         try:
             covs, tightest = check_states(means[kept], cov_site[kept])
@@ -656,12 +650,9 @@ def evolve(
     means = means[kept]
     _read_only(means, covs)
     info = {
-        "bath_modes": bath.n_modes,
+        "bath_modes": model.bath.n_modes,
         "samples": times.size,
-        "normal_mode_solves": int(solve_s is not None),
-        "normal_modes_s": solve_s or 0.0,
-        **solver.health,
-        **health,
+        **flow.info,
         "states_s": time.perf_counter() - start,
         # of the state with the smallest pivot of the check, not a minimum over all
         "min_physicality_defect": (None if tightest is None
@@ -679,10 +670,11 @@ def entanglement_trajectory(
     initial_system,
     times,
     override_horizon: bool = False,
+    flow: PlusFlow | None = None,
 ) -> tuple[Trajectory, np.ndarray]:
     """Trajectory plus the logarithmic negativity at every grid time (of each
     physical state, for a list of initial states as ``evolve`` takes it)."""
-    traj = evolve(model, initial_system, times, override_horizon=override_horizon)
+    traj = evolve(model, initial_system, times, override_horizon=override_horizon, flow=flow)
     start = time.perf_counter()
     energies = log_negativity(traj.covs)
     traj.info["entanglement_s"] = time.perf_counter() - start
@@ -698,14 +690,14 @@ def entanglement_trajectory(
 STANDARD_STATE_KINDS = ("two-mode-squeezed", "squeezed-product", "coherent-product")
 
 
-def initial_state(
+def initial_covariance(
     model: FullModel,
     kind: str,
     r: float = 0.0,
     purity_product: float = 0.5,
-    mean: np.ndarray | None = None,
-) -> GaussianState:
-    """Standard initial system states, built in the model's own mode frames.
+) -> np.ndarray:
+    """Site covariance of a standard initial state, unchecked: ``initial_state``
+    checks one, ``verify`` the states of a (C12, T) group as one stack.
 
     The (-) virtual block is a squeezed (optionally mixed) state with squeezing
     factor ``r`` measured against the (-) mode's m*omega, so the classifier's
@@ -722,6 +714,17 @@ def initial_state(
     else:  # coherent-product
         plus = squeezed_cov(0.0, model.plus_state_mode)
         minus = squeezed_cov(0.0, model.minus_mode, area_product=purity_product)
-    if mean is None:
-        return state_from_virtual_blocks(plus, minus)
-    return GaussianState(np.asarray(mean, dtype=float), site_cov(plus, minus))  # one check
+    return site_cov(plus, minus)
+
+
+def initial_state(
+    model: FullModel,
+    kind: str,
+    r: float = 0.0,
+    purity_product: float = 0.5,
+    mean: np.ndarray | None = None,
+) -> GaussianState:
+    """Standard initial system state, built in the model's own mode frames
+    (``initial_covariance``), zero-mean unless ``mean`` is given."""
+    mean = np.zeros(4) if mean is None else np.asarray(mean, dtype=float)
+    return GaussianState(mean, initial_covariance(model, kind, r, purity_product))

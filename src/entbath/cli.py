@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bathsim import SYMMETRIC, entanglement_trajectory, initial_state, release_shared_solver
+from .bathsim import SYMMETRIC, entanglement_trajectory, initial_state
 from .config import RunConfig, load_config
 from .errors import ConfigError, EntbathError, UnsupportedOperationError
 from .rwa import extract_coefficients, solve_amplitude
@@ -297,6 +297,9 @@ def cmd_verify(config: RunConfig, out_dir: Path, config_s: float) -> int:
     return EXIT_NUMERICS if n_error else EXIT_OK
 
 
+#: the commands that read [grid], whose values the loader then checks
+_GRID_COMMANDS = ("evolve", "coeffs")
+
 _COMMANDS = {
     "evolve": cmd_evolve,
     "coeffs": cmd_coeffs,
@@ -328,7 +331,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         start = time.perf_counter()
-        config = load_config(args.config)
+        config = load_config(args.config, grid=args.command in _GRID_COMMANDS)
         config_s = time.perf_counter() - start
         out_dir = Path(args.out) if args.out else Path(config.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -343,8 +346,6 @@ def main(argv=None) -> int:
         print("error: internal error", file=sys.stderr)
         traceback.print_exc()
         return EXIT_INTERNAL
-    finally:
-        release_shared_solver()  # a command shares normal modes only with itself
 
 
 if __name__ == "__main__":

@@ -159,8 +159,13 @@ class RunConfig:
         return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
-def load_config(path) -> RunConfig:
-    """Parse, default, and validate a configuration file (fail-closed)."""
+def load_config(path, grid: bool = True) -> RunConfig:
+    """Parse, default, and validate a configuration file (fail-closed).
+
+    ``grid`` also checks the [grid] values against the bath: dt*cutoff <= 0.1
+    and t_max inside the validity horizon unless [run] override_horizon.  The
+    CLI asks for it only for the commands that read [grid], evolve and coeffs.
+    """
     path = Path(path)
     problems: list[str] = []
     if not path.is_file():
@@ -232,13 +237,14 @@ def load_config(path) -> RunConfig:
         if values.get(key) is not None:
             check(values[key] > 0, f"[grid] {key} must be positive")
 
-    if values.get("dt") and values.get("cutoff"):
+    if grid and values.get("dt") and values.get("cutoff"):
         check(
             values["dt"] * values["cutoff"] <= 0.1 * (1 + 1e-9),
             f"[grid] dt*cutoff = {values['dt'] * values['cutoff']:.4g} exceeds 0.1",
         )
     if (
-        values.get("t_max")
+        grid
+        and values.get("t_max")
         and values.get("cutoff")
         and values.get("modes")
         and not values.get("override_horizon")

@@ -110,9 +110,10 @@ class AmplitudeSolution:
 def solve_amplitude(bath: DiscretizedBath, omega: float, times) -> AmplitudeSolution:
     """Exact amplitude solution on the grid via the one-excitation eigenbasis."""
     times = _validate_grid(bath, times)
-    lam, vecs, health = arrowhead_eigh(omega, bath.ladder_couplings, bath.frequencies)
+    modes = arrowhead_eigh(omega, bath.ladder_couplings, bath.frequencies)
     return AmplitudeSolution(
-        times=times, omega=omega, bath=bath, _eigvals=lam, _eigvecs=vecs, solve_health=health,
+        times=times, omega=omega, bath=bath, _eigvals=modes.values, _eigvecs=modes.dense(),
+        solve_health=modes.health,
     )
 
 

@@ -6,7 +6,11 @@ weight both in the position-coupling convention (couplings c_k, defined through
 J(w) = sum_k c_k^2 delta(w - w_k) / (2 m_k w_k)) and, when a ladder scale
 m*omega is supplied, in the ladder convention (couplings g_k, defined through
 J_ladder(w) = sum_k g_k^2 delta(w - w_k) = 2 J(w)/(m omega)).  A bath coupled
-to one coordinate makes an arrowhead matrix, which ``arrowhead_eigh`` solves.
+to one coordinate makes an arrowhead matrix, which ``arrowhead_eigh`` solves
+in O(N^2) time and O(N) memory: its ``NormalModes`` keep the eigenvalues, the
+secular weights z_hat and the eigenvector norms, and form eigenvectors only a
+row block of ``_BLOCK`` doubles at a time (about 2 MB of arrays at N = 4000,
+where the (N+1)^2 eigenvectors and (N+1) x N secular buffers took 258 MB).
 """
 
 from __future__ import annotations
@@ -189,12 +193,105 @@ def eta_kernel_discrete(bath: DiscretizedBath, s: float) -> complex:
     return complex(np.sum(g2 * np.exp(-1j * bath.frequencies * s)))
 
 
-def arrowhead_eigh(a: float, z, d) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Eigenpairs of the symmetric arrowhead [[a, z^T], [z, diag(d)]] in O(N^2).
+#: doubles in one row block of the secular sweeps and the eigenvector products
+#: (256 KB): a solve and its products hold O(N) vectors plus a few such blocks
+_BLOCK = 1 << 15
 
-    Returns the eigenvalues (ascending), the orthonormal eigenvectors (columns;
-    row 0 is the border coordinate) and the largest iteration count of any root
-    and max |z_hat - z| / |z|.  Raises NumericsError unless d strictly increases.
+
+#: most sweeps of the secular iteration; bisection alone would be done in about 60
+_MAX_SWEEPS = 100
+
+
+def _blocks(rows: int, width: int):
+    """(lo, hi) of consecutive row blocks of a (rows, width) array, each at most
+    ``_BLOCK`` doubles (one row at least)."""
+    step = max(1, _BLOCK // max(width, 1))
+    for lo in range(0, rows, step):
+        yield lo, min(lo + step, rows)
+
+
+@dataclass(frozen=True, eq=False)
+class NormalModes:
+    """Eigenpairs of the symmetric arrowhead [[a, z^T], [z, diag(d)]], held in O(N).
+
+    ``values`` are the eigenvalues (ascending), d[origin] + offset.  Eigenvector
+    i is [1, zhat_k / (values_i - d_k)] / norms_i, with values_i - d_k taken as
+    (d[origin_i] - d_k) + offset_i, which keeps its full relative accuracy; the
+    modes in ``units`` (mode, pole) are unit vectors of deflated bath
+    coordinates (their zhat is 0 and their norm inf).  Its products form the
+    eigenvectors a row block at a time and never hold the (N+1)^2 matrix;
+    ``dense`` builds it.
+    """
+
+    values: np.ndarray
+    poles: np.ndarray
+    origin: np.ndarray
+    offset: np.ndarray
+    zhat: np.ndarray
+    norms: np.ndarray
+    units: np.ndarray
+    health: dict
+
+    @cached_property
+    def first_row(self) -> np.ndarray:
+        """Border (row 0) entry of every eigenvector, 1/norms."""
+        return 1.0 / self.norms
+
+    def _vectors(self, lo: int, hi: int) -> np.ndarray:
+        """Bath entries of the eigenvectors lo..hi, one per row, (hi - lo, N)."""
+        rows = _differences(self.poles, self.origin, self.offset, lo, hi)
+        modes, poles = self.units
+        inside = (lo <= modes) & (modes < hi)
+        if modes.size:  # deflated: no coupling to or from a unit mode (zhat is 0)
+            rows[:, poles] = 1.0
+            rows[modes[inside] - lo] = np.inf
+        np.divide(self.zhat, rows, out=rows)
+        rows /= self.norms[lo:hi, None]
+        rows[modes[inside] - lo, poles[inside]] = 1.0
+        return rows
+
+    def products(self, left: np.ndarray | None = None, bath: np.ndarray | None = None):
+        """``left @ V.T`` (m, N+1) and ``V[1:].T @ bath`` (N+1, p) of the
+        eigenvector matrix V (columns), from one pass over its row blocks."""
+        n = self.poles.size
+        rows = weights = None
+        if left is not None:
+            rows = np.zeros((left.shape[0], n + 1))
+            rows[:, 0] = left @ self.first_row
+        if bath is not None:
+            weights = np.empty((n + 1, bath.shape[1]))
+        for lo, hi in _blocks(n + 1, n):
+            v = self._vectors(lo, hi)
+            if left is not None:
+                rows[:, 1:] += left[:, lo:hi] @ v
+            if bath is not None:
+                weights[lo:hi] = v @ bath
+        return rows, weights
+
+    def dense(self) -> np.ndarray:
+        """The orthonormal eigenvectors as the columns of an (N+1)^2 matrix."""
+        n = self.poles.size
+        vecs = np.empty((n + 1, n + 1))
+        vecs[0] = self.first_row
+        for lo, hi in _blocks(n + 1, n):
+            vecs[1:, lo:hi] = self._vectors(lo, hi).T
+        return vecs
+
+
+def _differences(d, origin, offset, lo: int, hi: int) -> np.ndarray:
+    """lambda_i - d_k for the roots lo..hi, as (d[origin_i] - d_k) + offset_i."""
+    diff = np.subtract.outer(d[origin[lo:hi]], d) if d.size else np.empty((hi - lo, 0))
+    diff += offset[lo:hi, None]
+    return diff
+
+
+def arrowhead_eigh(a: float, z, d) -> NormalModes:
+    """Eigenpairs of the symmetric arrowhead [[a, z^T], [z, diag(d)]] in O(N^2)
+    time and O(N) memory.
+
+    Returns them as :class:`NormalModes`, whose ``health`` holds the largest
+    iteration count of any root and max |z_hat - z| / |z|.  Raises
+    NumericsError unless d strictly increases.
 
     The eigenvalues are the roots of f(l) = l - a + sum_k z_k^2 / (d_k - l): one
     between each two neighbouring poles d_k, one beyond each end within the
@@ -205,44 +302,95 @@ def arrowhead_eigh(a: float, z, d) -> tuple[np.ndarray, np.ndarray, dict]:
     the z_hat for which the computed roots are exact, so they are orthogonal to
     working precision (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 172
     (1995)).  A coupling below eps * |A| deflates: (d_k, e_k) is an eigenpair.
+    The sweeps, z_hat and the norms go over row blocks of ``_BLOCK`` doubles.
     """
     z = np.asarray(z, dtype=float)
     d = np.asarray(d, dtype=float)
     n = d.size
     if np.any(np.diff(d) <= 0.0):
         raise NumericsError("arrowhead diagonal must be strictly increasing")
-    if n == 0:
-        return np.array([float(a)]), np.ones((1, 1)), {"secular_iterations": 0, "secular_z_drift": 0.0}
-    norm = max(abs(a), abs(d[0]), abs(d[-1])) + math.sqrt(z @ z)
+    norm = max(abs(a), abs(d[0]), abs(d[-1])) + math.sqrt(z @ z) if n else abs(a)
     keep = np.abs(z) > np.finfo(float).eps * norm
-    if not keep.all():
-        lam, sub, health = arrowhead_eigh(a, z[keep], d[keep])
-        gone = np.flatnonzero(~keep)
-        vecs = np.zeros((n + 1, n + 1))
-        vecs[np.r_[0, 1 + np.flatnonzero(keep)], : lam.size] = sub
-        vecs[1 + gone, lam.size + np.arange(gone.size)] = 1.0
-        lam = np.concatenate((lam, d[gone]))
-        order = np.argsort(lam, kind="stable")
-        return lam[order], vecs[:, order], health
-    tau, org, iters = _secular_roots(a, z * z, d)
-    diff = np.subtract(d[org][:, None], d)  # lambda_i - d_k, accurate through the shift
-    diff += tau[:, None]
+    kept, gone = np.flatnonzero(keep), np.flatnonzero(~keep)
+    if kept.size:
+        sub = d[kept]
+        tau, org, iters = _secular_roots(a, z[kept] ** 2, sub)
+        zhat, norms = _vector_scales(z[kept], sub, org, tau)
+        values, origin = sub[org] + tau, kept[org]
+        drift = float(np.abs(zhat / z[kept] - 1.0).max())
+    else:  # a free border: its own eigenvector
+        values, origin, tau = np.array([float(a)]), np.zeros(1, dtype=int), np.zeros(1)
+        zhat, norms, iters, drift = np.zeros(0), np.ones(1), 0, 0.0
+    full_zhat = np.zeros(n)
+    full_zhat[kept] = zhat
+    health = {"secular_iterations": iters, "secular_z_drift": drift}
+    if not gone.size:
+        return NormalModes(values, d, origin, tau, full_zhat, norms, np.zeros((2, 0), int), health)
+    values = np.concatenate((values, d[gone]))
+    order = np.argsort(values, kind="stable")
+    place = np.empty_like(order)
+    place[order] = np.arange(order.size)
+    units = np.stack((place[values.size - gone.size:], gone))
+    return NormalModes(values[order], d, np.concatenate((origin, gone))[order],
+                       np.concatenate((tau, np.zeros(gone.size)))[order], full_zhat,
+                       np.concatenate((norms, np.full(gone.size, np.inf)))[order], units, health)
+
+
+def _vector_scales(z: np.ndarray, d: np.ndarray, org: np.ndarray, tau: np.ndarray):
+    """z_hat, for which the roots d[org] + tau are exact, and the norms of the
+    eigenvectors [1, z_hat / (lambda_i - d)], each in one pass over row blocks."""
+    n = d.size
     # Loewner: z_hat_k^2 = -prod_i (lambda_i - d_k) / prod_{j != k} (d_j - d_k),
-    # taken as a product of interlacing ratios (lambda_j - d_k) / (d_j - d_k)
-    ratio = np.empty((n + 1, n))
-    np.subtract(d[:, None], d, out=ratio[:n])
-    ratio[n] = 1.0
-    np.fill_diagonal(ratio, 1.0)
-    np.divide(diff, ratio, out=ratio)
-    zhat = np.copysign(np.sqrt(np.maximum(-ratio.prod(axis=0), 0.0)), z)
-    del ratio
-    vecs = np.empty((n + 1, n + 1))  # eigenvectors as rows
-    np.divide(zhat, diff, out=vecs[:, 1:])
-    del diff
-    vecs[:, 0] = 1.0
-    vecs /= np.sqrt(np.einsum("ij,ij->i", vecs, vecs))[:, None]
-    drift = float(np.abs(zhat / z - 1.0).max())
-    return d[org] + tau, vecs.T, {"secular_iterations": iters, "secular_z_drift": drift}
+    # taken as a product of interlacing ratios (lambda_j - d_k) / (d_j - d_k); each
+    # block's product starts from the running one, so the order is that of one sweep
+    running = np.ones(n)
+    for lo, hi in _blocks(n + 1, n):
+        ratio = np.empty((hi - lo + 1, n))
+        ratio[0] = running
+        den = ratio[1:]
+        np.subtract.outer(d[lo:min(hi, n)], d, out=den[: min(hi, n) - lo])
+        den[n - lo:] = 1.0  # the row of the last root has no pole of its own
+        den[np.arange(min(hi, n) - lo), np.arange(lo, min(hi, n))] = 1.0
+        np.divide(_differences(d, org, tau, lo, hi), den, out=den)
+        running = ratio.prod(axis=0)
+    zhat = np.copysign(np.sqrt(np.maximum(-running, 0.0)), z)
+    norms = np.empty(n + 1)
+    for lo, hi in _blocks(n + 1, n):
+        row = np.empty((hi - lo, n + 1))
+        row[:, 0] = 1.0
+        np.divide(zhat, _differences(d, org, tau, lo, hi), out=row[:, 1:])
+        norms[lo:hi] = np.sqrt(np.einsum("ij,ij->i", row, row))
+    return zhat, norms
+
+
+def _pole_sums(z2: np.ndarray, d: np.ndarray, k: np.ndarray, origin: np.ndarray,
+               offset: np.ndarray) -> np.ndarray:
+    """psi, phi, dpsi, dphi of each root k at lambda = origin + offset, (4, k.size):
+    the sums of z2_j / (d_j - lambda) over the poles j < k and j >= k, and of
+    z2_j / (d_j - lambda)^2 over the same, in row blocks."""
+    n = d.size
+    out = np.empty((4, k.size))
+    step = max(1, _BLOCK // n)
+    # flat buffers with one spare zero, so that reduceat sums an empty
+    # right-hand group at the end of a block's last row to 0
+    buffers = np.empty((2, min(step, k.size) * n + 1))
+    row = np.arange(k.size) % step * n
+    groups = np.column_stack((row, row + k)).ravel()  # each root's two groups in its block
+    for lo, hi in _blocks(k.size, n):
+        size = (hi - lo) * n
+        flat_t, flat_u = buffers[0, : size + 1], buffers[1, : size + 1]
+        u = flat_u[:size].reshape(hi - lo, n)
+        t = flat_t[:size].reshape(hi - lo, n)
+        np.subtract(d, origin[lo:hi, None], out=u)
+        u -= offset[lo:hi, None]  # d_j - lambda
+        np.divide(z2, u, out=t)
+        np.divide(t, u, out=u)
+        flat_t[size] = flat_u[size] = 0.0
+        # (reduceat gives the first element for the empty left group of root 0)
+        out[:2, lo:hi] = np.add.reduceat(flat_t, groups[2 * lo : 2 * hi]).reshape(-1, 2).T
+        out[2:, lo:hi] = np.add.reduceat(flat_u, groups[2 * lo : 2 * hi]).reshape(-1, 2).T
+    out[[0, 2]] = np.where(k == 0, 0.0, out[[0, 2]])
+    return out
 
 
 def _secular_roots(a: float, z2: np.ndarray, d: np.ndarray):
@@ -254,42 +402,29 @@ def _secular_roots(a: float, z2: np.ndarray, d: np.ndarray):
     org = np.minimum(np.arange(n + 1), n - 1)  # origin pole of each root
     lo, hi = np.zeros(n + 1), np.zeros(n + 1)  # brackets, shifted to the origin
     lo[0], hi[n] = min(a, d[0]) - nz - d[0], max(a, d[-1]) + nz - d[-1]
+    sums = np.empty((4, n + 1))  # psi, phi, dpsi, dphi of each root at its first tau
     if n > 1:  # an interior root takes the pole on its side of f(mid) = 0
         mid = 0.5 * (d[:-1] + d[1:])
-        buf = d - mid[:, None]
-        np.divide(z2, buf, out=buf)
-        left = mid - a + buf.sum(axis=1) >= 0.0
-        del buf
+        sums[:, 1:n] = _pole_sums(z2, d, np.arange(1, n), mid, np.zeros(n - 1))
+        left = (mid - a) + sums[0, 1:n] + sums[1, 1:n] >= 0.0
         org[1:n] -= left
         to_mid = mid - d[org[1:n]]
         lo[1:n] = np.where(left, 0.0, to_mid)
         hi[1:n] = np.where(left, to_mid, 0.0)
     tau = np.where(lo == 0.0, hi, lo)  # the bracket end where f's sign is known
-    # flat buffers with one spare zero, so that reduceat sums an empty
-    # right-hand group at the end of the last row to 0
-    flat_t, flat_u = np.empty((n + 1) * n + 1), np.empty((n + 1) * n + 1)
+    edges = np.array([0, n])  # the interior roots start from their f(mid) sums
+    sums[:, edges] = _pole_sums(z2, d, edges, d[org[edges]], tau[edges])
     active = np.arange(n + 1)  # root i lies between poles i - 1 and i
     iters = 0
     while active.size:
         iters += 1
-        if iters > 100:  # bisection alone would be done in about 60
+        if iters > _MAX_SWEEPS:
             raise NumericsError(f"secular equation: {active.size} root(s) unconverged")
-        r, k = active.size, active
+        k = active
         do, ta = d[org[k]], tau[k]
-        u = flat_u[: r * n].reshape(r, n)
-        t = flat_t[: r * n].reshape(r, n)
-        np.subtract(d, do[:, None], out=u)
-        u -= ta[:, None]  # d_j - lambda
-        np.divide(z2, u, out=t)
-        np.divide(t, u, out=u)
-        flat_t[r * n] = flat_u[r * n] = 0.0
-        starts = np.arange(r) * n
-        groups = np.column_stack((starts, starts + k)).ravel()
-        # poles left and right of the root: psi, phi and their derivatives
-        # (reduceat gives the first element for the empty left group of root 0)
-        psi, phi = np.add.reduceat(flat_t[: r * n + 1], groups).reshape(r, 2).T
-        dpsi, dphi = np.add.reduceat(flat_u[: r * n + 1], groups).reshape(r, 2).T
-        psi, dpsi = np.where(k == 0, 0.0, psi), np.where(k == 0, 0.0, dpsi)
+        if iters > 1:
+            sums = _pole_sums(z2, d, k, do, ta)
+        psi, phi, dpsi, dphi = sums
         f = (do - a) + ta + psi + phi
         tol = eps * (8.0 * (phi - psi + np.abs(do - a) + np.abs(ta))
                      + np.abs(ta) * (1.0 + dpsi + dphi))

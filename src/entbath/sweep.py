@@ -23,10 +23,10 @@ from .asymptotics import (
     stationary_variances_position,
     summarize,
 )
-from .bathsim import POSITION, entanglement_trajectory, initial_state
+from .bathsim import POSITION, entanglement_trajectory, initial_covariance, plus_flows
 from .config import RunConfig
 from .errors import EntbathError, HorizonError, ParameterRegimeError, ValidationError
-from .gaussian import ModeSpec
+from .gaussian import ModeSpec, check_states
 # unused here: kept so that the benchmark tracer can patch them in this namespace
 from .rwa import extract_coefficients, solve_amplitude  # noqa: F401
 
@@ -36,13 +36,14 @@ PHASE_COLUMNS = (
 )
 
 _BOUNDARY_MARGIN = 0.05
-#: most bath modes ``verify`` builds unless [bath] modes asks for more: the
-#: (+)-sector solve holds about 4*8*N(N+1) bytes, ~0.5 GB at N = 4000
+#: most bath modes ``verify`` builds unless [bath] modes asks for more.  The
+#: (+)-sector solve holds O(N) vectors and a few 256 KB row blocks (about 2 MB
+#: at N = 4000) and the time grid one 256 x 2N phase block (16 MB), so this
+#: bounds time, about 0.3 s per O(N^2) solve at N = 4000, not memory
 _VERIFY_MODE_CEILING = 4000
 #: most points ``verify`` stacks per (C12, T), its squeezings times purities:
 #: one point holds about 0.37 MB while its group is evolved (eight arrays of
-#: 360 samples x 4 x 4 floats), so the largest stack stays below the solve
-#: the mode ceiling allows
+#: 360 samples x 4 x 4 floats), so the largest stack stays near 0.4 GB
 _VERIFY_STACK_CEILING = 1000
 #: names the numerical routes behind a stationary point, as ``run_info.json``
 #: reports it; change it with either route
@@ -286,14 +287,15 @@ def verify_grid(config: RunConfig, info: dict | None = None) -> dict:
     the boundary margin are excluded rather than failed.  Points that could
     not be evaluated or simulated are errors, not failures, and carry a
     ``reason``.  The points are simulated grouped by C12 and then by T: the
-    points of one C12 share one normal-mode solve and one time grid (one
-    pass over its occupation-independent part of the thermal integral), and
-    those of one (C12, T) one thermal integral and one stacked ``evolve``,
-    whose check and E_N cover the whole group.  A failed initial state or an
-    unphysical sample errors only its own point; a failure in the shared part
-    errors every point of the group.  The report keeps the canonical row
-    order.  When ``info`` is given, the sweep's info and the sizes and health
-    of the simulations are recorded in it.
+    points of one C12 share one normal-mode solve and one pass over their
+    time grid, which gives the thermal terms of all its temperatures
+    (``bathsim.plus_flows``), and those of one (C12, T) one checked stack of
+    initial states and one stacked ``evolve``, whose check and E_N cover the
+    whole group.  A failed initial state or an unphysical sample errors only
+    its own point; a failure in a shared part errors every point it serves.
+    The report keeps the canonical row order.  When ``info`` is given, the
+    sweep's info and the sizes and health of the simulations are recorded in
+    it.
     """
     temps, squeezings, c12s, purities = sweep_axes(config)
     stack = len(squeezings) * len(purities)
@@ -325,32 +327,14 @@ def verify_grid(config: RunConfig, info: dict | None = None) -> dict:
     def group_key(pair):
         return c12s.index(pair[0]["C12"]), temps.index(pair[0]["T"])
 
-    for _, group in groupby(sorted(to_simulate, key=group_key), key=group_key):
-        group = list(group)
-        try:
-            outcomes, traj_info = _simulate_group(config, [row for row, _ in group])
-        except EntbathError as exc:  # shared by the group: its window, model or flow
-            outcomes, traj_info = [exc] * len(group), None
-        if traj_info is not None:
-            for key in ("normal_mode_solves", "thermal_grids", "thermal_nodes"):
-                health[key] += traj_info[key]
-            health["bath_modes"][f"c12={group[0][0]['C12']:g}"] = traj_info["bath_modes"]
-            for key in ("secular_iterations", "secular_z_drift", "thermal_drift"):  # worst of the grid
-                health[key] = max(health[key], traj_info[key])
-            defect = traj_info["min_physicality_defect"]
-            if defect is not None and (health["min_physicality_defect"] is None
-                                       or defect < health["min_physicality_defect"]):
-                health["min_physicality_defect"] = defect
-        for (row, entry), outcome in zip(group, outcomes):
-            if isinstance(outcome, EntbathError):
-                entry.update(status=f"simulation error: {outcome}",
-                             reason=f"{type(outcome).__name__}: {outcome}")
-                continue
-            health["simulated_points"] += 1
-            sim_class, deviation = _simulate_point(row, outcome)
-            expected = _EXPECTED_CLASS[Phase(row["phase"])]
-            entry.update(simulated=sim_class, envelope_deviation=deviation,
-                         status="pass" if sim_class == expected else "fail")
+    def by_c12(pair):
+        return group_key(pair)[0]
+
+    for _, pairs in groupby(sorted(to_simulate, key=group_key), key=by_c12):
+        groups = [list(group) for _, group in groupby(pairs, key=group_key)]
+        runs = _simulate_c12(config, [[row for row, _ in group] for group in groups])
+        for group, (outcomes, traj_info) in zip(groups, runs):
+            _record_group(health, group, outcomes, traj_info)
     if info is not None:
         info.update(sweep=sweep_info, **health)
     n_fail = sum(entry["status"] == "fail" for entry in report_points)
@@ -364,15 +348,64 @@ def verify_grid(config: RunConfig, info: dict | None = None) -> dict:
     }
 
 
-def _simulate_group(config: RunConfig, rows: list[dict]) -> tuple[list, dict | None]:
-    """Late-time E_N trajectories of the points of one (C12, T), each an array
-    or the EntbathError of that point (its initial state or an unphysical
-    sample), and the info of their one stacked run (None when no initial state
-    was built).  The window depends on gamma0 and C12 only and the model on C12
-    and T, so the points share both; a failure there raises."""
+def _record_group(health: dict, group: list, outcomes: list, traj_info: dict | None) -> None:
+    """Fold one (C12, T) group's run into the report entries of its points
+    and into ``health``, the sizes and health of ``verify_grid``'s runs."""
+    if traj_info is not None:
+        for key in ("normal_mode_solves", "thermal_grids", "thermal_nodes"):
+            health[key] += traj_info[key]
+        health["bath_modes"][f"c12={group[0][0]['C12']:g}"] = traj_info["bath_modes"]
+        for key in ("secular_iterations", "secular_z_drift", "thermal_drift"):  # worst of the grid
+            health[key] = max(health[key], traj_info[key])
+        defect = traj_info["min_physicality_defect"]
+        if defect is not None and (health["min_physicality_defect"] is None
+                                   or defect < health["min_physicality_defect"]):
+            health["min_physicality_defect"] = defect
+    for (row, entry), outcome in zip(group, outcomes):
+        if isinstance(outcome, EntbathError):
+            entry.update(status=f"simulation error: {outcome}",
+                         reason=f"{type(outcome).__name__}: {outcome}")
+            continue
+        health["simulated_points"] += 1
+        sim_class, deviation = _simulate_point(row, outcome)
+        expected = _EXPECTED_CLASS[Phase(row["phase"])]
+        entry.update(simulated=sim_class, envelope_deviation=deviation,
+                     status="pass" if sim_class == expected else "fail")
+
+
+def _simulate_c12(config: RunConfig, groups: list[list[dict]]) -> list[tuple[list, dict | None]]:
+    """Late-time E_N trajectories of the points of one C12, given grouped by T:
+    per group, each point's E_N array or EntbathError, and the info of the
+    group's stacked run (None when it made none).  The window depends on
+    gamma0 and C12 only and the models of a C12 differ in T only, so the
+    groups share the window, one normal-mode solve and one thermal product; a
+    failure there errors every point of the C12 (every point that has an
+    initial state, for the solve)."""
+    c12 = groups[0][0]["C12"]
+    try:
+        times, modes = _verify_window(config, c12)
+        models = [config.build_model(temperature=rows[0]["T"], c12=c12, modes=modes)
+                  for rows in groups]
+    except EntbathError as exc:
+        return [([exc] * len(rows), None) for rows in groups]
+    starts = [_initial_covs(config, model, rows) for model, rows in zip(models, groups)]
+    results = [(outcomes, None) for outcomes, _ in starts]
+    live = [j for j, (_, covs) in enumerate(starts) if len(covs)]
+    try:
+        flows = plus_flows([models[j] for j in live], times) if live else []
+    except EntbathError as exc:  # the shared solve: every group that reached it
+        return [([exc] * len(groups[j]), None) if j in live else result
+                for j, result in enumerate(results)]
+    for j, flow in zip(live, flows):
+        results[j] = _simulate_group(models[j], *starts[j], times, flow)
+    return results
+
+
+def _verify_window(config: RunConfig, c12: float) -> tuple[np.ndarray, int]:
+    """The 360 late times of ``verify`` at ``c12`` and the bath modes they
+    need: [t_eq, t_eq + 3 (-)-periods], t_eq = max(30, 4/gamma0)."""
     gamma_scale = max(config.gamma0, 1e-3)
     t_eq = max(30.0, 4.0 / gamma_scale)
-    c12, temperature = rows[0]["C12"], rows[0]["T"]
     _, _, _, minus = _frequencies(config, c12)
     period = math.pi / minus.frequency
     t_end = t_eq + 3.0 * period
@@ -384,18 +417,40 @@ def _simulate_group(config: RunConfig, rows: list[dict]) -> tuple[list, dict | N
             f"verification window [{t_eq:.3g}, {t_end:.3g}] needs {needed} bath modes, "
             f"more than {ceiling}; set [bath] modes >= {needed} to allow it"
         )
-    model = config.build_model(temperature=temperature, c12=c12, modes=max(needed, config.modes))
-    outcomes, states = [], []
+    return np.linspace(t_eq, t_end, 360), max(needed, config.modes)
+
+
+def _initial_covs(config: RunConfig, model, rows: list[dict]) -> tuple[list, np.ndarray]:
+    """Per point, the EntbathError of its initial state or None, and the site
+    covariances of the others, (P, 4, 4), checked as one stack."""
+    outcomes, covs = [], []
     for row in rows:
         try:
-            states.append(initial_state(model, config.kind, r=row["r"],
-                                        purity_product=row["purity"]))
+            covs.append(initial_covariance(model, config.kind, r=row["r"],
+                                           purity_product=row["purity"]))
             outcomes.append(None)
         except EntbathError as exc:
             outcomes.append(exc)
-    if not states:
-        return outcomes, None
-    traj, energies = entanglement_trajectory(model, states, np.linspace(t_eq, t_end, 360))
+    pending = [i for i, outcome in enumerate(outcomes) if outcome is None]
+    covs = np.array(covs).reshape(-1, 4, 4)
+    while True:  # a failed state leaves the stack, and the rest are checked again
+        try:
+            return outcomes, check_states(np.zeros((len(covs), 4)), covs)[0]
+        except ValidationError as exc:
+            outcomes[pending.pop(exc.index)] = exc
+            covs = np.delete(covs, exc.index, axis=0)
+
+
+def _simulate_group(model, outcomes: list, covs: np.ndarray, times: np.ndarray,
+                    flow) -> tuple[list, dict | None]:
+    """``outcomes`` with the E_N trajectory, or the unphysical sample, of each
+    point whose initial covariance is in ``covs``, evolved as one stack on
+    ``flow``, and the info of the run; a failure of the whole run errors every
+    point."""
+    try:
+        traj, energies = entanglement_trajectory(model, covs, times, flow=flow)
+    except EntbathError as exc:
+        return [exc] * len(outcomes), None
     unphysical, physical = traj.info["unphysical"], iter(energies)
     pending = [i for i, outcome in enumerate(outcomes) if outcome is None]
     for state, i in enumerate(pending):

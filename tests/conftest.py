@@ -39,15 +39,17 @@ def single_mode_symplectic(theta, r):
 
 @pytest.fixture
 def integrals(monkeypatch):
-    """(Theta, quadrature nodes, drift) of each thermal integral, in call order."""
+    """(Theta of each bath, quadrature nodes per Theta, drift of each) of every
+    thermal product, in call order."""
     calls = []
-    integrate = bathsim._PlusSector._integrate
+    thermal = bathsim._PlusSector.thermal
 
-    def spy(solver, grid, bath, times):
-        calls.append(integrate(solver, grid, bath, times))
-        return calls[-1]
+    def spy(solver, baths, times):
+        a2, thetas, nodes, drifts = thermal(solver, baths, times)
+        calls.append((thetas, nodes, drifts))
+        return a2, thetas, nodes, drifts
 
-    monkeypatch.setattr(bathsim._PlusSector, "_integrate", spy)
+    monkeypatch.setattr(bathsim._PlusSector, "thermal", spy)
     return calls
 
 

@@ -1,7 +1,8 @@
 """Reference routes that only the tests use.
 
 The dense quadratic form, generator and propagator of the full model, its
-factorized initial covariance, the trapezoidal stepping solver of the
+factorized initial covariance, the dense eigenvectors of the arrowhead
+secular solve, the trapezoidal stepping solver of the
 amplitude Volterra equation, the row route of the thermal bath term (the
 (+)-sector propagator rows at every time, contracted with the bath
 variances), the stationary dispersions read off a long exact run and off the
@@ -37,7 +38,7 @@ from entbath.gaussian import (
     symplectic_form,
 )
 from entbath.rwa import CoefficientTrace, _validate_grid
-from entbath.spectra import DiscretizedBath
+from entbath.spectra import DiscretizedBath, _secular_roots
 
 
 def hamiltonian_matrix(model: FullModel, basis: str = "virtual") -> np.ndarray:
@@ -103,7 +104,10 @@ def full_propagator(model: FullModel, t: float) -> np.ndarray:
     dim = 2 * (n + 2)
     s = np.zeros((dim, dim))
     solver = _PlusSector(model)
-    xx, xp, px, pp = solver._flow(solver.freqs * t, solver.modes, solver.scales[:, None])
+    vecs = solver.modes.dense()
+    phases = solver.freqs * t
+    xx, xp, px, pp = solver.flow((np.cos(phases) * vecs) @ vecs.T,
+                                 (solver.sine(phases) * vecs) @ vecs.T, solver.scales[:, None])
     # plus-sector phase indices: positions (x+, q_k) -> 0, 4+2k ; momenta 1, 5+2k
     pos = np.concatenate(([0], 4 + 2 * np.arange(n)))
     mom = pos + 1
@@ -127,6 +131,48 @@ def full_initial_covariance(model: FullModel, initial_system: GaussianState) -> 
     v[qi, qi] = occ / (bath.masses * bath.frequencies)
     v[qi + 1, qi + 1] = occ * bath.masses * bath.frequencies
     return v
+
+
+def dense_arrowhead_eigh(a: float, z, d) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues, eigenvectors (columns), z_hat and eigenvector norms of the
+    arrowhead [[a, z^T], [z, diag(d)]] from the roots of ``spectra._secular_roots``,
+    with every (N+1) x N array formed whole: the dense route that
+    ``spectra.arrowhead_eigh`` takes in row blocks.  A deflated coupling gives
+    a unit vector, a zero z_hat and an infinite norm."""
+    z = np.asarray(z, dtype=float)
+    d = np.asarray(d, dtype=float)
+    n = d.size
+    if n == 0:
+        return np.array([float(a)]), np.ones((1, 1)), np.zeros(0), np.ones(1)
+    norm = max(abs(a), abs(d[0]), abs(d[-1])) + math.sqrt(z @ z)
+    keep = np.abs(z) > np.finfo(float).eps * norm
+    if not keep.all():
+        lam, sub, sub_zhat, sub_norms = dense_arrowhead_eigh(a, z[keep], d[keep])
+        gone = np.flatnonzero(~keep)
+        vecs = np.zeros((n + 1, n + 1))
+        vecs[np.r_[0, 1 + np.flatnonzero(keep)], : lam.size] = sub
+        vecs[1 + gone, lam.size + np.arange(gone.size)] = 1.0
+        lam = np.concatenate((lam, d[gone]))
+        order = np.argsort(lam, kind="stable")
+        zhat = np.zeros(n)
+        zhat[keep] = sub_zhat
+        norms = np.concatenate((sub_norms, np.full(gone.size, np.inf)))
+        return lam[order], vecs[:, order], zhat, norms[order]
+    tau, org, _ = _secular_roots(a, z * z, d)
+    diff = np.subtract(d[org][:, None], d)
+    diff += tau[:, None]
+    ratio = np.empty((n + 1, n))
+    np.subtract(d[:, None], d, out=ratio[:n])
+    ratio[n] = 1.0
+    np.fill_diagonal(ratio, 1.0)
+    np.divide(diff, ratio, out=ratio)
+    zhat = np.copysign(np.sqrt(np.maximum(-ratio.prod(axis=0), 0.0)), z)
+    vecs = np.empty((n + 1, n + 1))  # eigenvectors as rows
+    np.divide(zhat, diff, out=vecs[:, 1:])
+    vecs[:, 0] = 1.0
+    norms = np.sqrt(np.einsum("ij,ij->i", vecs, vecs))
+    vecs /= norms[:, None]
+    return d[org] + tau, vecs.T, zhat, norms
 
 
 def solve_amplitude_stepping(bath: DiscretizedBath, omega: float, times) -> np.ndarray:
@@ -167,13 +213,18 @@ def solve_amplitude_stepping(bath: DiscretizedBath, omega: float, times) -> np.n
 def row_route_blocks(model: FullModel, times) -> tuple[np.ndarray, np.ndarray]:
     """System block a2 (T, 2, 2) of the (+)-sector propagator and thermal
     covariance (T, 2, 2) of (x+, p+) from the dense propagator rows at every
-    time: two (T, N) x (N, N) products and their weighted row sums."""
+    time: two (T, N) x (N, N) products with the dense eigenvectors and their
+    weighted row sums."""
     times = np.asarray(times, dtype=float)
     bath = model.bath
     occ = bath.occupations + 0.5
     var_q = occ / (bath.masses * bath.frequencies)
     var_p = occ * bath.masses * bath.frequencies
-    xx, xp, px, pp = _PlusSector(model).rows(times)
+    solver = _PlusSector(model)
+    _, vecs, _, _ = dense_arrowhead_eigh(*solver.arrowhead)
+    phases = np.outer(times, solver.freqs)
+    xx, xp, px, pp = solver.flow((np.cos(phases) * vecs[0]) @ vecs.T,
+                                 (solver.sine(phases) * vecs[0]) @ vecs.T, solver.scales[0])
     a2 = np.stack([xx[:, 0], xp[:, 0], px[:, 0], pp[:, 0]], axis=1).reshape(-1, 2, 2)
     bq = (xx[:, 1:], px[:, 1:])
     bp = (xp[:, 1:], pp[:, 1:])

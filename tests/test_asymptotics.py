@@ -21,6 +21,7 @@ from entbath.asymptotics import (
     summarize,
 )
 from entbath.bathsim import FullModel
+from entbath.cli import main
 from entbath.errors import NumericsError, ParameterRegimeError, ValidationError
 from entbath.gaussian import ModeSpec, log_negativity, mode_squeezing
 from entbath.spectra import OhmicSpectralDensity
@@ -375,6 +376,32 @@ class TestStationaryVariancesLadder:
         )
         with pytest.raises(NumericsError, match="sum rule"):
             _ladder(density, model, 1.0)
+
+    @pytest.mark.parametrize("coupling", ["position", "symmetric"])
+    @pytest.mark.parametrize("gamma0", [1.1e-308, 1.0089810878910963e-222, 5e-324, 2e-17])
+    def test_rejects_a_resonance_narrower_than_the_doubles(self, coupling, gamma0, tmp_path):
+        # (pi J)^2 underflowed and the Lorentzian divided by zero: exit 5 under
+        # -W error::RuntimeWarning at 1.1e-308 (symmetric) and 1e-222 (position)
+        density = OhmicSpectralDensity(gamma0=gamma0, cutoff=20.0)
+        with pytest.raises(ParameterRegimeError, match="narrower than the spacing of doubles"):
+            if coupling == "position":
+                stationary_variances_position(density, 1.0, 1.0)
+            else:
+                stationary_variances_ladder(density, 1.0, 1.0, 1.0, 1.0)
+        (tmp_path / "weak.cfg").write_text(
+            f"[model]\ncoupling = {coupling}\nomega_r = 1.0\n"
+            f"[bath]\ngamma0 = {gamma0!r}\ncutoff = 20.0\ntemperature = 1.0\n")
+        assert main(["phase-diagram", "--config", str(tmp_path / "weak.cfg"),
+                     "--out", str(tmp_path / "o")]) == 0
+        assert "errors 1 of 1 points" in (tmp_path / "o" / "phase_diagram.csv").read_text()
+
+    def test_accepts_a_resonance_just_wider_than_the_doubles(self):
+        # no RuntimeWarning (an error in tier-1): the quadrature's own checks decide
+        density = OhmicSpectralDensity(gamma0=1e-15, cutoff=20.0)
+        with pytest.raises(NumericsError, match="sum rule"):
+            stationary_variances_ladder(density, 1.0, 1.0, 1.0, 1.0)
+        with pytest.raises(NumericsError, match="quadrature failed"):
+            stationary_variances_position(density, 1.0, 1.0)
 
     def test_rejects_free_bath_and_level_pulled_below_zero(self):
         free, model = _symmetric_model(0.0)

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -282,12 +284,12 @@ class TestThermalRoute:
 
     @staticmethod
     def by_rows(monkeypatch, model, state, times):
-        def rows_at_every_time(solver, bath, grid):
+        def rows_at_every_time(models, grid, override_horizon):
             a2, theta = row_route_blocks(model, grid)
-            return a2, theta, {"thermal_grids": 1, "thermal_nodes": 0, "thermal_drift": 0.0}
+            return [bathsim.PlusFlow(a2, theta, {"thermal_nodes": 0, "thermal_drift": 0.0})]
 
         with monkeypatch.context() as patch:
-            patch.setattr(bathsim._PlusSector, "plus_blocks", rows_at_every_time)
+            patch.setattr(bathsim, "plus_flows", rows_at_every_time)
             return evolve(model, state, times, override_horizon=True)
 
     def assert_rows_agree(self, monkeypatch, model, state, times):
@@ -310,6 +312,23 @@ class TestThermalRoute:
                                        coupling_type=coupling)
         state = initial_state(model, "two-mode-squeezed", r=1.0)
         self.assert_rows_agree(monkeypatch, model, state, times)
+
+    @pytest.mark.parametrize("name", ["fig3a", "fig3a_coupled", "fig3b", "fig3c"])
+    def test_paper_configs_match_the_dense_route(self, name):
+        # the integral over row-block products against dense rows at every 100th sample
+        config = load_config(Path(__file__).resolve().parent.parent / "configs" / f"{name}.cfg")
+        model = config.build_model()
+        state = initial_state(model, config.kind, r=config.r, purity_product=config.purity_product)
+        times = np.linspace(0.0, config.t_max, 2001)
+        traj, energies = entanglement_trajectory(model, state, times)
+        a2, theta = row_route_blocks(model, times[::100])
+        flow = np.zeros((a2.shape[0], 4, 4))
+        flow[:, :2, :2], flow[:, 2:, 2:] = a2, bathsim._minus_rotation(model, times[::100])
+        virtual = flow @ (BEAM_SPLITTER @ state.cov @ BEAM_SPLITTER.T) @ flow.transpose(0, 2, 1)
+        virtual[:, :2, :2] += theta
+        want = BEAM_SPLITTER @ virtual @ BEAM_SPLITTER.T
+        assert np.abs(traj.covs[::100] - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.abs(energies[::100] - log_negativity(0.5 * (want + want.transpose(0, 2, 1)))).max() <= 1e-10
 
     @pytest.mark.parametrize("coupling", ["position", "symmetric"])
     def test_non_uniform_grid_is_rejected(self, coupling):
@@ -344,9 +363,9 @@ class TestThermalRoute:
         sizes = []
         rows = bathsim._PlusSector.rows
 
-        def counted(solver, times):
+        def counted(solver, times, bath=None):
             sizes.append(times.size)
-            return rows(solver, times)
+            return rows(solver, times, bath)
 
         monkeypatch.setattr(bathsim._PlusSector, "rows", counted)
         traj = evolve(model, initial_state(model, "coherent-product"), np.linspace(0.0, 40.0, 801))
@@ -358,13 +377,12 @@ class TestThermalRoute:
         solve = bathsim.arrowhead_eigh
 
         def corrupted(*args):
-            freqs, modes, health = solve(*args)
-            modes = modes.copy()
-            modes[5, 3] += 1e-3  # no longer an eigenvector; a uniform rescaling would still be
-            return freqs, modes, health
+            modes = solve(*args)
+            zhat = modes.zhat.copy()
+            zhat[4] *= 1.0 + 1e-3  # bath entry 5 of every mode: no longer the eigenvectors
+            return dataclasses.replace(modes, zhat=zhat)
 
         monkeypatch.setattr(bathsim, "arrowhead_eigh", corrupted)
-        monkeypatch.setattr(bathsim, "_shared", None)  # no solver made before or kept after
 
     def test_checkpoint_catches_a_corrupted_eigenvector(self, monkeypatch, tmp_path):
         self.corrupt_one_eigenvector(monkeypatch)
@@ -379,59 +397,62 @@ class TestThermalRoute:
 
 
 class TestSharedThermalIntegral:
-    """Consecutive runs on one grid share the part of the thermal integral that
-    the occupations do not enter; each run integrates Theta itself, so a
-    second temperature sums only the occupation columns."""
+    """The temperatures of one model physics share one normal-mode solve and
+    one thermal product (``plus_flows``), each Theta equal to a run of its own
+    to rounding; nothing is kept from one call to the next."""
 
     TIMES = np.linspace(20.0, 30.0, 200)
 
     @staticmethod
-    def run(model, r, purity, times=TIMES):
+    def run(model, r, purity, times=TIMES, flow=None):
         state = initial_state(model, "two-mode-squeezed", r=r, purity_product=purity)
-        return entanglement_trajectory(model, state, times)
+        return entanglement_trajectory(model, state, times, flow=flow)
 
     def test_a_new_temperature_or_grid_integrates_again(self, integrals):
-        bathsim.release_shared_solver()
         model = small_model(n=400, temperature=2.0)
-        self.run(model, 1.0, 0.5)
-        self.run(model, 2.0, 0.8)  # the same temperature and grid: no integral is kept
+        runs = [self.run(model, 1.0, 0.5)[0], self.run(model, 2.0, 0.8)[0]]
         assert len(integrals) == 2 and np.array_equal(integrals[1][0], integrals[0][0])
-        warmer = small_model(n=400, temperature=6.0)
-        traj, _ = self.run(warmer, 1.0, 0.5)
-        assert traj.info["normal_mode_solves"] == 0 and len(integrals) == 3
-        assert not np.array_equal(integrals[2][0], integrals[0][0])
-        traj, _ = self.run(warmer, 1.0, 0.5, times=self.TIMES + 0.5)
-        assert traj.info["normal_mode_solves"] == 0 and len(integrals) == 4
+        runs.append(self.run(small_model(n=400, temperature=6.0), 1.0, 0.5)[0])
+        assert len(integrals) == 3 and not np.array_equal(integrals[2][0], integrals[0][0])
+        runs.append(self.run(model, 1.0, 0.5, times=self.TIMES + 0.5)[0])
+        assert len(integrals) == 4
+        for traj in runs:
+            assert traj.info["normal_mode_solves"] == 1 == traj.info["thermal_grids"]
 
     def test_a_second_temperature_reuses_the_grid_part(self, integrals):
-        bathsim.release_shared_solver()
-        first, _ = self.run(small_model(n=400, temperature=2.0), 1.0, 0.5)
-        grid = bathsim._shared[1]._grid
-        warmer = small_model(n=400, temperature=6.0)
-        second, _ = self.run(warmer, 1.0, 0.5)
-        assert (first.info["thermal_grids"], second.info["thermal_grids"]) == (1, 0)
-        assert len(integrals) == 2 and bathsim._shared[1]._grid is grid
-        a2, theta = grid.a2, integrals[1][0]
-        bathsim.release_shared_solver()
-        fresh, _ = self.run(warmer, 1.0, 0.5)
-        assert fresh.info["thermal_grids"] == 1
-        fresh_a2, fresh_theta = bathsim._shared[1]._grid.a2, integrals[2][0]
-        # the two u y columns summed alone give the bits of the five-column product
-        assert np.array_equal(a2, fresh_a2) and np.array_equal(theta, fresh_theta)
-        assert np.array_equal(second.covs, fresh.covs)
+        models = [small_model(n=400, temperature=t) for t in (2.0, 6.0, 0.0)]
+        flows = bathsim.plus_flows(models, self.TIMES)
+        (thetas, nodes, _), = integrals  # one product for the three temperatures
+        assert thetas.shape == (3, self.TIMES.size, 2, 2)
+        assert [flow.info["normal_mode_solves"] for flow in flows] == [1, 0, 0]
+        assert [flow.info["thermal_grids"] for flow in flows] == [1, 0, 0]
+        assert all(flow.a2 is flows[0].a2 for flow in flows)
+        for model, flow in zip(models, flows):
+            alone, = bathsim.plus_flows([model], self.TIMES)
+            assert flow.info["thermal_nodes"] == alone.info["thermal_nodes"] == nodes
+            assert np.abs(flow.theta - alone.theta).max() <= 1e-15 * np.abs(alone.theta).max()
+            assert np.abs(flow.a2 - alone.a2).max() <= 1e-15
+            batched, _ = self.run(model, 1.0, 0.5, flow=flow)
+            own, _ = self.run(model, 1.0, 0.5)
+            assert np.abs(batched.covs - own.covs).max() <= 1e-14 * np.abs(own.covs).max()
 
-    def test_a_shifted_grid_a_new_physics_or_a_release_drops_the_grid_part(self):
-        bathsim.release_shared_solver()
+    def test_every_call_solves_its_own_normal_modes(self, monkeypatch):
+        solves = []
+        solve = bathsim.arrowhead_eigh
+
+        def counted(*args):
+            solves.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(bathsim, "arrowhead_eigh", counted)
         model = small_model(n=400, temperature=2.0)
-        self.run(model, 1.0, 0.5)
-        grid = bathsim._shared[1]._grid
-        traj, _ = self.run(model, 1.0, 0.5, times=self.TIMES + 0.5)
-        assert traj.info["thermal_grids"] == 1 and bathsim._shared[1]._grid is not grid
-        traj, _ = self.run(small_model(n=400, temperature=2.0, c12=-0.2), 1.0, 0.5)
-        assert traj.info["normal_mode_solves"] == 1 == traj.info["thermal_grids"]
-        bathsim.release_shared_solver()
-        traj, _ = self.run(model, 1.0, 0.5)
-        assert traj.info["normal_mode_solves"] == 1 == traj.info["thermal_grids"]
+        for times, physics in ((self.TIMES, model), (self.TIMES, model),
+                               (self.TIMES + 0.5, model),
+                               (self.TIMES, small_model(n=400, temperature=2.0, c12=-0.2))):
+            traj, _ = self.run(physics, 1.0, 0.5, times=times)
+            assert traj.info["normal_mode_solves"] == 1 == traj.info["thermal_grids"]
+        assert len(solves) == 4
+        assert not hasattr(bathsim, "_shared") and not hasattr(bathsim, "release_shared_solver")
 
     def test_each_state_of_a_stack_equals_its_own_run(self):
         model = small_model(n=400, temperature=2.0)
@@ -446,23 +467,72 @@ class TestSharedThermalIntegral:
             assert np.array_equal(stack.covs[i], one.covs)
             assert np.array_equal(energies[i], one_energies)
 
-    def test_stored_blocks_are_read_only_and_released_with_the_solver(self, integrals):
-        bathsim.release_shared_solver()
-        model = small_model(n=400)
-        self.run(model, 1.0, 0.5)
-        solver = bathsim._shared[1]
-        grid = solver._grid
-        (theta, _, _), = integrals
-        kept = (grid.a2, theta, *grid.ends, grid.weights, grid.turn, grid.block, grid.first,
-                *grid.sums)
+    def test_a_stack_of_checked_covariances_equals_the_states(self):
+        model = small_model(n=400, temperature=2.0)
+        states = [initial_state(model, "two-mode-squeezed", r=r) for r in (0.5, 2.0)]
+        covs = np.array([state.cov for state in states])
+        assert np.array_equal(evolve(model, covs, self.TIMES).covs,
+                              evolve(model, states, self.TIMES).covs)
+
+    def test_flows_and_grid_are_read_only(self, integrals, monkeypatch):
+        grids = []
+
+        class Recorded(bathsim._TimeGrid):
+            def __init__(self, *args):
+                super().__init__(*args)
+                grids.append(self)
+
+        monkeypatch.setattr(bathsim, "_TimeGrid", Recorded)
+        flow, = bathsim.plus_flows([small_model(n=400)], self.TIMES)
+        (grid,), ((thetas, _, _),) = grids, integrals
+        kept = (flow.a2, flow.theta, thetas, grid.weights, grid.turn, grid.block, grid.first)
         assert not any(array.flags.writeable for array in kept)
         with pytest.raises(ValueError):
-            theta[0, 0, 0] = 0.0
-        bathsim.release_shared_solver()
-        assert bathsim._shared is None
-        traj, _ = self.run(model, 1.0, 0.5)
-        assert traj.info["normal_mode_solves"] == 1 == traj.info["thermal_grids"]
-        assert len(integrals) == 2 and bathsim._shared[1] is not solver
+            flow.theta[0, 0, 0] = 0.0
+
+
+class TestExactStart:
+    """At t = 0 the flow is the identity and Theta 0, exactly: the first sample
+    is the input up to the rounding of the beam splitter."""
+
+    def test_separable_input_starts_separable(self):
+        # fig3c's pure product sits on the max(0, .) clamp of E_N, which the
+        # rounding of rows and node sums at t = 0 lifted to 1.05e-8 on this grid
+        config = load_config(Path(__file__).resolve().parent.parent / "configs" / "fig3c.cfg")
+        model = config.build_model()
+        state = initial_state(model, config.kind, r=config.r, purity_product=config.purity_product)
+        traj, energies = entanglement_trajectory(model, state, [0.0, 0.05])
+        assert energies[0] <= 1e-15 and energies[1] > 1.0
+        flow, = bathsim.plus_flows([model], np.array([0.0, 0.05]))
+        assert np.array_equal(flow.a2[0], np.eye(2)) and not flow.theta[0].any()
+        # the first sample is the input but for the beam splitter's rounding
+        assert np.abs(traj.covs[0] - state.cov).max() <= 1e-15 * np.abs(state.cov).max()
+
+    def test_a_later_start_keeps_its_rows(self):
+        model = small_model("symmetric", n=300)
+        flow, = bathsim.plus_flows([model], np.array([0.5, 1.0]))
+        assert not np.array_equal(flow.a2[0], np.eye(2)) and flow.theta[0].any()
+
+
+class TestMemory:
+    def test_solver_holds_blocks_not_matrices(self):
+        # the dense route held two (N+1)^2 matrices, 258 MB at N = 4000; the
+        # (+)-sector phase block of a grid, _TIME_CHUNK x 2N, is not part of this
+        model = FullModel.renormalized(DENSITY, 4000, 2.0, omega_r=1.0)
+        tracemalloc.start()
+        try:
+            solver = bathsim._PlusSector(model)
+            scaled = ((model.bath.occupations + 0.5) * solver.noise)[:, None]
+            rows, y = solver.rows(np.array([0.0, 600.0]), scaled)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+        assert rows[0].shape == (2, 4001) and y.shape == (4001, 1)
+        state = initial_state(model, "two-mode-squeezed", r=1.0)
+        traj, energies = entanglement_trajectory(model, state, np.linspace(0.0, 0.5, 11))
+        assert traj.info["bath_modes"] == 4000 and traj.info["thermal_drift"] < 1e-12
+        assert energies[0] == pytest.approx(2.0, rel=1e-12)
 
 
 class TestModelConstruction:

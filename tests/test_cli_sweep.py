@@ -100,8 +100,8 @@ class TestEvolveCommand:
         assert float(rows[-1]["t"]) == 30.0
 
     def test_fig3c_starts_separable(self, tmp_path):
-        # the benchmark's seed-0 fig3c run; its E_N(0) is 0 only up to rounding
-        # of the normal modes, so guard it against the benchmark's 1e-9
+        # the benchmark's seed-0 fig3c run; its separable input puts E_N(0) on
+        # the max(0, .) clamp, so guard it against the benchmark's 1e-9
         cfg = Path(__file__).resolve().parent.parent / "configs" / "fig3c.cfg"
         assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         first = read_csv(tmp_path / "o" / "trajectory.csv")[0]
@@ -150,14 +150,14 @@ def assert_same_artifacts(a: Path, b: Path):
 
 
 class TestSharedNormalModes:
-    """A command solves the (+)-sector normal modes once per C12 and shares
-    them with no other command."""
+    """A command solves the (+)-sector normal modes once per C12, sums the
+    thermal terms of all that C12's temperatures in one product, and shares
+    nothing with another command."""
 
     GRID = "\n[sweep]\ntemperatures = 0.5, 8.0\nsqueezings = 0.1, 2.5\n"
 
     @pytest.fixture
     def solves(self, monkeypatch):
-        bathsim.release_shared_solver()  # a library call in an earlier test may have left one
         calls = []
         solve = bathsim.arrowhead_eigh
 
@@ -192,19 +192,20 @@ class TestSharedNormalModes:
     ], ids=["grid", "two-c12", "repeated-T"])
     def test_one_thermal_integral_per_c12_and_temperature(self, tmp_path, solves, integrals,
                                                          axes, c12s):
+        # one Theta per (C12, T), all of a C12's from one product over its window
         code, info = self.verify(tmp_path, BASE + axes)
         report = json.loads((tmp_path / "o" / "verify_report.json").read_text())
         pairs = {(p["T"], p["C12"]) for p in report["points"] if "simulated" in p}
         assert code == 0 and {c12 for _, c12 in pairs} == c12s
-        assert len(integrals) == len(pairs) < info["simulated_points"]
-        assert info["thermal_nodes"] == sum(nodes for _, nodes, _ in integrals) > 0
-        assert info["thermal_grids"] == len(c12s)  # one window per C12
+        assert len(integrals) == len(c12s) == info["thermal_grids"] == info["normal_mode_solves"]
+        assert sum(len(thetas) for thetas, _, _ in integrals) == len(pairs) < info["simulated_points"]
+        assert info["thermal_nodes"] == sum(nodes * len(thetas) for thetas, nodes, _ in integrals) > 0
 
     def test_evolve_integrates_once(self, tmp_path, solves, integrals):
         cfg = write_cfg(tmp_path, BASE)
         assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         info = json.loads((tmp_path / "o" / "run_info.json").read_text())
-        assert len(integrals) == 1 == info["thermal_grids"]
+        assert len(integrals) == 1 == info["thermal_grids"] and len(integrals[0][0]) == 1
         assert info["thermal_nodes"] == integrals[0][1] > 0
 
     def test_nothing_is_shared_across_commands(self, tmp_path, solves):
@@ -652,7 +653,7 @@ squeezings = 1.67
         assert "0 failing and 9 errored" in capsys.readouterr().out
 
     def test_simulation_error_carries_its_reason(self, tmp_path, monkeypatch):
-        def fail(model, states, times):
+        def fail(model, states, times, flow):
             raise NumericsError("injected")
 
         monkeypatch.setattr(sweep, "entanglement_trajectory", fail)
@@ -674,18 +675,37 @@ squeezings = 1.67
 
     def test_a_failed_initial_state_errors_only_its_point(self, tmp_path, monkeypatch):
         _, clean, _ = self.run_pair(tmp_path, "clean")
-        build = sweep.initial_state
+        build = sweep.initial_covariance
 
         def fail_squeezed(model, kind, r, purity_product):
             if r == 2.5:
                 raise ValidationError("injected")
             return build(model, kind, r=r, purity_product=purity_product)
 
-        monkeypatch.setattr(sweep, "initial_state", fail_squeezed)
+        monkeypatch.setattr(sweep, "initial_covariance", fail_squeezed)
         code, points, info = self.run_pair(tmp_path, "o")
         assert code == 3 and info["simulated_points"] == 1
         assert points[0] == clean[0] and points[0]["status"] == "pass"
         assert points[1]["reason"] == "ValidationError: injected"
+
+    def test_initial_states_are_checked_as_one_stack(self, tmp_path, monkeypatch):
+        _, clean, _ = self.run_pair(tmp_path, "clean")
+        build, check, stacks = sweep.initial_covariance, sweep.check_states, []
+
+        def squeezed_below_the_vacuum(model, kind, r, purity_product):
+            cov = build(model, kind, r=r, purity_product=purity_product)
+            return 0.5 * cov if r == 2.5 else cov
+
+        def counted(means, covs):
+            stacks.append(len(covs))
+            return check(means, covs)
+
+        monkeypatch.setattr(sweep, "initial_covariance", squeezed_below_the_vacuum)
+        monkeypatch.setattr(sweep, "check_states", counted)
+        code, points, info = self.run_pair(tmp_path, "o")
+        assert code == 3 and info["simulated_points"] == 1 and stacks == [2, 1]
+        assert points[0] == clean[0] and points[0]["status"] == "pass"
+        assert points[1]["reason"].startswith("ValidationError: unphysical covariance")
 
     def test_an_unphysical_sample_errors_only_its_point(self, tmp_path, monkeypatch):
         _, clean, _ = self.run_pair(tmp_path, "clean")

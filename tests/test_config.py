@@ -91,6 +91,23 @@ dt = -0.1
             load_config(write(tmp_path, MINIMAL + "\n[grid]\ndt = 0.02\n"))
         assert "dt*cutoff" in str(err.value)
 
+    def test_grid_is_checked_only_where_it_is_read(self, tmp_path, capsys):
+        # the default dt = 0.005 at cutoff 25 and the default t_max = 100 past the
+        # 64-mode horizon of 8.04: neither is read by phase-diagram or verify
+        text = (MINIMAL.replace("cutoff = 20.0", "cutoff = 25.0")
+                .replace("temperature = 10.0", "temperature = 10.0\nmodes = 64"))
+        path = write(tmp_path, text)
+        config = load_config(path, grid=False)
+        assert (config.dt, config.t_max) == (0.005, 100.0)
+        with pytest.raises(ConfigError, match=r"dt\*cutoff = 0.125 exceeds 0.1"):
+            load_config(path)
+        assert main(["phase-diagram", "--config", str(path), "--out", str(tmp_path / "p")]) == 0
+        capsys.readouterr()
+        for command in ("evolve", "coeffs"):
+            assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 2
+            err = capsys.readouterr().err
+            assert "dt*cutoff = 0.125 exceeds 0.1" in err and "validity horizon" in err
+
     def test_bare_mode_needs_omega0(self, tmp_path):
         text = MINIMAL.replace("omega_r = 1.0", "renormalization = bare")
         with pytest.raises(ConfigError) as err:

@@ -184,6 +184,13 @@ dt_out = 0.3
 """
 
 
+#: found by the draws once a RuntimeWarning failed tier-1: at the smallest
+#: positive temperature w/2T overflowed inside coth(w/2T) (exit 5 under -W error)
+SUBNORMAL_TEMPERATURE = FOUND_SWEEP_PURITY.replace(
+    "temperatures = 3.5689011476072023:2.276670419276055:2", "temperatures = 5e-324").replace(
+    "purity_values = -1.143768777552442", "purity_values = 0.5")
+
+
 def _run(tmp_path_factory, command: str, text: str, flags=()):
     """(exit code, output directory) of one CLI call; argparse's exit counts."""
     directory = tmp_path_factory.mktemp("run")
@@ -198,6 +205,8 @@ def _run(tmp_path_factory, command: str, text: str, flags=()):
 @settings(max_examples=60, deadline=None)
 @given(run=runs())
 @example(run=("verify", FOUND_SWEEP_PURITY, False))
+@example(run=("verify", SUBNORMAL_TEMPERATURE.replace("symmetric", "position"), False))
+@example(run=("phase-diagram", SUBNORMAL_TEMPERATURE, False))
 @example(run=("phase-diagram", FOUND_SWEEP_PURITY, False))
 @example(run=("phase-diagram", FOUND_SWEEP_PURITY.replace("3.5689011476072023:", "-1.0:")
                .replace("-1.143768777552442", "0.5"), False))

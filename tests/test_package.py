@@ -44,6 +44,8 @@ def test_removed_names_are_gone():
                          (gaussian, "partial_transpose"), (gaussian, "_PT"), (gaussian, "purity"),
                          (gaussian, "thermal_cov"), (gaussian, "coherent_product_state"),
                          (gaussian, "squeezed_product_state"), (bathsim, "_runs"),
+                         (bathsim, "release_shared_solver"), (bathsim, "_shared"),
+                         (bathsim, "_physics_key"), (bathsim, "_plus_solver"),
                          (asymptotics, "resource_conditions"), (asymptotics, "ResourceFlags")):
         assert name not in entbath.__all__ and not hasattr(module, name), name
     # no artifact wrote the resource flags; a coherent input's fate is e_mean > 0 at r = 0

@@ -8,7 +8,9 @@ from scipy.integrate import quad
 from entbath.asymptotics import ladder_bound_state
 from entbath.bathsim import FullModel, evolve, initial_state
 from entbath.errors import NumericsError, ParameterRegimeError, ValidationError
+from oracles import dense_arrowhead_eigh
 from entbath.spectra import (
+    _BLOCK,
     DiscretizedBath,
     OhmicSpectralDensity,
     arrowhead_eigh,
@@ -202,7 +204,8 @@ def sector(coupling, gamma0, cutoff, c12, n=1000):
 class TestArrowheadEigh:
     @staticmethod
     def assert_matches_dense(a, z, d):
-        lam, vecs, health = arrowhead_eigh(a, z, d)
+        modes = arrowhead_eigh(a, z, d)
+        lam, vecs, health = modes.values, modes.dense(), modes.health
         dense = arrowhead(a, z, d)
         ref, ref_vecs = np.linalg.eigh(dense)
         norm = np.abs(ref).max()
@@ -213,10 +216,26 @@ class TestArrowheadEigh:
         assert 0 < health["secular_iterations"] <= 30 and health["secular_z_drift"] < 1e-12
         return lam, vecs
 
+    @staticmethod
+    def assert_blocks_equal_dense_route(a, z, d):
+        """The row-block route gives the bits of the (N+1)^2 one, and its
+        products equal those of the dense eigenvectors to rounding."""
+        modes = arrowhead_eigh(a, z, d)
+        lam, vecs, zhat, norms = dense_arrowhead_eigh(a, z, d)
+        assert np.array_equal(modes.values, lam) and np.array_equal(modes.zhat, zhat)
+        assert np.array_equal(modes.norms, norms) and np.array_equal(modes.dense(), vecs)
+        rng = np.random.default_rng(d.size)
+        left, bath = rng.normal(size=(3, d.size + 1)), rng.normal(size=(d.size, 2))
+        rows, weights = modes.products(left, bath)
+        assert np.abs(rows - left @ vecs.T).max() <= 1e-13 * np.abs(left).sum(axis=1).max()
+        assert np.abs(weights - vecs[1:].T @ bath).max() <= 1e-13 * np.abs(bath).sum(axis=0).max()
+
     @pytest.mark.parametrize("n", [1, 2, 7, 200])
     def test_random_arrowheads(self, n):
         rng = np.random.default_rng(n)
-        self.assert_matches_dense(rng.normal(), rng.normal(size=n), np.sort(rng.normal(size=n)))
+        args = rng.normal(), rng.normal(size=n), np.sort(rng.normal(size=n))
+        self.assert_matches_dense(*args)
+        self.assert_blocks_equal_dense_route(*args)
 
     @pytest.mark.parametrize("coupling, gamma0, cutoff, c12", [
         ("position", 0.1, 20.0, 0.0),
@@ -227,10 +246,16 @@ class TestArrowheadEigh:
     ])
     def test_sector_matrices(self, coupling, gamma0, cutoff, c12):
         self.assert_matches_dense(*sector(coupling, gamma0, cutoff, c12))
+        self.assert_blocks_equal_dense_route(*sector(coupling, gamma0, cutoff, c12))
+
+    def test_blocks_span_many_rows_at_large_n(self):
+        # 8 rows a block at N = 4000: the running Loewner product crosses 500 blocks
+        self.assert_blocks_equal_dense_route(*sector("position", 0.1, 20.0, 0.0, n=4000))
 
     def test_bound_state_above_the_cutoff(self):
         a, z, d = sector("symmetric", 0.1, 2.5, 0.99)
-        lam, vecs, _ = arrowhead_eigh(a, z, d)
+        modes = arrowhead_eigh(a, z, d)
+        lam, vecs = modes.values, modes.dense()
         model = FullModel.renormalized(OhmicSpectralDensity(0.1, 2.5), 1000, 0.0, omega_r=1.0,
                                        c12=0.99, coupling_type="symmetric")
         omega_b, weight = ladder_bound_state(model.density, a, model.omega0)
@@ -241,17 +266,20 @@ class TestArrowheadEigh:
     def test_unstable_sector_is_a_regime_error(self):
         model = FullModel.bare(OhmicSpectralDensity(0.1, 20.0), 1000, 1.0, omega0=1.0)
         a, z, d = model.omega_plus_bare**2, model.bath.position_couplings, model.bath.frequencies**2
-        assert arrowhead_eigh(a, z, d)[0][0] < 0.0  # the solver itself returns the root
+        assert arrowhead_eigh(a, z, d).values[0] < 0.0  # the solver itself returns the root
         with pytest.raises(ParameterRegimeError):
             evolve(model, initial_state(model, "coherent-product"), [0.0, 1.0])
 
     def test_free_bath_gives_the_identity(self):
         d = np.linspace(0.5, 3.0, 6)
-        lam, vecs, health = arrowhead_eigh(1.2, np.zeros(6), d)
-        assert np.array_equal(lam, np.sort(np.append(d, 1.2)))
+        modes = arrowhead_eigh(1.2, np.zeros(6), d)
+        assert np.array_equal(modes.values, np.sort(np.append(d, 1.2)))
         order = np.argsort(np.append(1.2, d), kind="stable")
-        assert np.array_equal(vecs, np.eye(7)[:, order])
-        assert health == {"secular_iterations": 0, "secular_z_drift": 0.0}
+        assert np.array_equal(modes.dense(), np.eye(7)[:, order])
+        assert modes.health == {"secular_iterations": 0, "secular_z_drift": 0.0}
+        rows, weights = modes.products(np.arange(14.0).reshape(2, 7), np.ones((6, 1)))
+        assert np.array_equal(rows, np.arange(14.0).reshape(2, 7) @ np.eye(7)[:, order].T)
+        assert np.array_equal(weights[:, 0], np.eye(7)[1:, order].sum(axis=0))
 
     def test_zero_coupling_mid_band_deflates(self):
         rng = np.random.default_rng(3)
@@ -261,6 +289,7 @@ class TestArrowheadEigh:
         lam, vecs = self.assert_matches_dense(1.5, z, d)
         pair = np.flatnonzero(lam == d[17])
         assert pair.size == 1 and np.array_equal(vecs[:, pair[0]], np.eye(41)[18])
+        self.assert_blocks_equal_dense_route(1.5, z, d)
 
     def test_one_mode(self):
         lam, vecs = self.assert_matches_dense(1.0, np.array([0.3]), np.array([1.0]))
@@ -271,7 +300,21 @@ class TestArrowheadEigh:
         with pytest.raises(NumericsError):
             arrowhead_eigh(0.5, np.ones(3), np.array(d))
 
+    def test_unconverged_roots_raise(self, monkeypatch, tmp_path):
+        from entbath import spectra
+        from entbath.cli import main
+
+        monkeypatch.setattr(spectra, "_MAX_SWEEPS", 2)
+        with pytest.raises(NumericsError, match=r"secular equation: \d+ root\(s\) unconverged"):
+            arrowhead_eigh(*sector("position", 0.1, 20.0, 0.0, n=200))
+        (tmp_path / "run.cfg").write_text(
+            "[model]\nomega_r = 1.0\n[bath]\ngamma0 = 0.1\ncutoff = 20.0\ntemperature = 1.0\n"
+            "modes = 200\n[grid]\nt_max = 5.0\n")
+        assert main(["evolve", "--config", str(tmp_path / "run.cfg"),
+                     "--out", str(tmp_path / "o")]) == 3
+
     def test_memory_stays_within_four_matrices(self):
+        # four row blocks and O(N) vectors, not the (N+1)^2 eigenvectors (32 MB here)
         a, z, d = sector("position", 0.1, 20.0, 0.0)
         n = d.size
         tracemalloc.start()
@@ -280,4 +323,4 @@ class TestArrowheadEigh:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * 8 * n * (n + 1) + 2**20
+        assert peak <= 8 * (4 * _BLOCK + 64 * (n + 1))
