@@ -43,6 +43,7 @@ from .gaussian import (
     BEAM_SPLITTER,
     GaussianState,
     ModeSpec,
+    check_each,
     check_states,
     log_negativity,
     relative_defect,
@@ -288,17 +289,17 @@ class _PlusSector:
     thermal vector of each temperature.
     """
 
-    def __init__(self, model: FullModel):
-        bath = model.bath
-        self.position = model.coupling_type == POSITION
-        if self.position:
-            self.arrowhead = (model.omega_plus_bare**2,
-                              bath.position_couplings / np.sqrt(model.mass * bath.masses),
+    def __init__(self, bath: DiscretizedBath, omega: float, scale: float, position: bool):
+        """The sector of an x+ of bare frequency ``omega`` and x-to-p scale
+        ``scale`` (m for position coupling, m omega0 for symmetric) on ``bath``."""
+        self.position = position
+        if position:
+            self.arrowhead = (omega**2, bath.position_couplings / np.sqrt(scale * bath.masses),
                               bath.frequencies**2)
-            scales = np.concatenate(([model.mass], bath.masses))
+            scales = np.concatenate(([scale], bath.masses))
         else:
-            self.arrowhead = (model.omega_plus_bare, bath.ladder_couplings, bath.frequencies)
-            scales = np.concatenate(([model.mass * model.omega0], bath.masses * bath.frequencies))
+            self.arrowhead = (omega, bath.ladder_couplings, bath.frequencies)
+            scales = np.concatenate(([scale], bath.masses * bath.frequencies))
         self.scales = np.sqrt(scales)  # square roots of each coordinate's x-to-p scale
         self.modes = arrowhead_eigh(*self.arrowhead)
         self.health = self.modes.health
@@ -322,6 +323,12 @@ class _PlusSector:
             self.kernels = np.array([ones, -1j * ones, -1j * ones])
             self.noise = z
             self.feeds_momentum = 1.0  # the bath also drives x+, through pi_k
+
+    @classmethod
+    def of(cls, model: FullModel) -> "_PlusSector":
+        position = model.coupling_type == POSITION
+        scale = model.mass if position else model.mass * model.omega0
+        return cls(model.bath, model.omega_plus_bare, scale, position)
 
     def sine(self, phases: np.ndarray) -> np.ndarray:
         """The sine kernel sigma of each mode at the given phases."""
@@ -353,8 +360,9 @@ class _PlusSector:
     def thermal(self, baths: list, times: np.ndarray):
         """The system block a2 of the sector propagator at ``times``, (T, 2, 2);
         the thermal covariance Theta of (x+, p+) of each bath, (B, T, 2, 2);
-        the quadrature nodes each Theta took; and the relative drift of each
-        from its direct value at the last time, (B,).
+        the quadrature nodes each Theta took; the relative drift of each from
+        its direct value at the last time, (B,); and the sums c' - i mu' of
+        each bath at ``times``, (B, T) complex.
 
         Theta = B V_b B^T, B the bath columns of the (x+, p+) rows and V_b the
         thermal bath covariance.  As dS/dt = S A and the free bath keeps V_b,
@@ -369,7 +377,8 @@ class _PlusSector:
         one pass over the eigenvectors gives the rows at the two end times and
         every bath's y, and one product per time chunk sums c, sigma, mu and
         every bath's c', mu'.  At t = 0 the flow is the identity and Theta 0,
-        exactly.
+        exactly, and so are c' - i mu' = sum_k (n_k + 1/2) g_k p_k for symmetric
+        coupling, p_k = (exp(-i G t))[0, k].
         """
         scaled = np.stack([(bath.occupations + 0.5) * self.noise for bath in baths], axis=1)
         rows, y = self.rows(times[[0, -1]], scaled)
@@ -378,16 +387,19 @@ class _PlusSector:
         ends = np.stack([_row_theta(rows, bath) for bath in baths])
         theta = np.empty((len(baths), times.size, 2, 2))
         theta[:, 0] = 0.0 if times[0] == 0.0 else ends[:, 0]
+        u = self.modes.first_row
+        feeds = np.empty((len(baths), times.size), dtype=complex)
+        end = (u * y.T) @ (self.kernels[[0, 2]] * np.exp(1j * self.freqs * times[-1])).T
+        feeds[:, -1] = end[:, 0].real - 1j * end[:, 1].real
         nodes, drift = 0, np.zeros(len(baths))
         if times.size > 1:
             grid = _TimeGrid(self.freqs, times)
-            u = self.modes.first_row
             coef = np.concatenate(((u * u) * self.kernels,
                                    ((u * y.T)[:, None] * self.kernels[[0, 2]]).reshape(-1, u.size)))
             b = self.feeds_momentum
             starts, gains = [], []
             for values in grid.node_sums(coef):
-                starts.append(values[:, :3, 0])
+                starts.append(values[:, :, 0])
                 c, sigma = values[:, :2, None, 1:].transpose(1, 0, 2, 3)
                 c1, mu1 = values[:, 3::2, 1:], values[:, 4::2, 1:]
                 # xx, xp and pp of a2 K^T + K a2^T at the nodes, per bath
@@ -396,7 +408,9 @@ class _PlusSector:
                                   2.0 * (c * mu1 - b * sigma * c1)), axis=2)
                 gains.append(0.5 * grid.h * rates @ grid.weights)
             s0sq = self.scales[0] ** 2
-            c, sigma, mu = np.concatenate(starts)[grid.first].T
+            first = np.concatenate(starts)[grid.first]
+            c, sigma, mu = first[:, :3].T
+            feeds[:, :-1] = (first[:, 3::2] - 1j * first[:, 4::2]).T
             a2[:-1] = np.stack((c, sigma / s0sq, -mu * s0sq, c), axis=1).reshape(-1, 2, 2)
             gain = np.cumsum(np.concatenate(gains), axis=0)[grid.first + grid.per - 1]
             gain = (gain[..., [0, 1, 1, 2]] * [1 / s0sq, 1, 1, s0sq]).reshape(-1, len(baths), 2, 2)
@@ -405,9 +419,9 @@ class _PlusSector:
                      / np.maximum(1.0, np.abs(ends[:, -1]).max(axis=(1, 2))))
             nodes = grid.done * grid.weights.size
         if times[0] == 0.0:
-            a2[0] = np.eye(2)
-        _read_only(a2, theta)
-        return a2, theta, nodes, drift
+            a2[0], feeds[:, 0] = np.eye(2), 0.0
+        _read_only(a2, theta, feeds)
+        return a2, theta, nodes, drift, feeds
 
 
 class _TimeGrid:
@@ -529,7 +543,10 @@ class Trajectory:
         return tuple(GaussianState(m, c) for m, c in zip(self.means, self.covs))
 
 
-def _validate_times(model: FullModel, times, override_horizon: bool) -> np.ndarray:
+def _validate_times(times, horizon: float = math.inf) -> np.ndarray:
+    """``times`` as floats: a 1-D grid of finite, non-negative, strictly
+    increasing times with equal steps up to rounding (as ``_TimeGrid`` takes
+    it), whose last time is inside ``horizon``."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValidationError("times must be a non-empty 1-D grid")
@@ -540,10 +557,10 @@ def _validate_times(model: FullModel, times, override_horizon: bool) -> np.ndarr
     step = (times[-1] - times[0]) / max(times.size - 1, 1)
     if np.abs(times - times[0] - step * np.arange(times.size)).max() > 8 * _EPS * times[-1]:
         raise ValidationError("times must be a uniform grid (equal steps up to rounding)")
-    if not override_horizon and times[-1] > model.validity_horizon * (1.0 + 1e-12):
+    if times[-1] > horizon * (1.0 + 1e-12):
         raise HorizonError(
             f"requested time {times[-1]:.6g} exceeds the validity horizon "
-            f"{model.validity_horizon:.6g} (= recurrence time / 2); increase the "
+            f"{horizon:.6g} (= recurrence time / 2); increase the "
             "number of bath modes or pass override_horizon=True"
         )
     return times
@@ -568,11 +585,11 @@ def plus_flows(models: list, times, override_horizon: bool = False) -> list[Plus
     C12.  The first flow counts the solve and the grid pass
     (``normal_mode_solves``, ``thermal_grids``); each has its own
     ``thermal_nodes`` and ``thermal_drift``, which ``evolve`` checks."""
-    times = _validate_times(models[0], times, override_horizon)
+    times = _validate_times(times, math.inf if override_horizon else models[0].validity_horizon)
     start = time.perf_counter()
-    solver = _PlusSector(models[0])
+    solver = _PlusSector.of(models[0])
     solve_s = time.perf_counter() - start
-    a2, thetas, nodes, drifts = solver.thermal([model.bath for model in models], times)
+    a2, thetas, nodes, drifts, _ = solver.thermal([model.bath for model in models], times)
     return [PlusFlow(a2, theta, {**solver.health, "normal_mode_solves": int(i == 0),
                                  "normal_modes_s": solve_s if i == 0 else 0.0,
                                  "thermal_grids": int(i == 0), "thermal_nodes": nodes,
@@ -606,7 +623,7 @@ def evolve(
     ``plus_flows``, where models of other temperatures share its solve; by
     default ``evolve`` makes its own.
     """
-    times = _validate_times(model, times, override_horizon)
+    times = _validate_times(times, math.inf if override_horizon else model.validity_horizon)
     if flow is None:
         flow, = plus_flows([model], times, override_horizon)
     drift = flow.info["thermal_drift"]
@@ -635,19 +652,13 @@ def evolve(
     cov_site = sbs @ virtual_cov @ sbs.T
     cov_site = 0.5 * (cov_site + np.swapaxes(cov_site, -1, -2))
     means = (sbs @ virtual_mean)[..., 0]
-    kept, unphysical = list(range(len(covs0))), {}
-    while True:  # a failed state leaves the stack, and the rest are checked again
-        try:
-            covs, tightest = check_states(means[kept], cov_site[kept])
-            break
-        except ValidationError as exc:
-            state, sample = divmod(exc.index, times.size)
-            unphysical[kept.pop(state)] = NumericsError(
-                "numerical instability: reduced state unphysical at "
-                f"t={times[sample]:.6g} ({exc})")
+    covs, tightest, failed = check_each(means, cov_site, check_states)
+    unphysical = {state: NumericsError("numerical instability: reduced state unphysical at "
+                                       f"t={times[exc.index % times.size]:.6g} ({exc})")
+                  for state, exc in failed.items()}
     if single and unphysical:
         raise unphysical[0]
-    means = means[kept]
+    means = np.delete(means, list(unphysical), axis=0)
     _read_only(means, covs)
     info = {
         "bath_modes": model.bath.n_modes,

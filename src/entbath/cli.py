@@ -197,6 +197,7 @@ def cmd_coeffs(config: RunConfig, out_dir: Path, config_s: float) -> int:
         "t_valid": trace.t_valid,
         "amplitude_floor": trace.amplitude_floor,
         **sol.solve_health,
+        **trace.health,
         "wall_time_s": {"config": config_s, **dict(zip(
             ("model", "amplitude", "coefficients", "write"), np.diff(marks).tolist()))},
     })

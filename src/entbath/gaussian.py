@@ -139,6 +139,21 @@ def check_states(mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, int | N
     return cov, int(np.argmin(pivots)) if n else None
 
 
+def check_each(mean: np.ndarray, cov: np.ndarray,
+               check=check_states) -> tuple[np.ndarray, int | None, dict]:
+    """``check`` over P stacks of states (P, ..., 4) and (P, ..., 4, 4), where a
+    failed stack leaves and the rest are checked again: the covariances that
+    passed, their tightest flat index and {stack index: ValidationError}."""
+    per = math.prod(cov.shape[1:-2])
+    kept, failed = list(range(len(cov))), {}
+    while True:
+        try:
+            checked, tightest = check(mean[kept], cov[kept])
+            return checked, tightest, failed
+        except ValidationError as exc:
+            failed[kept.pop(exc.index // per)] = exc
+
+
 _HALF_J = (0.5j * SYMPLECTIC_FORM)[..., None]
 _SHIFT = (PHYSICALITY_TOL * np.eye(4))[..., None]
 
@@ -233,13 +248,4 @@ def site_cov(plus_cov: np.ndarray, minus_cov: np.ndarray) -> np.ndarray:
     v[:2, :2] = plus_cov
     v[2:, 2:] = minus_cov
     return BEAM_SPLITTER @ v @ BEAM_SPLITTER.T
-
-
-def state_from_virtual_blocks(plus_cov: np.ndarray, minus_cov: np.ndarray) -> GaussianState:
-    """Site-basis state, zero means, from the covariances of the (+,-) modes.
-
-    The beam splitter is orthogonal and symplectic, so the one check of the
-    site-basis state also decides the virtual one.
-    """
-    return GaussianState(np.zeros(4), site_cov(plus_cov, minus_cov))
 

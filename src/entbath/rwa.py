@@ -1,45 +1,46 @@
 """Exact master-equation machinery for the symmetric (ladder) coupling.
 
-The system amplitude a(t) = u(t) a(0) + sum_n p_n(t) b_n(0) solves a Volterra
-equation whose memory kernel is the discrete-mode sum over the bath.  Because
-the kernel is a finite sum of exponentials, the equation is equivalent to the
-(N+1)-dimensional linear system generated by the real symmetric one-excitation
-matrix, an arrowhead, and is propagated exactly through its eigendecomposition
-(an O(N^2) secular solve, ``spectra.arrowhead_eigh``).
-
-From (u, p_n) the time-dependent dissipation, frequency-shift and diffusion
-coefficients of the exact master equation follow from closed sums; the dense
-q_kn table is never materialized (the diffusion sum collapses to O(N)
-accumulators per time).
+The system amplitude a(t) = u(t) a(0) + sum_k p_k(t) b_k(0) solves a Volterra
+equation whose memory kernel is the discrete-mode sum over the bath, so it is
+the (N+1)-dimensional rotation exp(-i G t) of the one-excitation matrix G, an
+arrowhead (``spectra.arrowhead_eigh``).  The coefficients of the exact master
+equation need u and three bath sums: G_u = sum_k g_k p_k, H = sum_k (2 n_k + 1)
+g_k p_k and Q = sum_k (2 n_k + 1) |p_k|^2.  The (+)-sector flow of ``evolve``
+(``bathsim._PlusSector.thermal``) gives them all on the ladder arrowhead with
+unit system scale: u from its system block, Q/2 and H/2 as its thermal
+variance and sum c' - i mu' for the bath, G_u/2 and Q_0/2 (Q_0 = sum_k
+|p_k|^2) for a zero-temperature twin.  Q is integrated from its rate, the
+single-integral noise kernel (Hu, Paz & Zhang, Phys. Rev. D 45, 2843 (1992)),
+so no eigenvector matrix and no (T x N) table of p_k is formed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
+from .bathsim import _THERMAL_DRIFT_TOL, _PlusSector, _validate_times
 from .errors import NumericsError, ValidationError
-from .spectra import DiscretizedBath, arrowhead_eigh
+from .spectra import DiscretizedBath, NormalModes
 
 _MAX_GRID_PRODUCT = 0.1  # largest cutoff * dt, as the config loader allows
 _FLOOR_FACTOR = 3.0
-_TIME_CHUNK = 2048
 
 UNITARITY_TOL = 1e-8
 CONSTRAINT_TOL = 1e-8
 
 
-def _validate_grid(bath: DiscretizedBath, times: np.ndarray) -> np.ndarray:
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 2:
+def _validate_grid(bath: DiscretizedBath, times) -> np.ndarray:
+    """``times`` as a uniform grid (``bathsim._validate_times``) from t = 0 of at
+    least two times, fine enough for the cutoff; there is no horizon."""
+    times = _validate_times(times)
+    if times.size < 2:
         raise ValidationError("times must be a 1-D grid with at least two points")
     if times[0] != 0.0:
         raise ValidationError("amplitude grid must start at t = 0")
     dt = np.diff(times)
-    if np.any(dt <= 0.0):
-        raise ValidationError("times must be strictly increasing")
     cutoff = float(bath.frequencies[-1] + 0.5 * bath.spacing)
     if dt.max() * cutoff > _MAX_GRID_PRODUCT * (1.0 + 1e-9):
         raise ValidationError(
@@ -50,70 +51,65 @@ def _validate_grid(bath: DiscretizedBath, times: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AmplitudeSolution:
-    """System amplitude and bath-mode amplitudes of the one-excitation sector.
+    """System amplitude and bath sums of the one-excitation sector on a grid.
 
     ``u`` is on the printed rotation branch (free limit u = e^{+i w t}), the
-    complex conjugate of the standard branch that the eigenbasis propagates;
-    |u| and all master-equation coefficients are the same on both.
+    complex conjugate of the standard branch exp(-i G t) of the sums
+    ``force`` G_u, ``noise`` H, ``spread`` Q and ``spread_zero`` Q_0; |u| and
+    all master-equation coefficients are the same on both.
     """
 
     times: np.ndarray
     omega: float
     bath: DiscretizedBath
-    _eigvals: np.ndarray = field(repr=False)
-    _eigvecs: np.ndarray = field(repr=False)
+    u: np.ndarray
+    force: np.ndarray
+    noise: np.ndarray
+    spread: np.ndarray
+    spread_zero: np.ndarray
+    modes: NormalModes = field(repr=False)
     solve_health: dict = field(default_factory=dict)
 
-    def _rows(self, modes: bool = True):
-        """(slice, u, p) per chunk of the grid on the standard branch; p, the
-        bath amplitudes p_n(t), is one (T x N)(N x N) product (None unless
-        ``modes``)."""
-        b0 = self._eigvecs * self._eigvecs[0]
-        for lo in range(0, self.times.size, _TIME_CHUNK):
-            ts = self.times[lo : lo + _TIME_CHUNK]
-            phases = np.exp(-1j * np.outer(ts, self._eigvals))
-            p = phases @ b0[1:].T if modes else None
-            yield slice(lo, lo + ts.size), phases @ b0[0], p
-
-    @cached_property
-    def u(self) -> np.ndarray:
-        """System amplitude on the grid, on the printed branch."""
-        return np.concatenate([u for _, u, _ in self._rows(modes=False)]).conj()
-
     def unitarity_defect(self) -> np.ndarray:
-        """|u|^2 + sum_n |p_n|^2 - 1 on the grid (zero for exact evolution)."""
-        return np.concatenate([
-            np.abs(u) ** 2 + np.sum(np.abs(p) ** 2, axis=1) - 1.0 for _, u, p in self._rows()
-        ])
+        """|u|^2 + sum_k |p_k|^2 - 1 on the grid (zero for exact evolution),
+        with sum_k |p_k|^2 the integrated Q_0."""
+        return np.abs(self.u) ** 2 + self.spread_zero - 1.0
 
-    def _propagator(self, t: float) -> np.ndarray:
-        phases = np.exp(-1j * self._eigvals * t)
-        return (self._eigvecs * phases) @ self._eigvecs.T
-
-    def constraint_residual(self, t: float) -> float:
-        """Max |d_k + sum_n q_kn p_n^*| at time t (commutator preservation).
-
-        Evaluated directly from the propagator row sums, without using the
-        orthogonality identity that would make the check circular.
+    def constraint_residual(self, t):
+        """Max over k of |d_k + sum_n q_kn p_n^*| at time(s) t (commutator
+        preservation), a float for one time.  U = exp(-i G t) = V e V^T enters
+        through products with the normal modes only: U[0] = (V[0] e) V^T and
+        U[1:] conj(U[0]) = V[1:] (e (V^T conj(U[0]))).  Neither forms U nor
+        uses V V^T = I, which would make the check circular.
         """
-        uprop = self._propagator(t)
-        u_std = complex(uprop[0, 0])
-        if abs(u_std) < 1e-12:
+        modes = self.modes
+        phase = np.exp(-1j * np.outer(np.atleast_1d(np.asarray(t, dtype=float)), modes.values))
+        first = modes.products(modes.first_row * phase)[0]
+        u_std, p = first[:, 0], first[:, 1:]
+        if np.any(np.abs(u_std) < 1e-12):
             raise NumericsError(f"|u({t})| too small to form d_k")
-        p = uprop[0, 1:]
-        d = uprop[1:, 0] / u_std
-        row_sum = uprop[1:, 1:] @ p.conj()  # sum_n U_kn p_n^*
-        q_dot_p = row_sum - d * np.sum(np.abs(p) ** 2)
-        return float(np.max(np.abs(d + q_dot_p)))
+        back = modes.products(bath=p.conj().T)[1] + modes.first_row[:, None] * u_std.conj()
+        row_sum = modes.products(phase * back.T)[0][:, 1:] - p * u_std.conj()[:, None]
+        d = p / u_std[:, None]  # U[1:, 0] / u, as U is symmetric
+        q_dot_p = row_sum - d * np.sum(np.abs(p) ** 2, axis=1, keepdims=True)
+        residual = np.abs(d + q_dot_p).max(axis=1)
+        return float(residual[0]) if np.ndim(t) == 0 else residual
 
 
 def solve_amplitude(bath: DiscretizedBath, omega: float, times) -> AmplitudeSolution:
-    """Exact amplitude solution on the grid via the one-excitation eigenbasis."""
+    """Exact amplitude and bath sums on a uniform grid from the (+)-sector flow
+    of a level at ``omega`` coupled to ``bath`` and to its zero-temperature twin."""
     times = _validate_grid(bath, times)
-    modes = arrowhead_eigh(omega, bath.ladder_couplings, bath.frequencies)
+    sector = _PlusSector(bath, omega, 1.0, position=False)
+    zero = replace(bath, temperature=0.0)
+    a2, theta, nodes, drift, feeds = sector.thermal([bath, zero], times)
     return AmplitudeSolution(
-        times=times, omega=omega, bath=bath, _eigvals=modes.values, _eigvecs=modes.dense(),
-        solve_health=modes.health,
+        times=times, omega=omega, bath=bath, u=a2[:, 0, 0] + 1j * a2[:, 0, 1],
+        force=2.0 * feeds[1], noise=2.0 * feeds[0],
+        spread=2.0 * theta[0, :, 0, 0], spread_zero=2.0 * theta[1, :, 0, 0],
+        modes=sector.modes,
+        solve_health={**sector.health, "thermal_nodes": nodes,
+                      "thermal_drift": float(drift.max())},
     )
 
 
@@ -136,6 +132,7 @@ class CoefficientTrace:
     omega: float
     cutoff: float
     amplitude_mod: np.ndarray
+    health: dict = field(default_factory=dict)
 
     @cached_property
     def amplitude_floor(self) -> float:
@@ -175,53 +172,45 @@ class CoefficientTrace:
 def extract_coefficients(sol: AmplitudeSolution) -> CoefficientTrace:
     """Master-equation coefficient series from an amplitude solution.
 
-    gamma(t)       = (i/4) sum_k g_k (d_k - d_k^*)
-    delta_omega2/w^2 = (1/2) sum_k g_k (d_k + d_k^*)
+    gamma(t)       = (i/4) sum_k g_k (d_k - d_k^*)    = -(1/2) Im(G_u/u)
+    delta_omega2/w^2 = (1/2) sum_k g_k (d_k + d_k^*)  = Re(G_u/u)
     D(t)/(m w)     = (i/4) sum_{k,l} g_k (q_kl^* p_l - q_kl p_l^*) (2 n_l + 1)
+                   = (1/2) (Im(u H^*) - Im(G_u/u) Q), as Im((w - w_l) |p_l|^2) = 0,
 
-    evaluated on the standard rotation branch (the printed-branch quantities are
-    their conjugates, leaving gamma and D unchanged).  The double sum is
-    contracted analytically to O(N) per time; as Im((w - w_l) |p_l|^2) = 0,
-    its term in p_l is g_l Im(u p_l^*) (2 n_l + 1), one product of p with
-    g (2n + 1).  The same pass over the rows checks unitarity
-    (``AmplitudeSolution.unitarity_defect``).
+    on the standard rotation branch (the printed-branch quantities are their
+    conjugates, leaving gamma and D unchanged), d_k = p_k/u.  First come the
+    checks whose worst values ``health`` records: unitarity at every sample,
+    Q and Q_0 against their direct sums at the last time, and the commutator
+    constraint at four times.
     """
     bath = sol.bath
-    g = bath.ladder_couplings
-    two_n_plus_1 = 2.0 * bath.occupations + 1.0
-    noise = g * two_n_plus_1
-    omega = sol.omega
-
-    n_t = sol.times.size
-    gamma = np.empty(n_t)
-    shift = np.empty(n_t)
-    diff = np.empty(n_t)
-    umod = np.empty(n_t)
-    defect = 0.0
-    for rows, u, p in sol._rows():
-        if np.any(np.abs(u) < 1e-300):
-            raise NumericsError("system amplitude vanished; cannot form coefficients")
-        p_sq = np.abs(p) ** 2
-        defect = max(defect, float(np.abs(np.abs(u) ** 2 + np.sum(p_sq, axis=1) - 1.0).max()))
-        big_g = (p @ g) / u
-        gamma[rows] = -0.5 * np.imag(big_g)
-        shift[rows] = omega**2 * np.real(big_g)
-        diff[rows] = 0.5 * (np.imag(u * np.conj(p @ noise)) - np.imag(big_g) * (p_sq @ two_n_plus_1))
-        umod[rows] = np.abs(u)
+    u = sol.u.conj()
+    if np.any(np.abs(u) < 1e-300):
+        raise NumericsError("system amplitude vanished; cannot form coefficients")
+    defect = float(np.abs(sol.unitarity_defect()).max())
     if defect > UNITARITY_TOL:
         raise ValidationError(f"amplitude solution violates unitarity by {defect:.3e}")
-    for t in sol.times[:: max(1, sol.times.size // 4)][1:]:
-        res = sol.constraint_residual(float(t))
+    drift = sol.solve_health["thermal_drift"]
+    if drift > _THERMAL_DRIFT_TOL:
+        raise NumericsError(
+            f"numerical instability: the integrated bath sums drifted by {drift:.3e} from "
+            f"their direct values at t={sol.times[-1]:.6g}; the normal modes do not give the flow"
+        )
+    checked = sol.times[:: max(1, sol.times.size // 4)][1:]
+    residuals = sol.constraint_residual(checked)
+    for t, res in zip(checked, residuals):
         if res > CONSTRAINT_TOL:
             raise ValidationError(f"commutator constraint violated by {res:.3e} at t={t:.4g}")
+    big_g = sol.force / u
     return CoefficientTrace(
         times=sol.times,
-        gamma=gamma,
-        delta_omega2=shift,
-        diffusion=diff,
-        omega=omega,
+        gamma=-0.5 * np.imag(big_g),
+        delta_omega2=sol.omega**2 * np.real(big_g),
+        diffusion=0.5 * (np.imag(u * np.conj(sol.noise)) - np.imag(big_g) * sol.spread),
+        omega=sol.omega,
         cutoff=float(bath.frequencies[-1] + 0.5 * bath.spacing),
-        amplitude_mod=umod,
+        amplitude_mod=np.abs(u),
+        health={"unitarity_defect": defect, "constraint_residual": float(residuals.max())},
     )
 
 

@@ -219,8 +219,7 @@ class NormalModes:
     (d[origin_i] - d_k) + offset_i, which keeps its full relative accuracy; the
     modes in ``units`` (mode, pole) are unit vectors of deflated bath
     coordinates (their zhat is 0 and their norm inf).  Its products form the
-    eigenvectors a row block at a time and never hold the (N+1)^2 matrix;
-    ``dense`` builds it.
+    eigenvectors a row block at a time and never hold the (N+1)^2 matrix.
     """
 
     values: np.ndarray
@@ -251,15 +250,16 @@ class NormalModes:
         return rows
 
     def products(self, left: np.ndarray | None = None, bath: np.ndarray | None = None):
-        """``left @ V.T`` (m, N+1) and ``V[1:].T @ bath`` (N+1, p) of the
-        eigenvector matrix V (columns), from one pass over its row blocks."""
+        """``left @ V.T`` (m, N+1) and ``V[1:].T @ bath`` (N+1, p), real or
+        complex, of the eigenvector matrix V (columns), from one pass over its
+        row blocks."""
         n = self.poles.size
         rows = weights = None
         if left is not None:
-            rows = np.zeros((left.shape[0], n + 1))
+            rows = np.zeros((left.shape[0], n + 1), left.dtype)
             rows[:, 0] = left @ self.first_row
         if bath is not None:
-            weights = np.empty((n + 1, bath.shape[1]))
+            weights = np.empty((n + 1, bath.shape[1]), bath.dtype)
         for lo, hi in _blocks(n + 1, n):
             v = self._vectors(lo, hi)
             if left is not None:
@@ -267,15 +267,6 @@ class NormalModes:
             if bath is not None:
                 weights[lo:hi] = v @ bath
         return rows, weights
-
-    def dense(self) -> np.ndarray:
-        """The orthonormal eigenvectors as the columns of an (N+1)^2 matrix."""
-        n = self.poles.size
-        vecs = np.empty((n + 1, n + 1))
-        vecs[0] = self.first_row
-        for lo, hi in _blocks(n + 1, n):
-            vecs[1:, lo:hi] = self._vectors(lo, hi).T
-        return vecs
 
 
 def _differences(d, origin, offset, lo: int, hi: int) -> np.ndarray:

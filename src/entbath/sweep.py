@@ -26,7 +26,7 @@ from .asymptotics import (
 from .bathsim import POSITION, entanglement_trajectory, initial_covariance, plus_flows
 from .config import RunConfig
 from .errors import EntbathError, HorizonError, ParameterRegimeError, ValidationError
-from .gaussian import ModeSpec, check_states
+from .gaussian import ModeSpec, check_each, check_states
 # unused here: kept so that the benchmark tracer can patch them in this namespace
 from .rwa import extract_coefficients, solve_amplitude  # noqa: F401
 
@@ -432,13 +432,11 @@ def _initial_covs(config: RunConfig, model, rows: list[dict]) -> tuple[list, np.
         except EntbathError as exc:
             outcomes.append(exc)
     pending = [i for i, outcome in enumerate(outcomes) if outcome is None]
-    covs = np.array(covs).reshape(-1, 4, 4)
-    while True:  # a failed state leaves the stack, and the rest are checked again
-        try:
-            return outcomes, check_states(np.zeros((len(covs), 4)), covs)[0]
-        except ValidationError as exc:
-            outcomes[pending.pop(exc.index)] = exc
-            covs = np.delete(covs, exc.index, axis=0)
+    covs, _, failed = check_each(np.zeros((len(pending), 4)), np.array(covs).reshape(-1, 4, 4),
+                                 check_states)
+    for state, exc in failed.items():
+        outcomes[pending[state]] = exc
+    return outcomes, covs
 
 
 def _simulate_group(model, outcomes: list, covs: np.ndarray, times: np.ndarray,

@@ -45,9 +45,9 @@ def integrals(monkeypatch):
     thermal = bathsim._PlusSector.thermal
 
     def spy(solver, baths, times):
-        a2, thetas, nodes, drifts = thermal(solver, baths, times)
+        a2, thetas, nodes, drifts, feeds = thermal(solver, baths, times)
         calls.append((thetas, nodes, drifts))
-        return a2, thetas, nodes, drifts
+        return a2, thetas, nodes, drifts, feeds
 
     monkeypatch.setattr(bathsim._PlusSector, "thermal", spy)
     return calls

@@ -2,14 +2,16 @@
 
 The dense quadratic form, generator and propagator of the full model, its
 factorized initial covariance, the dense eigenvectors of the arrowhead
-secular solve, the trapezoidal stepping solver of the
-amplitude Volterra equation, the row route of the thermal bath term (the
-(+)-sector propagator rows at every time, contracted with the bath
-variances), the stationary dispersions read off a long exact run and off the
-D/gamma ratio of a coefficient trace, the late-time state that the
+secular solve, the trapezoidal stepping solver of the amplitude Volterra
+equation, the row route of the thermal bath term (the (+)-sector propagator
+rows at every time, contracted with the bath variances) and of the
+master-equation coefficients (the bath amplitudes p_k(t) at every time, from
+the dense eigenvectors), the stationary dispersions read off a long exact run
+and off the D/gamma ratio of a coefficient trace, the late-time state that the
 closed-form envelopes describe and the frequency of its oscillation, and the
-beam splitter and two-mode squeezed state of the Gaussian algebra.  Each is an
-independent check of a route the package takes.
+beam splitter, the site state of two virtual blocks and the two-mode squeezed
+state of the Gaussian algebra.  Each is an independent check of a route the
+package takes.
 """
 
 from __future__ import annotations
@@ -33,12 +35,12 @@ from entbath.gaussian import (
     BEAM_SPLITTER,
     GaussianState,
     ModeSpec,
+    site_cov,
     squeezed_cov,
-    state_from_virtual_blocks,
     symplectic_form,
 )
 from entbath.rwa import CoefficientTrace, _validate_grid
-from entbath.spectra import DiscretizedBath, _secular_roots
+from entbath.spectra import DiscretizedBath, NormalModes, _blocks, _secular_roots
 
 
 def hamiltonian_matrix(model: FullModel, basis: str = "virtual") -> np.ndarray:
@@ -103,8 +105,8 @@ def full_propagator(model: FullModel, t: float) -> np.ndarray:
     n = model.bath.n_modes
     dim = 2 * (n + 2)
     s = np.zeros((dim, dim))
-    solver = _PlusSector(model)
-    vecs = solver.modes.dense()
+    solver = _PlusSector.of(model)
+    vecs = dense_modes(solver.modes)
     phases = solver.freqs * t
     xx, xp, px, pp = solver.flow((np.cos(phases) * vecs) @ vecs.T,
                                  (solver.sine(phases) * vecs) @ vecs.T, solver.scales[:, None])
@@ -175,6 +177,49 @@ def dense_arrowhead_eigh(a: float, z, d) -> tuple[np.ndarray, np.ndarray, np.nda
     return d[org] + tau, vecs.T, zhat, norms
 
 
+def dense_modes(modes: NormalModes) -> np.ndarray:
+    """The orthonormal eigenvectors of ``modes`` as the columns of an (N+1)^2
+    matrix, formed a row block at a time as its products form them."""
+    n = modes.poles.size
+    vecs = np.empty((n + 1, n + 1))
+    vecs[0] = modes.first_row
+    for lo, hi in _blocks(n + 1, n):
+        vecs[1:, lo:hi] = modes._vectors(lo, hi).T
+    return vecs
+
+
+def amplitude_rows(bath: DiscretizedBath, omega: float, times, chunk: int = 2048):
+    """(slice, u, p) per chunk of ``times`` on the standard branch exp(-i G t)
+    of the ladder arrowhead: the system amplitude u and the bath amplitudes
+    p_k(t), one (T x N) (N x N) product with the dense eigenvectors."""
+    modes = _PlusSector(bath, omega, 1.0, position=False).modes
+    vecs = dense_modes(modes)
+    b0 = vecs * vecs[0]
+    for lo in range(0, len(times), chunk):
+        ts = np.asarray(times[lo : lo + chunk], dtype=float)
+        phases = np.exp(-1j * np.outer(ts, modes.values))
+        yield slice(lo, lo + ts.size), phases @ b0[0], phases @ b0[1:].T
+
+
+def row_route_coefficients(baths: list, omega: float, times) -> list[tuple]:
+    """(gamma, delta_omega2, diffusion) of each bath, which differ in
+    temperature only, from the bath amplitudes of ``amplitude_rows``:
+    gamma = -Im(G_u/u)/2, delta_omega2 = w^2 Re(G_u/u) and
+    D = (Im(u H^*) - Im(G_u/u) Q)/2 with G_u = p.g, H = p.(2n + 1) g and
+    Q = |p|^2.(2n + 1), summed over the rows."""
+    g = baths[0].ladder_couplings
+    out = [np.empty((3, len(times))) for _ in baths]
+    for rows, u, p in amplitude_rows(baths[0], omega, times):
+        big_g = (p @ g) / u
+        p_sq = np.abs(p) ** 2
+        for bath, coefficients in zip(baths, out):
+            weight = 2.0 * bath.occupations + 1.0
+            coefficients[:, rows] = (
+                -0.5 * np.imag(big_g), omega**2 * np.real(big_g),
+                0.5 * (np.imag(u * np.conj(p @ (g * weight))) - np.imag(big_g) * (p_sq @ weight)))
+    return [tuple(coefficients) for coefficients in out]
+
+
 def solve_amplitude_stepping(bath: DiscretizedBath, omega: float, times) -> np.ndarray:
     """Trapezoidal predictor-corrector solution of the amplitude Volterra equation.
 
@@ -220,7 +265,7 @@ def row_route_blocks(model: FullModel, times) -> tuple[np.ndarray, np.ndarray]:
     occ = bath.occupations + 0.5
     var_q = occ / (bath.masses * bath.frequencies)
     var_p = occ * bath.masses * bath.frequencies
-    solver = _PlusSector(model)
+    solver = _PlusSector.of(model)
     _, vecs, _, _ = dense_arrowhead_eigh(*solver.arrowhead)
     phases = np.outer(times, solver.freqs)
     xx, xp, px, pp = solver.flow((np.cos(phases) * vecs[0]) @ vecs.T,
@@ -377,6 +422,15 @@ def dominant_frequency(times: np.ndarray, values: np.ndarray) -> float:
         shift = 0.0
     freq = (k + shift) / (times.size * float(dt[0]))
     return 2.0 * math.pi * freq
+
+
+def state_from_virtual_blocks(plus_cov: np.ndarray, minus_cov: np.ndarray) -> GaussianState:
+    """Site-basis state, zero means, from the covariances of the (+,-) modes.
+
+    The beam splitter is orthogonal and symplectic, so the one check of the
+    site-basis state also decides the virtual one.
+    """
+    return GaussianState(np.zeros(4), site_cov(plus_cov, minus_cov))
 
 
 def beam_splitter(state: GaussianState) -> GaussianState:

@@ -19,7 +19,6 @@ from entbath.gaussian import (
     log_negativity,
     physicality_defect,
     squeezed_cov,
-    state_from_virtual_blocks,
     symplectic_form,
 )
 from entbath.spectra import OhmicSpectralDensity
@@ -31,6 +30,7 @@ from oracles import (
     hamiltonian_matrix,
     plus_variance_series,
     row_route_blocks,
+    state_from_virtual_blocks,
 )
 
 DENSITY = OhmicSpectralDensity(gamma0=0.1, cutoff=20.0, mass=1.0)
@@ -521,7 +521,7 @@ class TestMemory:
         model = FullModel.renormalized(DENSITY, 4000, 2.0, omega_r=1.0)
         tracemalloc.start()
         try:
-            solver = bathsim._PlusSector(model)
+            solver = bathsim._PlusSector.of(model)
             scaled = ((model.bath.occupations + 0.5) * solver.noise)[:, None]
             rows, y = solver.rows(np.array([0.0, 600.0]), scaled)
             peak = tracemalloc.get_traced_memory()[1]

@@ -252,6 +252,9 @@ class TestCoeffsCommand:
         assert info["bath_modes"] == 400 and info["samples"] >= len(rows)
         assert info["t_valid"] == pytest.approx(float(rows[-1]["t"]), rel=1e-10)
         assert info["amplitude_floor"] >= 0.0 and info["secular_z_drift"] < 1e-12
+        # the health of the (+)-sector flow and of the checks, as evolve reports it
+        assert info["thermal_nodes"] >= info["samples"] - 1 and 0.0 <= info["thermal_drift"] < 1e-9
+        assert 0.0 <= info["unitarity_defect"] < 1e-8 and 0.0 <= info["constraint_residual"] < 1e-8
         assert set(info["wall_time_s"]) == {"config", "model", "amplitude", "coefficients", "write"}
 
     def test_time_column_steps_by_the_configured_dt(self, tmp_path):

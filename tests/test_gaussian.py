@@ -18,11 +18,10 @@ from entbath.gaussian import (
     physicality_defect,
     mode_squeezing,
     squeezed_cov,
-    state_from_virtual_blocks,
 )
 
 from conftest import random_physical_state, single_mode_symplectic
-from oracles import beam_splitter, two_mode_squeezed_state
+from oracles import beam_splitter, state_from_virtual_blocks, two_mode_squeezed_state
 
 UNIT = ModeSpec(1.0, 1.0)
 

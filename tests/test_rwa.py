@@ -1,9 +1,15 @@
+import dataclasses
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from entbath.bathsim import FullModel, evolve, initial_state
+from entbath import bathsim
+from entbath.bathsim import _TIME_CHUNK, FullModel, evolve, initial_state
+from entbath.cli import _time_grid, main
+from entbath.config import load_config
 from entbath.errors import ValidationError
 from entbath.gaussian import BEAM_SPLITTER
 from entbath.rwa import (
@@ -12,8 +18,15 @@ from entbath.rwa import (
     extract_coefficients,
     solve_amplitude,
 )
-from entbath.spectra import OhmicSpectralDensity, discretize
-from oracles import plus_variance_series, solve_amplitude_stepping
+from entbath.spectra import _BLOCK, OhmicSpectralDensity, discretize
+from oracles import (
+    amplitude_rows,
+    plus_variance_series,
+    row_route_coefficients,
+    solve_amplitude_stepping,
+)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 DENSITY = OhmicSpectralDensity(gamma0=0.1, cutoff=20.0, mass=1.0)
 
@@ -79,6 +92,8 @@ class TestAmplitude:
             solve_amplitude(bath, 1.0, np.arange(0.0, 5.0, 0.1))  # too coarse
         with pytest.raises(ValidationError):
             solve_amplitude(bath, 1.0, np.arange(1.0, 2.0, 0.002))  # misses t=0
+        with pytest.raises(ValidationError, match="uniform"):  # the thermal grid's steps are equal
+            solve_amplitude(bath, 1.0, np.r_[0.0, 0.001, np.arange(0.002, 1.0, 0.002)])
 
     def test_stepping_solver_cross_check(self):
         bath = ohmic_bath(n=60, temperature=0.0)
@@ -120,17 +135,72 @@ class TestCoefficients:
     @pytest.mark.parametrize("temperature", [0.0, 1.0, 10.0])
     def test_diffusion_matches_the_double_sum(self, temperature):
         # oracle: the contracted double sum with its (w - w_l)|p_l|^2 term kept,
-        # which is real and drops out of the imaginary part
+        # which is real and drops out of the imaginary part, over the dense
+        # rows; the bound is the route tolerance against them
         bath = ohmic_bath(n=300, temperature=temperature)
-        sol = solve_amplitude(bath, 1.0, grid(15.0))
+        times = grid(15.0)
         g, weight = bath.ladder_couplings, 2.0 * bath.occupations + 1.0
         want = np.concatenate([
             0.5 * (np.imag((g * u[:, None] - (1.0 - bath.frequencies) * p) * p.conj()) @ weight
                    - np.imag((p @ g) / u) * (np.abs(p) ** 2 @ weight))
-            for _, u, p in sol._rows()
+            for _, u, p in amplitude_rows(bath, 1.0, times)
         ])
-        got = extract_coefficients(sol).diffusion
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        got = extract_coefficients(solve_amplitude(bath, 1.0, times)).diffusion
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_coefficients_match_the_dense_row_route(self):
+        # fig2_right's model on its coeffs grid (N = 1000, 20,001 samples): every
+        # written coefficient within 1e-10 of its column maximum of the route
+        # through the dense eigenvectors and the (T x N) bath amplitudes
+        config = load_config(CONFIGS / "fig2_right.cfg")
+        model = config.build_model()
+        times = _time_grid(config.t_max, config.dt)
+        baths = [dataclasses.replace(model.bath, temperature=t) for t in (0.0, 1.0)]
+        for bath, want in zip(baths, row_route_coefficients(baths, model.omega_plus_bare, times)):
+            trace = extract_coefficients(solve_amplitude(bath, model.omega_plus_bare, times))
+            stop = trace.valid_until_index
+            assert stop > 0.9 * times.size
+            for got, ref in zip((trace.gamma, trace.delta_omega2, trace.diffusion), want):
+                assert np.abs(got[:stop] - ref[:stop]).max() <= 1e-10 * np.abs(ref[:stop]).max()
+
+    def test_a_corrupted_eigenvector_fails_unitarity(self, monkeypatch, tmp_path):
+        # bath entry 5 of every normal mode off by 1e-3: |u|^2 + Q_0 - 1, with Q_0
+        # integrated from its rate, leaves 1e-8 behind (the drift of Q_0 from
+        # its direct sum at the last time and the commutator would fire too)
+        solve = bathsim.arrowhead_eigh
+
+        def corrupted(*args):
+            modes = solve(*args)
+            zhat = modes.zhat.copy()
+            zhat[4] *= 1.0 + 1e-3
+            return dataclasses.replace(modes, zhat=zhat)
+
+        monkeypatch.setattr(bathsim, "arrowhead_eigh", corrupted)
+        sol = solve_amplitude(ohmic_bath(n=300, temperature=1.0), 1.0, grid(20.0))
+        with pytest.raises(ValidationError, match="unitarity"):
+            extract_coefficients(sol)
+        config = (CONFIGS / "fig2_right.cfg").read_text().replace("modes = 1000", "modes = 300")
+        (tmp_path / "run.cfg").write_text(config + "\n[grid]\nt_max = 20.0\n")
+        assert main(["coeffs", "--config", str(tmp_path / "run.cfg"), "--out", str(tmp_path / "o")]) == 3
+
+    def test_memory_is_blocks_and_samples_not_matrices(self):
+        # O(N chunk + T): the thermal phase block of 2 N _TIME_CHUNK doubles and at
+        # most as much again in node-sum temporaries (7 sums times at most 9
+        # phases, complex, and their real split), 16 row blocks of the secular
+        # solve and the products, and 128 doubles a sample.  The dense route
+        # held the (N+1)^2 eigenvectors alone, 128 MB at N = 4000.
+        n = 4000
+        bath = ohmic_bath(n=n, temperature=1.0)
+        times = grid(10.0)
+        bound = 2 * (2 * n * _TIME_CHUNK * 8) + 16 * _BLOCK * 8 + 128 * 8 * times.size
+        tracemalloc.start()
+        try:
+            trace = extract_coefficients(solve_amplitude(bath, 1.0, times))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound < 8 * (n + 1) ** 2
+        assert trace.health["unitarity_defect"] < 1e-12
 
 
 class TestMomentEvolution:
