@@ -15,9 +15,9 @@ of the noise kernel in the exact master equation; Hu, Paz & Zhang, Phys. Rev.
 D 45, 2843 (1992)).  Propagator rows are formed at the first and last output
 time only: the start of the integral and its check.  Temperature enters only
 through the bath occupations and squeezing only through the initial state, so
-the models of one physics at several temperatures share one normal-mode
-solve and one pass over their time grid (``plus_flows``), and the states of
-one model are assembled as one stack on its flow.
+one model gives the flows of several temperatures from one normal-mode solve
+and one pass over their time grid (``plus_flows``), and its states are
+assembled as one stack on each flow.
 
 Internally the virtual ordering (x+, p+, x-, p-, q_1, pi_1, ...) is used: the
 bath couples to the (+) mode only and the (-) mode rotates freely.  States
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -568,33 +568,44 @@ def _validate_times(times, horizon: float = math.inf) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PlusFlow:
-    """The (+)-sector part of V(t) = S(t) V0 S(t)^T + Theta(t) of one model on
-    one time grid: the system block ``a2`` of the flow and the thermal
-    covariance ``theta`` of (x+, p+), each (T, 2, 2) and read-only, and the
-    health of the solve and the integral that gave them."""
+    """The (+)-sector part of V(t) = S(t) V0 S(t)^T + Theta(t) of one model at
+    one temperature on one time grid: the system block ``a2`` of the flow and
+    the thermal covariance ``theta`` of (x+, p+), each (T, 2, 2) and
+    read-only, and the ``thermal_nodes`` and ``thermal_drift`` of the integral
+    that gave ``theta``."""
 
     a2: np.ndarray
     theta: np.ndarray
     info: dict
 
 
-def plus_flows(models: list, times, override_horizon: bool = False) -> list[PlusFlow]:
-    """The PlusFlow of each model on ``times``, from one normal-mode solve and
-    one thermal product.  The models differ in temperature only, which enters
-    through the bath occupations: ``verify`` passes one per temperature of a
-    C12.  The first flow counts the solve and the grid pass
-    (``normal_mode_solves``, ``thermal_grids``); each has its own
-    ``thermal_nodes`` and ``thermal_drift``, which ``evolve`` checks."""
-    times = _validate_times(times, math.inf if override_horizon else models[0].validity_horizon)
+def plus_flows(model: FullModel, temperatures, times,
+               override_horizon: bool = False) -> tuple[list[PlusFlow], dict]:
+    """The PlusFlow of ``model`` at each temperature on ``times``, from one
+    normal-mode solve and one thermal product, and the health of that solve
+    (``secular_*`` and ``normal_modes_s``).  Temperature enters only through
+    the bath occupations, so each flow takes ``model.bath`` at its
+    temperature; the flows share ``a2``."""
+    times = _validate_times(times, math.inf if override_horizon else model.validity_horizon)
     start = time.perf_counter()
-    solver = _PlusSector.of(models[0])
+    solver = _PlusSector.of(model)
     solve_s = time.perf_counter() - start
-    a2, thetas, nodes, drifts, _ = solver.thermal([model.bath for model in models], times)
-    return [PlusFlow(a2, theta, {**solver.health, "normal_mode_solves": int(i == 0),
-                                 "normal_modes_s": solve_s if i == 0 else 0.0,
-                                 "thermal_grids": int(i == 0), "thermal_nodes": nodes,
-                                 "thermal_drift": float(drift)})
-            for i, (theta, drift) in enumerate(zip(thetas, drifts))]
+    baths = [replace(model.bath, temperature=t) for t in temperatures]
+    a2, thetas, nodes, drifts, _ = solver.thermal(baths, times)
+    flows = [PlusFlow(a2, theta, {"thermal_nodes": nodes, "thermal_drift": float(drift)})
+             for theta, drift in zip(thetas, drifts)]
+    return flows, {**solver.health, "normal_modes_s": solve_s}
+
+
+def check_thermal_drift(drift: float, t: float, what: str = "thermal bath term",
+                        whose: str = "its direct value") -> None:
+    """Raise NumericsError when an integrated thermal term drifted by more than
+    ``_THERMAL_DRIFT_TOL`` from ``whose`` at the last time ``t``."""
+    if drift > _THERMAL_DRIFT_TOL:
+        raise NumericsError(
+            f"numerical instability: the integrated {what} drifted by {drift:.3e} "
+            f"from {whose} at t={t:.6g}; the normal modes do not give the flow"
+        )
 
 
 def evolve(
@@ -619,19 +630,17 @@ def evolve(
     assembled as one (P, T, 4, 4) stack.  ``means`` and ``covs`` then hold the
     states whose every sample is physical, in order, with a leading state
     axis, and ``info["unphysical"]`` maps the index of each other state to its
-    NumericsError.  ``flow`` is the model's PlusFlow on ``times`` from
-    ``plus_flows``, where models of other temperatures share its solve; by
-    default ``evolve`` makes its own.
+    NumericsError.  ``flow`` is the model's PlusFlow on ``times`` at the
+    temperature to simulate, one of several that ``plus_flows`` gives from one
+    solve; ``info`` then counts no solve.  By default ``evolve`` makes its own
+    at the bath's temperature.
     """
     times = _validate_times(times, math.inf if override_horizon else model.validity_horizon)
+    solve = {"normal_mode_solves": 0, "thermal_grids": 0}
     if flow is None:
-        flow, = plus_flows([model], times, override_horizon)
-    drift = flow.info["thermal_drift"]
-    if drift > _THERMAL_DRIFT_TOL:
-        raise NumericsError(
-            f"numerical instability: the integrated thermal bath term drifted by {drift:.3e} "
-            f"from its direct value at t={times[-1]:.6g}; the normal modes do not give the flow"
-        )
+        (flow,), health = plus_flows(model, [model.bath.temperature], times, override_horizon)
+        solve = {**health, "normal_mode_solves": 1, "thermal_grids": 1}
+    check_thermal_drift(flow.info["thermal_drift"], times[-1])
     start = time.perf_counter()
     single = not isinstance(initial_system, (list, tuple, np.ndarray))
     if isinstance(initial_system, np.ndarray):
@@ -663,6 +672,7 @@ def evolve(
     info = {
         "bath_modes": model.bath.n_modes,
         "samples": times.size,
+        **solve,
         **flow.info,
         "states_s": time.perf_counter() - start,
         # of the state with the smallest pivot of the check, not a minimum over all

@@ -123,24 +123,19 @@ class RunConfig:
     def density(self) -> OhmicSpectralDensity:
         return OhmicSpectralDensity(gamma0=self.gamma0, cutoff=self.cutoff, mass=self.mass)
 
-    def build_model(
-        self,
-        temperature: float | None = None,
-        c12: float | None = None,
-        modes: int | None = None,
-    ) -> FullModel:
-        """FullModel at the configured point, optionally overriding sweep axes
-        and the number of bath modes."""
-        t = self.temperature if temperature is None else temperature
+    def build_model(self, c12: float | None = None, modes: int | None = None) -> FullModel:
+        """FullModel at the configured point, optionally overriding C12 and the
+        number of bath modes.  Its bath is at the configured temperature;
+        ``bathsim.plus_flows`` takes others."""
         c = self.c12 if c12 is None else c12
         n = self.modes if modes is None else modes
         if self.renormalization == RENORMALIZED:
             return FullModel.renormalized(
-                self.density(), n, t, omega_r=self.omega_r, c12=c,
+                self.density(), n, self.temperature, omega_r=self.omega_r, c12=c,
                 coupling_type=self.coupling,
             )
         return FullModel.bare(
-            self.density(), n, t, omega0=self.omega0, c12=c,
+            self.density(), n, self.temperature, omega0=self.omega0, c12=c,
             coupling_type=self.coupling,
         )
 

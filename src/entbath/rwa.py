@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bathsim import _THERMAL_DRIFT_TOL, _PlusSector, _validate_times
+from .bathsim import _PlusSector, _validate_times, check_thermal_drift
 from .errors import NumericsError, ValidationError
 from .spectra import DiscretizedBath, NormalModes
 
@@ -190,12 +190,8 @@ def extract_coefficients(sol: AmplitudeSolution) -> CoefficientTrace:
     defect = float(np.abs(sol.unitarity_defect()).max())
     if defect > UNITARITY_TOL:
         raise ValidationError(f"amplitude solution violates unitarity by {defect:.3e}")
-    drift = sol.solve_health["thermal_drift"]
-    if drift > _THERMAL_DRIFT_TOL:
-        raise NumericsError(
-            f"numerical instability: the integrated bath sums drifted by {drift:.3e} from "
-            f"their direct values at t={sol.times[-1]:.6g}; the normal modes do not give the flow"
-        )
+    check_thermal_drift(sol.solve_health["thermal_drift"], sol.times[-1], "bath sums",
+                        "their direct values")
     checked = sol.times[:: max(1, sol.times.size // 4)][1:]
     residuals = sol.constraint_residual(checked)
     for t, res in zip(checked, residuals):

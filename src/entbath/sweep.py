@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import groupby
 
 import numpy as np
 
@@ -39,7 +38,7 @@ _BOUNDARY_MARGIN = 0.05
 #: most bath modes ``verify`` builds unless [bath] modes asks for more.  The
 #: (+)-sector solve holds O(N) vectors and a few 256 KB row blocks (about 2 MB
 #: at N = 4000) and the time grid one 256 x 2N phase block (16 MB), so this
-#: bounds time, about 0.3 s per O(N^2) solve at N = 4000, not memory
+#: bounds time, about 0.4 s per O(N^2) solve at N = 4000 on 2 vCPUs, not memory
 _VERIFY_MODE_CEILING = 4000
 #: most points ``verify`` stacks per (C12, T), its squeezings times purities:
 #: one point holds about 0.37 MB while its group is evolved (eight arrays of
@@ -286,18 +285,17 @@ def verify_grid(config: RunConfig, info: dict | None = None) -> dict:
     number of groups.  Points whose inequality slack is within
     the boundary margin are excluded rather than failed.  Points that could
     not be evaluated or simulated are errors, not failures, and carry a
-    ``reason``.  The points are simulated grouped by C12 and then by T: the
-    points of one C12 share one normal-mode solve and one pass over their
-    time grid, which gives the thermal terms of all its temperatures
-    (``bathsim.plus_flows``), and those of one (C12, T) one checked stack of
-    initial states and one stacked ``evolve``, whose check and E_N cover the
-    whole group.  A failed initial state or an unphysical sample errors only
-    its own point; a failure in a shared part errors every point it serves.
-    The report keeps the canonical row order.  When ``info`` is given, the
-    sweep's info and the sizes and health of the simulations are recorded in
-    it.
+    ``reason``.  The points are simulated per C12 (``_verify_c12``): one model
+    and one normal-mode solve with one pass over its time grid give the
+    thermal terms of all its temperatures (``bathsim.plus_flows``), and the
+    points of one (C12, T) are one checked stack of initial states and one
+    stacked ``evolve``, whose check and E_N cover the whole group.  A failed
+    initial state or an unphysical sample errors only its own point; a
+    failure in a shared part errors every point it serves.  The report keeps
+    the canonical row order.  When ``info`` is given, the sweep's info and the
+    sizes and health of the simulations are recorded in it.
     """
-    temps, squeezings, c12s, purities = sweep_axes(config)
+    _, squeezings, c12s, purities = sweep_axes(config)
     stack = len(squeezings) * len(purities)
     if stack > _VERIFY_STACK_CEILING:
         raise ValidationError(f"verification grid stacks {stack} points per (C12, T); "
@@ -306,7 +304,7 @@ def verify_grid(config: RunConfig, info: dict | None = None) -> dict:
     reasons = {(e["T"], e["C12"]): e["reason"] for e in sweep_info["errors"]}
 
     report_points = []
-    to_simulate = []
+    groups = {c12: {} for c12 in c12s}  # C12 -> T -> [(row, entry)]
     for row in rows:
         entry = {k: row[k] for k in ("T", "r", "C12", "purity", "phase")}
         report_points.append(entry)
@@ -317,24 +315,15 @@ def verify_grid(config: RunConfig, info: dict | None = None) -> dict:
         if margin < _BOUNDARY_MARGIN:
             entry.update(status="boundary - excluded", margin=margin)
             continue
-        to_simulate.append((row, entry))
+        groups[row["C12"]].setdefault(row["T"], []).append((row, entry))
 
     health = {"simulated_points": 0, "normal_mode_solves": 0, "thermal_grids": 0,
               "thermal_nodes": 0, "bath_modes": {},
               "min_physicality_defect": None, "secular_iterations": 0,
               "secular_z_drift": 0.0, "thermal_drift": 0.0}
-
-    def group_key(pair):
-        return c12s.index(pair[0]["C12"]), temps.index(pair[0]["T"])
-
-    def by_c12(pair):
-        return group_key(pair)[0]
-
-    for _, pairs in groupby(sorted(to_simulate, key=group_key), key=by_c12):
-        groups = [list(group) for _, group in groupby(pairs, key=group_key)]
-        runs = _simulate_c12(config, [[row for row, _ in group] for group in groups])
-        for group, (outcomes, traj_info) in zip(groups, runs):
-            _record_group(health, group, outcomes, traj_info)
+    for c12, by_temperature in groups.items():
+        if by_temperature:
+            _verify_c12(config, c12, by_temperature, health)
     if info is not None:
         info.update(sweep=sweep_info, **health)
     n_fail = sum(entry["status"] == "fail" for entry in report_points)
@@ -348,57 +337,80 @@ def verify_grid(config: RunConfig, info: dict | None = None) -> dict:
     }
 
 
-def _record_group(health: dict, group: list, outcomes: list, traj_info: dict | None) -> None:
-    """Fold one (C12, T) group's run into the report entries of its points
-    and into ``health``, the sizes and health of ``verify_grid``'s runs."""
-    if traj_info is not None:
-        for key in ("normal_mode_solves", "thermal_grids", "thermal_nodes"):
-            health[key] += traj_info[key]
-        health["bath_modes"][f"c12={group[0][0]['C12']:g}"] = traj_info["bath_modes"]
-        for key in ("secular_iterations", "secular_z_drift", "thermal_drift"):  # worst of the grid
-            health[key] = max(health[key], traj_info[key])
-        defect = traj_info["min_physicality_defect"]
+def _simulation_error(pairs: list, exc: EntbathError) -> None:
+    """Mark the report entry of each (row, entry) of ``pairs`` as failed by ``exc``."""
+    for _, entry in pairs:
+        entry.update(status=f"simulation error: {exc}", reason=f"{type(exc).__name__}: {exc}")
+
+
+def _verify_c12(config: RunConfig, c12: float, groups: dict, health: dict) -> None:
+    """Simulate the points of one C12, given as {T: [(row, entry)]}, and write
+    each point's status into its report entry and the sizes and health of the
+    runs into ``health``, ``verify_grid``'s.  The window depends on gamma0 and
+    C12 only and the temperature enters only through the bath occupations, so
+    one model, one window and one ``plus_flows`` call serve every T; a failure
+    there errors every point it serves (every point with a checked initial
+    state, for the solve).  The initial states of one T are checked as one
+    stack and evolved as one; a failed state or an unphysical sample errors
+    its own point, a failed run the whole group."""
+    try:
+        times, modes = _verify_window(config, c12)
+        model = config.build_model(c12=c12, modes=modes)
+    except EntbathError as exc:
+        for pairs in groups.values():
+            _simulation_error(pairs, exc)
+        return
+    stacks = {}  # T -> (pairs whose initial state passed, their covariances)
+    for temperature, pairs in groups.items():
+        built, covs = [], []
+        for row, entry in pairs:
+            try:
+                covs.append(initial_covariance(model, config.kind, r=row["r"],
+                                               purity_product=row["purity"]))
+                built.append((row, entry))
+            except EntbathError as exc:
+                _simulation_error([(row, entry)], exc)
+        covs, _, failed = check_each(np.zeros((len(built), 4)), np.array(covs).reshape(-1, 4, 4),
+                                     check_states)
+        for state, exc in failed.items():
+            _simulation_error([built[state]], exc)
+        if len(covs):
+            stacks[temperature] = [pair for i, pair in enumerate(built) if i not in failed], covs
+    if not stacks:
+        return
+    try:
+        flows, solve = plus_flows(model, list(stacks), times)
+    except EntbathError as exc:
+        for pairs, _ in stacks.values():
+            _simulation_error(pairs, exc)
+        return
+    health["normal_mode_solves"] += 1
+    health["thermal_grids"] += 1
+    health["bath_modes"][f"c12={c12:g}"] = model.bath.n_modes
+    for key in ("secular_iterations", "secular_z_drift"):  # worst of the grid
+        health[key] = max(health[key], solve[key])
+    for (pairs, covs), flow in zip(stacks.values(), flows):
+        health["thermal_nodes"] += flow.info["thermal_nodes"]
+        health["thermal_drift"] = max(health["thermal_drift"], flow.info["thermal_drift"])
+        try:
+            traj, energies = entanglement_trajectory(model, covs, times, flow=flow)
+        except EntbathError as exc:
+            _simulation_error(pairs, exc)
+            continue
+        defect = traj.info["min_physicality_defect"]
         if defect is not None and (health["min_physicality_defect"] is None
                                    or defect < health["min_physicality_defect"]):
             health["min_physicality_defect"] = defect
-    for (row, entry), outcome in zip(group, outcomes):
-        if isinstance(outcome, EntbathError):
-            entry.update(status=f"simulation error: {outcome}",
-                         reason=f"{type(outcome).__name__}: {outcome}")
-            continue
-        health["simulated_points"] += 1
-        sim_class, deviation = _simulate_point(row, outcome)
-        expected = _EXPECTED_CLASS[Phase(row["phase"])]
-        entry.update(simulated=sim_class, envelope_deviation=deviation,
-                     status="pass" if sim_class == expected else "fail")
-
-
-def _simulate_c12(config: RunConfig, groups: list[list[dict]]) -> list[tuple[list, dict | None]]:
-    """Late-time E_N trajectories of the points of one C12, given grouped by T:
-    per group, each point's E_N array or EntbathError, and the info of the
-    group's stacked run (None when it made none).  The window depends on
-    gamma0 and C12 only and the models of a C12 differ in T only, so the
-    groups share the window, one normal-mode solve and one thermal product; a
-    failure there errors every point of the C12 (every point that has an
-    initial state, for the solve)."""
-    c12 = groups[0][0]["C12"]
-    try:
-        times, modes = _verify_window(config, c12)
-        models = [config.build_model(temperature=rows[0]["T"], c12=c12, modes=modes)
-                  for rows in groups]
-    except EntbathError as exc:
-        return [([exc] * len(rows), None) for rows in groups]
-    starts = [_initial_covs(config, model, rows) for model, rows in zip(models, groups)]
-    results = [(outcomes, None) for outcomes, _ in starts]
-    live = [j for j, (_, covs) in enumerate(starts) if len(covs)]
-    try:
-        flows = plus_flows([models[j] for j in live], times) if live else []
-    except EntbathError as exc:  # the shared solve: every group that reached it
-        return [([exc] * len(groups[j]), None) if j in live else result
-                for j, result in enumerate(results)]
-    for j, flow in zip(live, flows):
-        results[j] = _simulate_group(models[j], *starts[j], times, flow)
-    return results
+        unphysical, physical = traj.info["unphysical"], iter(energies)
+        for state, (row, entry) in enumerate(pairs):
+            if state in unphysical:
+                _simulation_error([(row, entry)], unphysical[state])
+                continue
+            health["simulated_points"] += 1
+            sim_class, deviation = _simulate_point(row, next(physical))
+            expected = _EXPECTED_CLASS[Phase(row["phase"])]
+            entry.update(simulated=sim_class, envelope_deviation=deviation,
+                         status="pass" if sim_class == expected else "fail")
 
 
 def _verify_window(config: RunConfig, c12: float) -> tuple[np.ndarray, int]:
@@ -420,46 +432,10 @@ def _verify_window(config: RunConfig, c12: float) -> tuple[np.ndarray, int]:
     return np.linspace(t_eq, t_end, 360), max(needed, config.modes)
 
 
-def _initial_covs(config: RunConfig, model, rows: list[dict]) -> tuple[list, np.ndarray]:
-    """Per point, the EntbathError of its initial state or None, and the site
-    covariances of the others, (P, 4, 4), checked as one stack."""
-    outcomes, covs = [], []
-    for row in rows:
-        try:
-            covs.append(initial_covariance(model, config.kind, r=row["r"],
-                                           purity_product=row["purity"]))
-            outcomes.append(None)
-        except EntbathError as exc:
-            outcomes.append(exc)
-    pending = [i for i, outcome in enumerate(outcomes) if outcome is None]
-    covs, _, failed = check_each(np.zeros((len(pending), 4)), np.array(covs).reshape(-1, 4, 4),
-                                 check_states)
-    for state, exc in failed.items():
-        outcomes[pending[state]] = exc
-    return outcomes, covs
-
-
-def _simulate_group(model, outcomes: list, covs: np.ndarray, times: np.ndarray,
-                    flow) -> tuple[list, dict | None]:
-    """``outcomes`` with the E_N trajectory, or the unphysical sample, of each
-    point whose initial covariance is in ``covs``, evolved as one stack on
-    ``flow``, and the info of the run; a failure of the whole run errors every
-    point."""
-    try:
-        traj, energies = entanglement_trajectory(model, covs, times, flow=flow)
-    except EntbathError as exc:
-        return [exc] * len(outcomes), None
-    unphysical, physical = traj.info["unphysical"], iter(energies)
-    pending = [i for i, outcome in enumerate(outcomes) if outcome is None]
-    for state, i in enumerate(pending):
-        outcomes[i] = unphysical[state] if state in unphysical else next(physical)
-    return outcomes, traj.info
-
-
 def _simulate_point(row: dict, energies: np.ndarray) -> tuple[str, float]:
     """Simulated class and envelope deviation of one point, from the E_N
-    trajectory that ``_simulate_group`` gave it (``bench/spans.py`` counts
-    its calls as the simulated points)."""
+    trajectory that ``_verify_c12`` gave it (``bench/spans.py`` counts its
+    calls as the simulated points)."""
     lo_band, hi_band = envelope_band(row["e_mean"], row["e_amp"])
     deviation = max(abs(energies.max() - hi_band), abs(energies.min() - lo_band))
     return _simulated_class(energies), float(deviation)

@@ -284,9 +284,10 @@ class TestThermalRoute:
 
     @staticmethod
     def by_rows(monkeypatch, model, state, times):
-        def rows_at_every_time(models, grid, override_horizon):
+        def rows_at_every_time(model, temperatures, grid, override_horizon):
             a2, theta = row_route_blocks(model, grid)
-            return [bathsim.PlusFlow(a2, theta, {"thermal_nodes": 0, "thermal_drift": 0.0})]
+            flow = bathsim.PlusFlow(a2, theta, {"thermal_nodes": 0, "thermal_drift": 0.0})
+            return [flow], {"secular_iterations": 0, "secular_z_drift": 0.0, "normal_modes_s": 0.0}
 
         with monkeypatch.context() as patch:
             patch.setattr(bathsim, "plus_flows", rows_at_every_time)
@@ -397,8 +398,8 @@ class TestThermalRoute:
 
 
 class TestSharedThermalIntegral:
-    """The temperatures of one model physics share one normal-mode solve and
-    one thermal product (``plus_flows``), each Theta equal to a run of its own
+    """The temperatures of one model share one normal-mode solve and one
+    thermal product (``plus_flows``), each Theta equal to a run of its own
     to rounding; nothing is kept from one call to the next."""
 
     TIMES = np.linspace(20.0, 30.0, 200)
@@ -420,15 +421,18 @@ class TestSharedThermalIntegral:
             assert traj.info["normal_mode_solves"] == 1 == traj.info["thermal_grids"]
 
     def test_a_second_temperature_reuses_the_grid_part(self, integrals):
-        models = [small_model(n=400, temperature=t) for t in (2.0, 6.0, 0.0)]
-        flows = bathsim.plus_flows(models, self.TIMES)
+        temperatures = (2.0, 6.0, 0.0)
+        flows, solve = bathsim.plus_flows(small_model(n=400), temperatures, self.TIMES)
         (thetas, nodes, _), = integrals  # one product for the three temperatures
-        assert thetas.shape == (3, self.TIMES.size, 2, 2)
-        assert [flow.info["normal_mode_solves"] for flow in flows] == [1, 0, 0]
-        assert [flow.info["thermal_grids"] for flow in flows] == [1, 0, 0]
+        assert thetas.shape == (3, self.TIMES.size, 2, 2) and len(flows) == 3
+        # the solve's health is reported once, beside the flows
+        assert set(solve) == {"secular_iterations", "secular_z_drift", "normal_modes_s"}
+        assert 0 < solve["secular_iterations"] <= 30 and solve["secular_z_drift"] < 1e-12
+        assert all(set(flow.info) == {"thermal_nodes", "thermal_drift"} for flow in flows)
         assert all(flow.a2 is flows[0].a2 for flow in flows)
-        for model, flow in zip(models, flows):
-            alone, = bathsim.plus_flows([model], self.TIMES)
+        for t, flow in zip(temperatures, flows):
+            model = small_model(n=400, temperature=t)
+            (alone,), _ = bathsim.plus_flows(model, [t], self.TIMES)
             assert flow.info["thermal_nodes"] == alone.info["thermal_nodes"] == nodes
             assert np.abs(flow.theta - alone.theta).max() <= 1e-15 * np.abs(alone.theta).max()
             assert np.abs(flow.a2 - alone.a2).max() <= 1e-15
@@ -483,7 +487,7 @@ class TestSharedThermalIntegral:
                 grids.append(self)
 
         monkeypatch.setattr(bathsim, "_TimeGrid", Recorded)
-        flow, = bathsim.plus_flows([small_model(n=400)], self.TIMES)
+        (flow,), _ = bathsim.plus_flows(small_model(n=400), [1.5], self.TIMES)
         (grid,), ((thetas, _, _),) = grids, integrals
         kept = (flow.a2, flow.theta, thetas, grid.weights, grid.turn, grid.block, grid.first)
         assert not any(array.flags.writeable for array in kept)
@@ -503,14 +507,14 @@ class TestExactStart:
         state = initial_state(model, config.kind, r=config.r, purity_product=config.purity_product)
         traj, energies = entanglement_trajectory(model, state, [0.0, 0.05])
         assert energies[0] <= 1e-15 and energies[1] > 1.0
-        flow, = bathsim.plus_flows([model], np.array([0.0, 0.05]))
+        (flow,), _ = bathsim.plus_flows(model, [config.temperature], np.array([0.0, 0.05]))
         assert np.array_equal(flow.a2[0], np.eye(2)) and not flow.theta[0].any()
         # the first sample is the input but for the beam splitter's rounding
         assert np.abs(traj.covs[0] - state.cov).max() <= 1e-15 * np.abs(state.cov).max()
 
     def test_a_later_start_keeps_its_rows(self):
         model = small_model("symmetric", n=300)
-        flow, = bathsim.plus_flows([model], np.array([0.5, 1.0]))
+        (flow,), _ = bathsim.plus_flows(model, [1.5], np.array([0.5, 1.0]))
         assert not np.array_equal(flow.a2[0], np.eye(2)) and flow.theta[0].any()
 
 

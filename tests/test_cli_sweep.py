@@ -9,7 +9,7 @@ import pytest
 from entbath import __version__, bathsim, sweep
 from entbath.asymptotics import stationary_variances_position
 from entbath.cli import main
-from entbath.config import load_config
+from entbath.config import RunConfig, load_config
 from entbath.errors import NumericsError, ValidationError
 from entbath.spectra import OhmicSpectralDensity
 from entbath.sweep import phase_boundaries, run_phase_sweep, sweep_axes, verify_grid
@@ -728,6 +728,44 @@ squeezings = 1.67
         assert points[1]["reason"].startswith(
             f"NumericsError: numerical instability: reduced state unphysical at t={t:.6g} "
             "(unphysical covariance")
+
+    # two points at each of two temperatures of one C12
+    GRID = BASE + "\n[sweep]\ntemperatures = 0.5, 8.0\nsqueezings = 0.1, 2.5\n"
+
+    def test_a_drifted_integral_errors_its_group_and_is_recorded(self, tmp_path, monkeypatch):
+        # the solve that ran and the drift that failed a group both reach run_info.json
+        thermal = bathsim._PlusSector.thermal
+
+        def first_drifts(solver, baths, times):
+            a2, thetas, nodes, drifts, feeds = thermal(solver, baths, times)
+            return a2, thetas, nodes, np.r_[1e-6, drifts[1:]], feeds
+
+        monkeypatch.setattr(bathsim._PlusSector, "thermal", first_drifts)
+        cfg = write_cfg(tmp_path, self.GRID)
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        report = json.loads((tmp_path / "o" / "verify_report.json").read_text())
+        point, = (p for p in report["points"] if p["T"] == 0.5 and p["r"] == 2.5)
+        assert "drifted by 1.000e-06" in point["reason"]
+        info = json.loads((tmp_path / "o" / "run_info.json").read_text())
+        assert info["normal_mode_solves"] == info["thermal_grids"] == 1
+        # one integral per temperature, each 359 steps of 7 nodes
+        assert info["thermal_drift"] == 1e-6 and info["thermal_nodes"] == 2 * 359 * 7
+
+    def test_one_model_per_c12(self, tmp_path, monkeypatch):
+        # models built for a simulation window pass modes; _frequencies (cached
+        # across tests) builds its own without
+        build, windows = RunConfig.build_model, []
+
+        def counted(config, *args, **kwargs):
+            if kwargs.get("modes") is not None:
+                windows.append(kwargs["c12"])
+            return build(config, *args, **kwargs)
+
+        monkeypatch.setattr(RunConfig, "build_model", counted)
+        cfg = write_cfg(tmp_path, self.GRID + "c12_values = 0.0, -0.3\n")
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        info = json.loads((tmp_path / "o" / "run_info.json").read_text())
+        assert info["simulated_points"] >= 6 and sorted(windows) == [-0.3, 0.0]
 
     def test_weak_damping_hits_the_bath_ceiling_before_any_solve(self, tmp_path):
         # gamma0 = 1e-3 asks for about 1.05*(4000 + 3 pi)*20/pi = 26,800 modes

@@ -6,7 +6,7 @@ import types
 from pathlib import Path
 
 import entbath
-from entbath import asymptotics, bathsim, config, gaussian, rwa, spectra
+from entbath import asymptotics, bathsim, config, gaussian, rwa, spectra, sweep
 
 
 def test_exports_are_explicit_names_that_resolve():
@@ -48,7 +48,9 @@ def test_removed_names_are_gone():
                          (bathsim, "release_shared_solver"), (bathsim, "_shared"),
                          (bathsim, "_physics_key"), (bathsim, "_plus_solver"),
                          (asymptotics, "resource_conditions"), (asymptotics, "ResourceFlags"),
-                         (rwa, "_TIME_CHUNK")):
+                         (rwa, "_TIME_CHUNK"), (rwa, "_THERMAL_DRIFT_TOL"),
+                         (sweep, "_simulate_c12"), (sweep, "_initial_covs"),
+                         (sweep, "_simulate_group"), (sweep, "_record_group")):
         assert name not in entbath.__all__ and not hasattr(module, name), name
     # no artifact wrote the resource flags; a coherent input's fate is e_mean > 0 at r = 0
     assert not {"coherent_entangles", "environment_amplifies"} & set(
@@ -61,6 +63,10 @@ def test_removed_names_are_gone():
                       (rwa.AmplitudeSolution, "_rows"), (rwa.AmplitudeSolution, "_propagator")):
         assert name not in vars(cls), (cls, name)
     assert "cov" not in inspect.signature(bathsim.initial_state).parameters
+    # a verify model takes each temperature through plus_flows, not a model of its own
+    assert "temperature" not in inspect.signature(config.RunConfig.build_model).parameters
+    assert list(inspect.signature(bathsim.plus_flows).parameters)[:3] == [
+        "model", "temperatures", "times"]
 
 
 _RUNTIME_CONFIG = """
