@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NumericsError, ParameterRegimeError, ValidationError
+from .errors import EntbathError, NumericsError, ParameterRegimeError, ValidationError
 from .gaussian import ModeSpec, mode_squeezing
 from .spectra import OhmicSpectralDensity
 
@@ -36,7 +36,8 @@ class Phase(enum.Enum):
 
 @dataclass(frozen=True)
 class PhaseSummary:
-    """Asymptotic quantities and phase label at one parameter point."""
+    """Asymptotic quantities and phase label at one parameter point, or
+    arrays of them over a grid (``summarize``)."""
 
     dx_plus: float
     dp_plus: float
@@ -148,36 +149,53 @@ def _position_rules(density: OhmicSpectralDensity, omega_plus: float) -> tuple:
     return tuple(rules)
 
 
-def _thermal_sums(nodes: np.ndarray, weights: np.ndarray, temperature: float) -> np.ndarray:
-    """Rows of ``weights`` summed against coth(w/2T); plain sums at T = 0."""
-    if temperature == 0.0:
-        return weights.sum(axis=1)
-    with np.errstate(over="ignore"):  # w >> T: w/2T overflows to inf, and tanh(inf) = 1 is right
-        return (weights / np.tanh(nodes / (2.0 * temperature))).sum(axis=1)
+def _thermal_sums(nodes: np.ndarray, weights: np.ndarray, twice_t: np.ndarray) -> np.ndarray:
+    """Rows of ``weights`` summed against coth(w/2T) at each non-negative T
+    whose 2T is a row of the column ``twice_t``: one (temperatures, rows)
+    array.  At T = 0, w/2T is inf and tanh(inf) = 1 leaves every weight as it
+    is, so that row is the plain sum; w >> T overflows to inf the same way.
+    Call it under ``np.errstate(over="ignore", divide="ignore")``."""
+    return (weights / np.tanh(nodes / twice_t)[:, None, :]).sum(axis=-1)
 
 
-def _stationary_dispersions(rules: tuple, temperature: float, diagnostics: dict | None) -> tuple:
+def _stationary_dispersions(rules: tuple, temperature, diagnostics: dict | None):
     """(dx+, dp+) from (fine, coarse) rules whose weight rows give dx+^2 and dp+^2.
 
     Their distance estimates the error, which must stay below 1e-5 relative;
     ``diagnostics``, when given, receives the larger estimate as ``quad_error``.
+    ``temperature`` may also be a sequence: the rules are then summed at every
+    temperature at once, and a list holds (dx+, dp+, quad_error) at each, or
+    the error that failed it, which is not raised.
     """
-    if temperature < 0.0:
-        raise ValidationError("temperature must be non-negative")
+    batch = isinstance(temperature, (list, tuple)) or np.ndim(temperature) > 0
+    temps = list(temperature) if batch else [temperature]
+    outcomes: list = [ValidationError("temperature must be non-negative") if t < 0.0 else None
+                      for t in temps]
+    good = [i for i, t in enumerate(temps) if not t < 0.0]
+    twice_t = np.array([2.0 * temps[i] + 0.0 for i in good])[:, None]  # -0.0 + 0.0 = +0.0
     fine, coarse = rules
-    values = _thermal_sums(*fine, temperature)
-    errors = np.abs(values - _thermal_sums(*coarse, temperature)).tolist()
-    values = values.tolist()
-    for val, err in zip(values, errors):
-        if not (val > 0.0 and err <= 1e-5 * val):
-            raise NumericsError(
-                f"stationary-variance quadrature failed (value {val:.3e}, error {err:.3e})",
-                achieved=err / max(abs(val), 1e-300),
-            )
+    with np.errstate(over="ignore", divide="ignore"):
+        values = _thermal_sums(*fine, twice_t)
+        errors = np.abs(values - _thermal_sums(*coarse, twice_t)).tolist()
+    for i, (dx2, dp2), (dx2_err, dp2_err) in zip(good, values.tolist(), errors):
+        for val, err in ((dx2, dx2_err), (dp2, dp2_err)):
+            if not (val > 0.0 and err <= 1e-5 * val):
+                outcomes[i] = NumericsError(
+                    f"stationary-variance quadrature failed (value {val:.3e}, error {err:.3e})",
+                    achieved=err / max(abs(val), 1e-300),
+                )
+                break
+        else:
+            outcomes[i] = (math.sqrt(dx2), math.sqrt(dp2), max(dx2_err / dx2, dp2_err / dp2))
+    if batch:
+        return outcomes
+    (outcome,) = outcomes
+    if isinstance(outcome, EntbathError):
+        raise outcome
+    dx, dp, quad_error = outcome
     if diagnostics is not None:
-        diagnostics["quad_error"] = max(errors[0] / values[0], errors[1] / values[1])
-    dx2, dp2 = values
-    return math.sqrt(dx2), math.sqrt(dp2)
+        diagnostics["quad_error"] = quad_error
+    return dx, dp
 
 
 def stationary_variances_position(
@@ -194,7 +212,8 @@ def stationary_variances_position(
     The rule is a fixed composite Gauss-Legendre one (24 nodes per panel,
     panels from ``_panel_edges``) whose Im chi weights are built once per
     (density, omega_plus); the 12-node rule on the same panels estimates
-    its error (see ``_stationary_dispersions`` for ``diagnostics``).
+    its error (see ``_stationary_dispersions`` for ``diagnostics`` and for a
+    sequence of temperatures).
     """
     if density.gamma0 <= 0.0:
         raise ValidationError("stationary variances need gamma0 > 0")
@@ -282,7 +301,8 @@ def stationary_variances_ladder(
     gives dp+^2 = m omega0 s/2 and dx+^2 = s/(2 m omega0).  ``omega_plus`` and
     ``omega0`` are the bare (+) and oscillator frequencies; ``centre`` is where
     A peaks (the panels grade around it): the dressed frequency when known.
-    ``diagnostics`` also receives ``bound_weight`` (Z) and ``sum_rule_residual``.
+    ``diagnostics`` also receives ``bound_weight`` (Z) and ``sum_rule_residual``;
+    ``temperature`` may be a sequence, as for ``stationary_variances_position``.
     """
     if density.gamma0 <= 0.0:
         raise ValidationError("stationary variances need gamma0 > 0")
@@ -299,35 +319,64 @@ def stationary_variances_ladder(
 # envelope and phases
 
 
-def r_crit(dx_plus: float, dp_plus: float, minus_mode: ModeSpec) -> float:
+def _elementwise(fn, *args):
+    """``fn`` of numbers, or of each element of the arrays ``args`` broadcast
+    together.  The summaries take libm's exp and log this way: numpy's SIMD
+    ones can differ from libm in the last bit, and a grid must agree bitwise
+    with its points taken one at a time."""
+    for a in args:
+        if isinstance(a, np.ndarray):
+            break
+    else:
+        return fn(*args)
+    arrays = np.broadcast_arrays(*args) if len(args) > 1 else args
+    values = [fn(*v) for v in zip(*(a.ravel().tolist() for a in arrays))]
+    return np.array(values).reshape(arrays[0].shape)
+
+
+def _all(condition) -> bool:
+    """Whether a bool, or every element of a bool array, holds."""
+    return condition.all() if isinstance(condition, np.ndarray) else condition
+
+
+def minus_dispersions(r, minus_mode: ModeSpec, purity_product=0.5):
+    """(dx-, dp-) of the (-) mode squeezed by r, with dx- dp- = ``purity_product``,
+    of numbers or elementwise of arrays."""
+    dx_minus = _elementwise(math.sqrt, purity_product * _elementwise(math.exp, 2.0 * r)
+                            / minus_mode.xp_scale)
+    return dx_minus, purity_product / dx_minus
+
+
+def r_crit(dx_plus, dp_plus, minus_mode: ModeSpec):
     """Squeezing of the (+)-mode equilibrium state, measured in (-)-mode units.
 
-    r_crit = (1/2) ln[m_- omega_- dx+ / dp+].
+    r_crit = (1/2) ln[m_- omega_- dx+ / dp+], of numbers or elementwise of arrays.
     """
-    return mode_squeezing(dx_plus, dp_plus, minus_mode)
+    return _elementwise(lambda dx, dp: mode_squeezing(dx, dp, minus_mode), dx_plus, dp_plus)
 
 
-def s_crit(dx_plus: float, dp_plus: float, dx_minus: float, dp_minus: float) -> float:
-    """Area threshold (1/2) ln[4 dx+ dp+ dx- dp-]."""
+def s_crit(dx_plus, dp_plus, dx_minus, dp_minus):
+    """Area threshold (1/2) ln[4 dx+ dp+ dx- dp-], of numbers or elementwise of arrays."""
     for v in (dx_plus, dp_plus, dx_minus, dp_minus):
-        if not v > 0.0:
+        if not _all(v > 0.0):
             raise ValidationError("dispersions must be positive")
-    return 0.5 * math.log(4.0 * dx_plus * dp_plus * dx_minus * dp_minus)
+    return 0.5 * _elementwise(math.log, 4.0 * dx_plus * dp_plus * dx_minus * dp_minus)
 
 
-def envelope(r: float, r_crit_value: float, s_crit_value: float) -> tuple[float, float]:
+def envelope(r, r_crit_value, s_crit_value):
     """Mean and amplitude of the asymptotic entanglement oscillation.
 
     Returns (E_mean, E_amp) with E_mean = max{|r|, |r_crit|} - S_crit and
-    E_amp = min{|r|, |r_crit|}; the observable log-negativity sweeps
-    [max{0, E_mean - E_amp}, max{0, E_mean + E_amp}] with period pi/omega_-.
+    E_amp = min{|r|, |r_crit|}, of numbers or elementwise of arrays; the
+    observable log-negativity sweeps [max{0, E_mean - E_amp}, max{0, E_mean + E_amp}]
+    with period pi/omega_-.
     """
-    if not math.isfinite(s_crit_value):
+    if not _all(abs(s_crit_value) < math.inf):
         raise ValidationError("S_crit must be finite")
-    return (
-        max(abs(r), abs(r_crit_value)) - s_crit_value,
-        min(abs(r), abs(r_crit_value)),
-    )
+    a, b = abs(r), abs(r_crit_value)
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.maximum(a, b) - s_crit_value, np.minimum(a, b)
+    return max(a, b) - s_crit_value, min(a, b)
 
 
 def envelope_band(e_mean: float, e_amp: float) -> tuple[float, float]:
@@ -335,8 +384,8 @@ def envelope_band(e_mean: float, e_amp: float) -> tuple[float, float]:
     return max(0.0, e_mean - e_amp), max(0.0, e_mean + e_amp)
 
 
-def phase_slacks(r: float, r_crit_value: float, s_crit_value: float) -> tuple[float, float]:
-    """Slacks of the two phase inequalities.
+def phase_slacks(r, r_crit_value, s_crit_value) -> tuple:
+    """Slacks of the two phase inequalities, of numbers or elementwise of arrays.
 
     (||r| - |r_crit|| - S_crit, |r| + |r_crit| - S_crit): NSD where the first
     is positive, SD where the second is not, SDR in between.
@@ -347,13 +396,17 @@ def phase_slacks(r: float, r_crit_value: float, s_crit_value: float) -> tuple[fl
     )
 
 
-def classify(r: float, r_crit_value: float, s_crit_value: float, tie_tol: float = PHASE_TIE_TOL) -> Phase:
+def classify(r, r_crit_value, s_crit_value, tie_tol: float = PHASE_TIE_TOL):
     """Three-way phase label from the envelope inequalities.
 
     Boundary cases within ``tie_tol`` resolve toward the less entangled phase,
-    so NSD is never claimed on roundoff.
+    so NSD is never claimed on roundoff.  Given arrays, returns an array of
+    the labels' values.
     """
     lo, hi = phase_slacks(r, r_crit_value, s_crit_value)
+    if isinstance(lo, np.ndarray):
+        return np.where(hi <= tie_tol, Phase.SD.value,
+                        np.where(lo > tie_tol, Phase.NSD.value, Phase.SDR.value))
     if hi <= tie_tol:
         return Phase.SD
     if lo > tie_tol:
@@ -361,16 +414,13 @@ def classify(r: float, r_crit_value: float, s_crit_value: float, tie_tol: float 
     return Phase.SDR
 
 
-def summarize(
-    dx_plus: float,
-    dp_plus: float,
-    r: float,
-    minus_mode: ModeSpec,
-    purity_product: float = 0.5,
-) -> PhaseSummary:
-    """Assemble the full asymptotic summary for one parameter point."""
-    dx_minus = math.sqrt(purity_product * math.exp(2.0 * r) / minus_mode.xp_scale)
-    dp_minus = purity_product / dx_minus
+def summarize(dx_plus, dp_plus, r, minus_mode: ModeSpec, purity_product=0.5) -> PhaseSummary:
+    """Assemble the full asymptotic summary for one parameter point, or
+    elementwise for arrays of them that broadcast together.  A grid passes
+    (dx+, dp+) along its T axis and r and the purity along their own, so
+    that r_crit is taken once per T and the (-) dispersions once per
+    (r, purity); its summary holds arrays, its phase the labels' values."""
+    dx_minus, dp_minus = minus_dispersions(r, minus_mode, purity_product)
     rc = r_crit(dx_plus, dp_plus, minus_mode)
     sc = s_crit(dx_plus, dp_plus, dx_minus, dp_minus)
     e_mean, e_amp = envelope(r, rc, sc)

@@ -583,7 +583,8 @@ def plus_flows(model: FullModel, temperatures, times,
                override_horizon: bool = False) -> tuple[list[PlusFlow], dict]:
     """The PlusFlow of ``model`` at each temperature on ``times``, from one
     normal-mode solve and one thermal product, and the health of that solve
-    (``secular_*`` and ``normal_modes_s``).  Temperature enters only through
+    (``secular_*``) with the wall times of the solve (``normal_modes_s``) and
+    of the thermal product (``thermal_s``).  Temperature enters only through
     the bath occupations, so each flow takes ``model.bath`` at its
     temperature; the flows share ``a2``."""
     times = _validate_times(times, math.inf if override_horizon else model.validity_horizon)
@@ -591,10 +592,12 @@ def plus_flows(model: FullModel, temperatures, times,
     solver = _PlusSector.of(model)
     solve_s = time.perf_counter() - start
     baths = [replace(model.bath, temperature=t) for t in temperatures]
+    start = time.perf_counter()
     a2, thetas, nodes, drifts, _ = solver.thermal(baths, times)
+    thermal_s = time.perf_counter() - start
     flows = [PlusFlow(a2, theta, {"thermal_nodes": nodes, "thermal_drift": float(drift)})
              for theta, drift in zip(thetas, drifts)]
-    return flows, {**solver.health, "normal_modes_s": solve_s}
+    return flows, {**solver.health, "normal_modes_s": solve_s, "thermal_s": thermal_s}
 
 
 def check_thermal_drift(drift: float, t: float, what: str = "thermal bath term",

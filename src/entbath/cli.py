@@ -37,24 +37,17 @@ EXIT_INTERNAL = 5
 _FMT = "%.11e"  # 12 significant digits
 
 
-def _format_value(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return _FMT % (float(value) + 0.0)  # + 0.0 turns IEEE -0.0 into 0.0
-
-
-def write_csv(path: Path, columns, rows, header_comments=(), footer_comments=()):
-    """Write ``rows``, either a (rows, columns) float array or dicts keyed by
-    column whose values may mix strings, ints and floats."""
+def write_csv(path: Path, names, columns, header_comments=(), footer_comments=()):
+    """Write the table whose column ``names[i]`` is the array ``columns[i]``:
+    a text array (numpy ``str_`` elements) as it is, any other as floats."""
+    columns = [np.asarray(column) for column in columns]
+    text = [column.dtype.kind == "U" for column in columns]
+    template = ",".join("%s" if is_text else _FMT for is_text in text)
+    values = [(column if is_text else column + 0.0).tolist()  # -0.0 + 0.0 = 0.0
+              for column, is_text in zip(columns, text)]
     lines = [f"# {c}" for c in header_comments]
-    lines.append(",".join(columns))
-    if isinstance(rows, np.ndarray):
-        template = ",".join([_FMT] * len(columns))
-        lines.extend(template % tuple(row) for row in (rows + 0.0).tolist())
-    else:
-        lines.extend(",".join(_format_value(row[c]) for c in columns) for row in rows)
+    lines.append(",".join(names))
+    lines.extend(template % row for row in zip(*values))
     lines.extend(f"# {c}" for c in footer_comments)
     path.write_text("\n".join(lines) + "\n")
 
@@ -110,12 +103,11 @@ def cmd_evolve(config: RunConfig, out_dir: Path, config_s: float) -> int:
     )
     start = time.perf_counter()
     rows, cols = np.array(_COV_INDEX).T
-    table = np.column_stack((traj.times, traj.covs[:, rows, cols], energies))
     out_csv = out_dir / "trajectory.csv"
     write_csv(
         out_csv,
         ("t", *_COV_COLUMNS, "EN"),
-        table,
+        [traj.times, *traj.covs[:, rows, cols].T, energies],
         header_comments=(
             f"entbath {__version__} trajectory",
             f"config_digest {config.digest()}",
@@ -140,6 +132,7 @@ def cmd_evolve(config: RunConfig, out_dir: Path, config_s: float) -> int:
         "wall_time_s": {
             "config": config_s,
             "model": build_s + info["normal_modes_s"],
+            "thermal": info["thermal_s"],
             "states": info["states_s"],
             "entanglement": info["entanglement_s"],
             "write": time.perf_counter() - start,
@@ -177,7 +170,7 @@ def cmd_coeffs(config: RunConfig, out_dir: Path, config_s: float) -> int:
     write_csv(
         out_csv,
         columns,
-        np.column_stack(table)[:stop],
+        [column[:stop] for column in table],
         header_comments=(
             f"entbath {__version__} master-equation coefficients",
             f"config_digest {config.digest()}",
@@ -220,22 +213,22 @@ def _write_kernel_csv(config: RunConfig, model, out_dir: Path, n_samples: int = 
     write_csv(
         out_dir / "kernel.csv",
         ("t", "re_eta", "im_eta", "re_eta_discrete", "im_eta_discrete"),
-        table,
+        table.T,
         header_comments=("memory kernel of the ladder convention, continuum vs discrete",),
     )
 
 
 def cmd_phase_diagram(config: RunConfig, out_dir: Path, config_s: float) -> int:
     marks = [time.perf_counter()]  # ends of the stages sweep, boundaries, write
-    rows, info = run_phase_sweep(config)
+    table, info = run_phase_sweep(config)
     marks.append(time.perf_counter())
-    boundaries = phase_boundaries(config, rows, info=info)
+    boundaries = phase_boundaries(config, table, info=info)
     marks.append(time.perf_counter())
     out_csv = out_dir / "phase_diagram.csv"
     write_csv(
         out_csv,
         PHASE_COLUMNS,
-        rows,
+        [table.grid[name].ravel() for name in PHASE_COLUMNS],
         header_comments=(
             f"entbath {__version__} phase diagram",
             f"config_digest {config.digest()}",

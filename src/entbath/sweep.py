@@ -2,14 +2,19 @@
 
 Grid points are independent: the expensive part of each point (the stationary
 dispersions of the (+) mode) depends only on (temperature, coupling), so the
-sweep evaluates each unique heavy key once, serially and in memory, then
-assembles the per-point summaries in canonical row-major order.
+sweep works one C12 column at a time: one quadrature over all its
+temperatures gives each unique (T, C12) point once, and one array
+``summarize`` over its (T, r, purity) grid gives the summaries, held as arrays
+in canonical row-major order (``PhaseTable``).  The boundaries bisect every
+crossed T-edge at once, each round one quadrature per C12 over its new
+midpoints.  Everything runs serially and in memory, and gives the same bits as
+taking the points and the edges one at a time.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -17,7 +22,10 @@ from . import __version__
 from .asymptotics import (
     Phase,
     envelope_band,
+    minus_dispersions,
     phase_slacks,
+    r_crit,
+    s_crit,
     stationary_variances_ladder,
     stationary_variances_position,
     summarize,
@@ -67,21 +75,44 @@ def _frequencies(config: RunConfig, c12: float) -> tuple[float, float, float, Mo
     return omega_plus or bare, bare, model.omega0, model.minus_mode
 
 
+def _stationary_points(config: RunConfig, temperatures, c12: float) -> list:
+    """Stationary (+) dispersions, mode data and quadrature health at each of
+    ``temperatures`` at ``c12``, from one quadrature over all of them; a point
+    that failed is its EntbathError, and a failure of the C12 fails them all."""
+    try:
+        omega_plus, bare_plus, omega0, minus = _frequencies(config, c12)
+        health: dict = {}
+        if config.coupling == POSITION:
+            outcomes = stationary_variances_position(config.density(), omega_plus, temperatures)
+        else:
+            outcomes = stationary_variances_ladder(config.density(), bare_plus, omega0,
+                                                   omega_plus, temperatures, diagnostics=health)
+    except EntbathError as exc:
+        return [exc] * len(temperatures)
+    return [outcome if isinstance(outcome, EntbathError) else dict(
+        dx_plus=outcome[0], dp_plus=outcome[1], omega_plus=omega_plus, minus_mass=minus.mass,
+        minus_freq=minus.frequency, **health, quad_error=outcome[2]) for outcome in outcomes]
+
+
 def _stationary_point(payload: tuple) -> dict:
-    """Stationary (+) dispersions, mode data and quadrature health for one (T, c12) key."""
+    """Stationary (+) dispersions, mode data and quadrature health for one (T, c12)
+    key: the one-temperature case of ``_stationary_points``."""
     config, temperature, c12 = payload
-    omega_plus, bare_plus, omega0, minus = _frequencies(config, c12)
-    health: dict = {}
-    if config.coupling == POSITION:
-        dx, dp = stationary_variances_position(
-            config.density(), omega_plus, temperature, diagnostics=health
-        )
-    else:
-        dx, dp = stationary_variances_ladder(
-            config.density(), bare_plus, omega0, omega_plus, temperature, diagnostics=health
-        )
-    return dict(dx_plus=dx, dp_plus=dp, omega_plus=omega_plus,
-                minus_mass=minus.mass, minus_freq=minus.frequency, **health)
+    (point,) = _stationary_points(config, [temperature], c12)
+    if isinstance(point, EntbathError):
+        raise point
+    return point
+
+
+def _slice_key(c12: float, purity: float | None = None) -> str:
+    """Key of the C12 (and purity) slice of a report.  Each value is written
+    with ``:g`` where that reads back as the value, else with ``repr``, so
+    that values equal to 6 significant digits still get keys of their own."""
+    def text(value: float) -> str:
+        return f"{value:g}" if float(f"{value:g}") == value else repr(value)
+
+    key = f"c12={text(c12)}"
+    return key if purity is None else f"{key};purity={text(purity)}"
 
 
 def _record_health(info: dict, points: dict) -> None:
@@ -94,16 +125,18 @@ def _record_health(info: dict, points: dict) -> None:
             health["points"] += 1
             health["max_quad_error"] = max(health["max_quad_error"], point["quad_error"])
             if "bound_weight" in point:
-                health.setdefault("bound_state", {})[f"c12={c12:g}"] = {
+                health.setdefault("bound_state", {})[_slice_key(c12)] = {
                     k: point[k] for k in ("bound_weight", "sum_rule_residual")}
 
 
-def _stationary_point_cached(payload: tuple, memo: dict) -> dict:
-    """``_stationary_point`` of ``payload``, computed once per (T, C12) key of ``memo``."""
-    _, temperature, c12 = payload
-    if (temperature, c12) not in memo:
-        memo[temperature, c12] = _stationary_point(payload)
-    return memo[temperature, c12]
+def _stationary_point_cached(config: RunConfig, temperatures, c12: float, memo: dict) -> list:
+    """The stationary points at ``temperatures`` at ``c12``, each computed once
+    per (T, C12) key of ``memo``: those not there yet in one ``_stationary_points`` call."""
+    missing = [t for t in dict.fromkeys(temperatures) if (t, c12) not in memo]
+    if missing:
+        for t, point in zip(missing, _stationary_points(config, missing, c12)):
+            memo[t, c12] = point
+    return [memo[t, c12] for t in temperatures]
 
 
 def sweep_axes(config: RunConfig):
@@ -115,83 +148,128 @@ def sweep_axes(config: RunConfig):
     return tuple(temps), tuple(squeezings), tuple(c12s), tuple(purities)
 
 
-def run_phase_sweep(config: RunConfig) -> tuple[list[dict], dict]:
-    """Evaluate the phase grid in canonical row-major order.
+class PhaseTable:
+    """The rows of one phase sweep, held as arrays over the (T, r, C12, purity)
+    grid: ``grid`` maps each PHASE_COLUMNS name to one, ERROR rows holding NaN
+    and the label "ERROR".  Iterating gives the rows in canonical row-major
+    order (purity fastest), each a dict keyed by column."""
 
-    Returns (rows, info); each row carries the PHASE_COLUMNS fields, with
-    phase = "ERROR" marking points whose stationary-variance evaluation failed
-    (the sweep never aborts on a single point).  ``info["errors"]`` gives the
-    reason of each failed (T, C12) key.
+    def __init__(self, grid: dict):
+        self.grid = grid
+
+    def __len__(self) -> int:
+        return self.grid["phase"].size
+
+    def __iter__(self):
+        columns = [self.grid[name].ravel().tolist() for name in PHASE_COLUMNS]
+        return (dict(zip(PHASE_COLUMNS, values)) for values in zip(*columns))
+
+
+def run_phase_sweep(config: RunConfig) -> tuple[PhaseTable, dict]:
+    """Evaluate the phase grid, one C12 column at a time.
+
+    Returns (table, info); the table's rows carry the PHASE_COLUMNS fields,
+    with phase = "ERROR" marking points whose stationary-variance evaluation
+    failed (the sweep never aborts on a single point).  Each C12 takes one
+    quadrature over every temperature and one ``summarize`` over its
+    (T, r, purity) grid.  ``info["errors"]`` gives the reason of each failed
+    (T, C12) key.
     """
     temps, squeezings, c12s, purities = sweep_axes(config)
-    heavy_keys = [(t, c) for t in temps for c in c12s]
+    shape = (len(temps), len(squeezings), len(c12s), len(purities))
+    # one block for the ten number columns: the axes, filled in below, and NaN for ERROR rows
+    grid = dict(zip(PHASE_COLUMNS, np.full((len(PHASE_COLUMNS) - 1, *shape), np.nan)))
+    axes = []
+    for i, (name, values) in enumerate(zip(PHASE_COLUMNS, (temps, squeezings, c12s, purities))):
+        axes.append(np.array(values, dtype=float).reshape([-1 if k == i else 1 for k in range(4)]))
+        grid[name][...] = axes[-1]
+    grid["phase"] = np.full(shape, "ERROR")
 
     results: dict[tuple, dict | EntbathError] = {}
-    for key in heavy_keys:
-        if key not in results:  # repeated axis values share their key
-            try:
-                results[key] = _stationary_point(_variance_payload(config, *key))
-            except EntbathError as exc:
-                results[key] = exc
+    for k, c12 in enumerate(c12s):
+        points = _stationary_point_cached(config, temps, c12, results)
+        good = [i for i, point in enumerate(points) if isinstance(point, dict)]
+        if not good:
+            continue
+        dx, dp = (np.array([points[i][key] for i in good])[:, None, None]
+                  for key in ("dx_plus", "dp_plus"))
+        summary = summarize(dx, dp, axes[1][0, :, :, 0], _frequencies(config, c12)[3],
+                            purity_product=axes[3][0, 0])
+        for name in PHASE_COLUMNS[4:]:
+            grid[name][good, :, k, :] = getattr(summary, name)
 
-    rows = []
-    n_errors = 0
-    for t in temps:
-        for r in squeezings:
-            for c12 in c12s:
-                for pur in purities:
-                    point = results[(t, c12)]
-                    row = {"T": t, "r": r, "C12": c12, "purity": pur}
-                    if isinstance(point, EntbathError):
-                        n_errors += 1
-                        row.update({k: float("nan") for k in PHASE_COLUMNS[4:-1]}, phase="ERROR")
-                    else:
-                        minus = ModeSpec(point["minus_mass"], point["minus_freq"])
-                        summary = summarize(
-                            point["dx_plus"], point["dp_plus"], r, minus, purity_product=pur
-                        )
-                        row.update(dx_plus=summary.dx_plus, dp_plus=summary.dp_plus,
-                                   r_crit=summary.r_crit, s_crit=summary.s_crit,
-                                   e_mean=summary.e_mean, e_amp=summary.e_amp,
-                                   phase=summary.phase.value)
-                    rows.append(row)
+    table = PhaseTable(grid)
     info = {
         "config_digest": config.digest(),
         "version": __version__,
-        "n_points": len(rows),
-        "n_errors": n_errors,
+        "n_points": len(table),
+        "n_errors": int((grid["phase"] == "ERROR").sum()),
         "errors": [
             {"T": t, "C12": c12, "reason": f"{type(results[t, c12]).__name__}: {results[t, c12]}"}
-            for t, c12 in heavy_keys
+            for t in temps for c12 in c12s
             if isinstance(results[t, c12], EntbathError)
         ],
         "stationary": {"route": _STATIONARY_ROUTE, "points": 0, "max_quad_error": 0.0},
     }
     _record_health(info, results)
-    return rows, info
+    return table, info
 
 
 # ---------------------------------------------------------------------------
 # phase boundaries
 
 
-def _bisect_edge(f, a: float, b: float, fa: float, tol: float, max_iter: int = 60) -> float:
-    """Crossing of f between a and b (either order), given f(a) = fa and that
-    f(b) has the other sign."""
-    while abs(b - a) > tol and max_iter > 0:
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if fa * fm < 0.0:
-            b = mid
+def _edge_slack(point: dict, r: float, minus: ModeSpec, dx_minus: float, dp_minus: float,
+                which: int) -> float:
+    """Slack ``which`` (0: nsd_sdr, 1: sdr_sd) at squeezing r of the stationary
+    ``point``, the (-) mode being ``minus`` with dispersions (dx-, dp-) at r."""
+    dx, dp = point["dx_plus"], point["dp_plus"]
+    return phase_slacks(r, r_crit(dx, dp, minus), s_crit(dx, dp, dx_minus, dp_minus))[which]
+
+
+def _crossings(config: RunConfig, edges: list, memo: dict) -> list:
+    """Bisect every T-edge of ``edges`` at once to where its slack changes sign.
+
+    Each edge is (t0, t1, slack at t0, tol, c12, slack of a stationary point),
+    the slack at t1 having the other sign; the crossing is found to ``tol``,
+    or is the midpoint after 60 bisections.  Each round takes the stationary
+    points of all its new midpoints in one batched quadrature per C12 (each
+    (T, C12) once, in ``memo``).  An edge whose midpoint fails gets None."""
+    out: list = [None] * len(edges)
+    state = {}  # live edge -> [a, b, slack at a, bisections left]
+    for k, (a, b, fa, tol, _, _) in enumerate(edges):
+        if abs(b - a) > tol:
+            state[k] = [a, b, fa, 60]
         else:
-            a, fa = mid, fm
-        max_iter -= 1
-    return 0.5 * (a + b)
+            out[k] = 0.5 * (a + b)
+    while state:
+        wanted: dict = {}  # C12 -> the midpoints of its live edges
+        for k, (a, b, _, _) in state.items():
+            wanted.setdefault(edges[k][4], []).append(0.5 * (a + b))
+        for c12, mids in wanted.items():
+            _stationary_point_cached(config, mids, c12, memo)
+        for k, (a, b, fa, left) in list(state.items()):
+            _, _, _, tol, c12, slack = edges[k]
+            mid = 0.5 * (a + b)
+            point = memo[mid, c12]
+            if isinstance(point, EntbathError):  # failed midpoint; the boundary skips this edge
+                del state[k]
+                continue
+            fm = slack(point)
+            if fm == 0.0:
+                out[k] = mid
+                del state[k]
+                continue
+            a, b, fa = (a, mid, fa) if fa * fm < 0.0 else (mid, b, fm)
+            if abs(b - a) > tol and left > 1:
+                state[k] = [a, b, fa, left - 1]
+            else:
+                out[k] = 0.5 * (a + b)
+                del state[k]
+    return out
 
 
-def phase_boundaries(config: RunConfig, rows: list[dict], info: dict | None = None) -> dict:
+def phase_boundaries(config: RunConfig, table: PhaseTable, info: dict | None = None) -> dict:
     """Boundary polylines of each (c12, purity) slice of the phase grid.
 
     Keys: "nsd_sdr" (||r|-|r_crit|| = S_crit) and "sdr_sd" (|r|+|r_crit| =
@@ -200,57 +278,54 @@ def phase_boundaries(config: RunConfig, rows: list[dict], info: dict | None = No
     temperature's rows: |r| = |r_crit| +- S_crit and |r| = S_crit - |r_crit|,
     each non-negative root emitted with every sign that keeps it inside the
     r-axis range.  Along T, every grid edge whose end slacks (read from
-    ``rows``) differ in sign is bisected to 1e-3 max(1, |dT|), on either axis
-    order; each midpoint (T, C12) is evaluated once, in memory.  ERROR rows, and
-    edges whose bisection fails, are skipped.  When ``info`` (of the sweep that
-    gave ``rows``) is given, the health of the midpoints is folded into it.
+    ``table``) differ in sign is bisected to 1e-3 max(1, |dT|), on either
+    axis order, all edges at once (``_crossings``); each midpoint (T, C12) is
+    evaluated once, in memory.  ERROR rows, and edges whose bisection fails,
+    are skipped.  When ``info`` (of the sweep that gave ``table``) is given,
+    the health of the midpoints is folded into it.
     """
     temps, squeezings, c12s, purities = sweep_axes(config)
     r_lo, r_hi = min(squeezings), max(squeezings)
-    by_point = {(row["T"], row["r"], row["C12"], row["purity"]): row for row in rows}
+    grid = table.grid
+    good = grid["phase"] != "ERROR"
+    slacks = phase_slacks(grid["r"], grid["r_crit"], grid["s_crit"])
+    both_good = good[:-1] & good[1:]
+    names = ("nsd_sdr", "sdr_sd")
+    minus_modes: dict[int, ModeSpec] = {}  # C12 index -> its (-) mode
+    edges, slices = [], []  # each edge's (c, p, name, r)
+    for which, v in enumerate(slacks):
+        crossed = np.argwhere((v[:-1] * v[1:] < 0.0) & both_good)
+        for (i, j, c, p), f0 in zip(crossed.tolist(), v[tuple(crossed.T)].tolist()):
+            t0, t1, r = temps[i], temps[i + 1], squeezings[j]
+            if c not in minus_modes:
+                minus_modes[c] = _frequencies(config, c12s[c])[3]
+            dx_minus, dp_minus = minus_dispersions(r, minus_modes[c], purities[p])
+            slack = partial(_edge_slack, r=r, minus=minus_modes[c], dx_minus=dx_minus,
+                            dp_minus=dp_minus, which=which)
+            edges.append((t0, t1, f0, 1e-3 * max(1.0, abs(t1 - t0)), c12s[c], slack))
+            slices.append((c, p, names[which], float(r)))
     midpoints: dict[tuple, dict] = {}  # (T, C12) -> stationary point
-
-    def slack(t: float, r: float, c12: float, purity: float, which: int) -> float:
-        point = _stationary_point_cached(_variance_payload(config, t, c12), midpoints)
-        minus = ModeSpec(point["minus_mass"], point["minus_freq"])
-        summary = summarize(point["dx_plus"], point["dp_plus"], r, minus, purity_product=purity)
-        return phase_slacks(r, summary.r_crit, summary.s_crit)[which]
+    t_points: dict[tuple, list] = {}  # (c, p, name) -> its points on T-edges
+    for (c, p, name, r), t_star in zip(slices, _crossings(config, edges, midpoints)):
+        if t_star is not None:
+            t_points.setdefault((c, p, name), []).append([float(t_star), r])
 
     out = {}
-    for c12 in c12s:
-        for pur in purities:
-            grid = [[by_point[t, r, c12, pur] for r in squeezings] for t in temps]
-            points: dict[str, list] = {"nsd_sdr": [], "sdr_sd": []}
-            for t, grid_row in zip(temps, grid):
-                if grid_row[0]["phase"] == "ERROR":
+    for c, c12 in enumerate(c12s):
+        for p, pur in enumerate(purities):
+            points: dict[str, list] = {name: [] for name in names}
+            rcs, scs = (grid[name][:, 0, c, p].tolist() for name in ("r_crit", "s_crit"))
+            for t, ok, rc, sc in zip(temps, good[:, 0, c, p].tolist(), rcs, scs):
+                if not ok:
                     continue
-                rc, sc = abs(grid_row[0]["r_crit"]), grid_row[0]["s_crit"]
-                for name, roots in (
-                    ("nsd_sdr", (rc - sc, rc + sc) if sc >= 0.0 else ()),
-                    ("sdr_sd", (sc - rc,)),
-                ):
+                rc = abs(rc)
+                for name, roots in zip(names, ((rc - sc, rc + sc) if sc >= 0.0 else (), (sc - rc,))):
                     found = {sign * root for root in roots if root >= 0.0 for sign in (1.0, -1.0)}
                     points[name].extend([float(t), r] for r in found if r_lo <= r <= r_hi)
-            for j, r in enumerate(squeezings):
-                for i in range(len(temps) - 1):
-                    ends = grid[i][j], grid[i + 1][j]
-                    if any(row["phase"] == "ERROR" for row in ends):
-                        continue
-                    v0, v1 = (phase_slacks(r, row["r_crit"], row["s_crit"]) for row in ends)
-                    t0, t1 = temps[i], temps[i + 1]
-                    for which, name in enumerate(("nsd_sdr", "sdr_sd")):
-                        if v0[which] * v1[which] < 0.0:
-                            try:
-                                t_star = _bisect_edge(
-                                    lambda t: slack(t, r, c12, pur, which),
-                                    t0, t1, v0[which], tol=1e-3 * max(1.0, abs(t1 - t0)),
-                                )
-                            except EntbathError:
-                                continue  # failed midpoint; the boundary skips this edge
-                            points[name].append([float(t_star), float(r)])
-            for name in points:
+            for name in names:
+                points[name] += t_points.get((c, p, name), [])
                 points[name].sort()
-            out[f"c12={c12:g};purity={pur:g}"] = points
+            out[_slice_key(c12, pur)] = points
     if info is not None:
         _record_health(info, midpoints)
     return out
@@ -320,7 +395,8 @@ def verify_grid(config: RunConfig, info: dict | None = None) -> dict:
     health = {"simulated_points": 0, "normal_mode_solves": 0, "thermal_grids": 0,
               "thermal_nodes": 0, "bath_modes": {},
               "min_physicality_defect": None, "secular_iterations": 0,
-              "secular_z_drift": 0.0, "thermal_drift": 0.0}
+              "secular_z_drift": 0.0, "thermal_drift": 0.0,
+              "normal_modes_s": 0.0, "thermal_s": 0.0}
     for c12, by_temperature in groups.items():
         if by_temperature:
             _verify_c12(config, c12, by_temperature, health)
@@ -386,9 +462,11 @@ def _verify_c12(config: RunConfig, c12: float, groups: dict, health: dict) -> No
         return
     health["normal_mode_solves"] += 1
     health["thermal_grids"] += 1
-    health["bath_modes"][f"c12={c12:g}"] = model.bath.n_modes
+    health["bath_modes"][_slice_key(c12)] = model.bath.n_modes
     for key in ("secular_iterations", "secular_z_drift"):  # worst of the grid
         health[key] = max(health[key], solve[key])
+    for key in ("normal_modes_s", "thermal_s"):  # wall times, summed over the solves
+        health[key] += solve[key]
     for (pairs, covs), flow in zip(stacks.values(), flows):
         health["thermal_nodes"] += flow.info["thermal_nodes"]
         health["thermal_drift"] = max(health["thermal_drift"], flow.info["thermal_drift"])

@@ -10,8 +10,9 @@ the dense eigenvectors), the stationary dispersions read off a long exact run
 and off the D/gamma ratio of a coefficient trace, the late-time state that the
 closed-form envelopes describe and the frequency of its oscillation, and the
 beam splitter, the site state of two virtual blocks and the two-mode squeezed
-state of the Gaussian algebra.  Each is an independent check of a route the
-package takes.
+state of the Gaussian algebra, and the phase sweep and boundary bisection
+taken one grid point and one edge at a time.  Each is an independent check
+of a route the package takes.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import math
 
 import numpy as np
 
+from entbath.asymptotics import phase_slacks, summarize
 from entbath.bathsim import (
     POSITION,
     SYMMETRIC,
@@ -30,7 +32,7 @@ from entbath.bathsim import (
     evolve,
     initial_state,
 )
-from entbath.errors import HorizonError, ValidationError
+from entbath.errors import EntbathError, HorizonError, ValidationError
 from entbath.gaussian import (
     BEAM_SPLITTER,
     GaussianState,
@@ -41,6 +43,7 @@ from entbath.gaussian import (
 )
 from entbath.rwa import CoefficientTrace, _validate_grid
 from entbath.spectra import DiscretizedBath, NormalModes, _blocks, _secular_roots
+from entbath.sweep import PHASE_COLUMNS, _stationary_point, sweep_axes
 
 
 def hamiltonian_matrix(model: FullModel, basis: str = "virtual") -> np.ndarray:
@@ -452,3 +455,104 @@ def two_mode_squeezed_state(r: float, mode: ModeSpec, area_product: float = 0.5)
     return state_from_virtual_blocks(
         squeezed_cov(-r, mode), squeezed_cov(r, mode, area_product=area_product)
     )
+
+
+def pointwise_phase_sweep(config) -> list[dict]:
+    """The rows of ``sweep.run_phase_sweep``, one stationary point per (T, C12)
+    and one ``summarize`` per grid point."""
+    temps, squeezings, c12s, purities = sweep_axes(config)
+    results = {}
+    for key in ((t, c) for t in temps for c in c12s):
+        if key not in results:
+            try:
+                results[key] = _stationary_point((config, *key))
+            except EntbathError as exc:
+                results[key] = exc
+    rows = []
+    for t in temps:
+        for r in squeezings:
+            for c12 in c12s:
+                for pur in purities:
+                    point = results[t, c12]
+                    row = {"T": t, "r": r, "C12": c12, "purity": pur}
+                    if isinstance(point, EntbathError):
+                        row.update({k: float("nan") for k in PHASE_COLUMNS[4:-1]}, phase="ERROR")
+                    else:
+                        minus = ModeSpec(point["minus_mass"], point["minus_freq"])
+                        summary = summarize(point["dx_plus"], point["dp_plus"], r, minus,
+                                            purity_product=pur)
+                        row.update({k: getattr(summary, k) for k in PHASE_COLUMNS[4:-1]},
+                                   phase=summary.phase.value)
+                    rows.append(row)
+    return rows
+
+
+def bisect_edge(f, a: float, b: float, fa: float, tol: float, max_iter: int = 60) -> float:
+    """Crossing of f between a and b (either order), given f(a) = fa and that
+    f(b) has the other sign."""
+    while abs(b - a) > tol and max_iter > 0:
+        mid = 0.5 * (a + b)
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if fa * fm < 0.0:
+            b = mid
+        else:
+            a, fa = mid, fm
+        max_iter -= 1
+    return 0.5 * (a + b)
+
+
+def pointwise_phase_boundaries(config, rows: list[dict]) -> dict:
+    """``sweep.phase_boundaries`` from the rows of ``pointwise_phase_sweep``:
+    the closed-form r-edges at each grid temperature, then each crossed
+    T-edge bisected alone, with a scalar slack per midpoint."""
+    temps, squeezings, c12s, purities = sweep_axes(config)
+    r_lo, r_hi = min(squeezings), max(squeezings)
+    by_point = {(row["T"], row["r"], row["C12"], row["purity"]): row for row in rows}
+    memo = {}
+
+    def slack(t, r, c12, purity, which):
+        if (t, c12) not in memo:
+            memo[t, c12] = _stationary_point((config, t, c12))
+        point = memo[t, c12]
+        minus = ModeSpec(point["minus_mass"], point["minus_freq"])
+        summary = summarize(point["dx_plus"], point["dp_plus"], r, minus, purity_product=purity)
+        return phase_slacks(r, summary.r_crit, summary.s_crit)[which]
+
+    out = {}
+    for c12 in c12s:
+        for pur in purities:
+            grid = [[by_point[t, r, c12, pur] for r in squeezings] for t in temps]
+            points = {"nsd_sdr": [], "sdr_sd": []}
+            for t, grid_row in zip(temps, grid):
+                if grid_row[0]["phase"] == "ERROR":
+                    continue
+                rc, sc = abs(grid_row[0]["r_crit"]), grid_row[0]["s_crit"]
+                for name, roots in (
+                    ("nsd_sdr", (rc - sc, rc + sc) if sc >= 0.0 else ()),
+                    ("sdr_sd", (sc - rc,)),
+                ):
+                    found = {sign * root for root in roots if root >= 0.0 for sign in (1.0, -1.0)}
+                    points[name].extend([float(t), r] for r in found if r_lo <= r <= r_hi)
+            for j, r in enumerate(squeezings):
+                for i in range(len(temps) - 1):
+                    ends = grid[i][j], grid[i + 1][j]
+                    if any(row["phase"] == "ERROR" for row in ends):
+                        continue
+                    v0, v1 = (phase_slacks(r, row["r_crit"], row["s_crit"]) for row in ends)
+                    t0, t1 = temps[i], temps[i + 1]
+                    for which, name in enumerate(("nsd_sdr", "sdr_sd")):
+                        if v0[which] * v1[which] < 0.0:
+                            try:
+                                t_star = bisect_edge(
+                                    lambda t: slack(t, r, c12, pur, which),
+                                    t0, t1, v0[which], tol=1e-3 * max(1.0, abs(t1 - t0)),
+                                )
+                            except EntbathError:
+                                continue
+                            points[name].append([float(t_star), float(r)])
+            for name in points:
+                points[name].sort()
+            out[f"c12={c12:g};purity={pur:g}"] = points
+    return out

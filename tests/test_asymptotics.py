@@ -117,6 +117,25 @@ class TestEnvelopeAndPhases:
         )
         assert summary.phase is classify(summary.r, summary.r_crit, summary.s_crit)
 
+    def test_a_grid_summary_is_its_points_bitwise(self):
+        # (dx+, dp+) along T, r and the purity along their own axes
+        # 101 squeezings: numpy's SIMD exp differs from libm's in the last bit on
+        # several of them, which the grid must not take
+        dx, dp = np.array([0.6, 1.2, 3.0]), np.array([0.9, 1.1, 2.5])
+        rs, purities, mode = np.linspace(-1.0, 3.0, 101), np.array([0.5, 0.8]), ModeSpec(1.3, 0.7)
+        grid = summarize(dx[:, None, None], dp[:, None, None], rs[:, None], mode,
+                         purity_product=purities)
+        for (i, j, k), phase in np.ndenumerate(grid.phase):
+            point = summarize(dx[i], dp[i], rs[j], mode, purity_product=purities[k])
+            assert phase == point.phase.value
+            for name in ("r_crit", "s_crit", "e_mean", "e_amp"):
+                value = np.broadcast_to(getattr(grid, name), grid.phase.shape)[i, j, k]
+                assert value == getattr(point, name), name
+
+    def test_a_grid_summary_checks_every_element(self):
+        with pytest.raises(ValidationError, match="dispersions must be positive"):
+            summarize(np.array([[1.0], [-1.0]]), np.array([[1.0], [1.0]]), np.zeros(3), UNIT)
+
 
 class TestResourceConditions:
     """A coherent (r = 0, pure) input ends up entangled exactly where the mean
@@ -193,6 +212,20 @@ class TestStationarySymmetric:
 
 
 class TestStationaryVariancesPosition:
+    def test_many_temperatures_are_the_one_temperature_calls(self):
+        temperatures = [0.0, -0.0, 0.05, 1.0, 10.0, -1.0, 1e-300]
+        batch = stationary_variances_position(DENSITY, 1.0, temperatures)
+        for t, outcome in zip(temperatures, batch):
+            if t < 0.0:  # errs only its own temperature
+                assert isinstance(outcome, ValidationError)
+                continue
+            health = {}
+            dx, dp = stationary_variances_position(DENSITY, 1.0, t, diagnostics=health)
+            assert outcome == (dx, dp, health["quad_error"])
+        assert batch[0] == batch[1]  # T = -0.0 is T = 0
+        with pytest.raises(ValidationError):
+            stationary_variances_position(DENSITY, 1.0, -1.0)
+
     def test_weak_coupling_ground_state_is_nearly_pure(self):
         weak = OhmicSpectralDensity(gamma0=0.01, cutoff=20.0)
         dx, dp = stationary_variances_position(weak, 1.0, 0.0)

@@ -287,7 +287,8 @@ class TestThermalRoute:
         def rows_at_every_time(model, temperatures, grid, override_horizon):
             a2, theta = row_route_blocks(model, grid)
             flow = bathsim.PlusFlow(a2, theta, {"thermal_nodes": 0, "thermal_drift": 0.0})
-            return [flow], {"secular_iterations": 0, "secular_z_drift": 0.0, "normal_modes_s": 0.0}
+            return [flow], {"secular_iterations": 0, "secular_z_drift": 0.0,
+                            "normal_modes_s": 0.0, "thermal_s": 0.0}
 
         with monkeypatch.context() as patch:
             patch.setattr(bathsim, "plus_flows", rows_at_every_time)
@@ -425,8 +426,10 @@ class TestSharedThermalIntegral:
         flows, solve = bathsim.plus_flows(small_model(n=400), temperatures, self.TIMES)
         (thetas, nodes, _), = integrals  # one product for the three temperatures
         assert thetas.shape == (3, self.TIMES.size, 2, 2) and len(flows) == 3
-        # the solve's health is reported once, beside the flows
-        assert set(solve) == {"secular_iterations", "secular_z_drift", "normal_modes_s"}
+        # the solve's health and wall times are reported once, beside the flows
+        assert set(solve) == {"secular_iterations", "secular_z_drift", "normal_modes_s",
+                              "thermal_s"}
+        assert solve["normal_modes_s"] > 0.0 and solve["thermal_s"] > 0.0
         assert 0 < solve["secular_iterations"] <= 30 and solve["secular_z_drift"] < 1e-12
         assert all(set(flow.info) == {"thermal_nodes", "thermal_drift"} for flow in flows)
         assert all(flow.a2 is flows[0].a2 for flow in flows)

@@ -13,6 +13,7 @@ from entbath.config import RunConfig, load_config
 from entbath.errors import NumericsError, ValidationError
 from entbath.spectra import OhmicSpectralDensity
 from entbath.sweep import phase_boundaries, run_phase_sweep, sweep_axes, verify_grid
+from oracles import pointwise_phase_boundaries, pointwise_phase_sweep
 
 BASE = """
 [model]
@@ -135,8 +136,9 @@ class TestEvolveCommand:
         # 120 steps of 0.25, each 5 sub-intervals no longer than 1/w_max ~ 1/20, 8 nodes each
         assert info["thermal_nodes"] == 120 * 5 * 8 and 0.0 <= info["thermal_drift"] < 1e-12
         assert info["thermal_grids"] == 1 and "thermal_integrals" not in info
-        assert set(info["wall_time_s"]) == {"config", "model", "states", "entanglement", "write"}
-        assert info["wall_time_s"]["config"] > 0.0
+        assert set(info["wall_time_s"]) == {
+            "config", "model", "thermal", "states", "entanglement", "write"}
+        assert info["wall_time_s"]["config"] > 0.0 and info["wall_time_s"]["thermal"] > 0.0
         assert_same_artifacts(tmp_path / "a", tmp_path / "b")
 
 
@@ -359,31 +361,27 @@ class TestPhaseDiagramCommand:
         assert all(float(row["dx_plus"]) != 7.0 for row in rows)
 
     def test_each_stationary_point_is_computed_once(self, tmp_path, monkeypatch):
-        calls, lookups = [], []
-        compute, lookup = sweep._stationary_point, sweep._stationary_point_cached
+        calls = []  # (C12, temperatures) of each batched quadrature
+        compute = sweep._stationary_points
 
-        def counted(payload):
-            calls.append(payload[1:])
-            return compute(payload)
+        def counted(config, temperatures, c12):
+            calls.append((c12, list(temperatures)))
+            return compute(config, temperatures, c12)
 
-        def looked_up(payload, memo):
-            lookups.append(payload[1:])
-            return lookup(payload, memo)
-
-        monkeypatch.setattr(sweep, "_stationary_point", counted)
-        monkeypatch.setattr(sweep, "_stationary_point_cached", looked_up)
+        monkeypatch.setattr(sweep, "_stationary_points", counted)
         text = TestPhaseBoundaries.GRID + "c12_values = 0.0, -0.5\n"
         cfg = write_cfg(tmp_path, text)
         assert main(["phase-diagram", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         temps, _, c12s, _ = sweep_axes(load_config(cfg))
-        grid = {(t, c) for t in temps for c in c12s}
-        assert calls[:len(grid)] == [(t, c) for t in temps for c in c12s]
-        midpoints = calls[len(grid):]
-        assert midpoints and len(set(midpoints)) == len(midpoints)  # one call per midpoint
-        assert not grid & set(midpoints) and set(lookups) == set(midpoints)
-        assert len(lookups) > len(midpoints)  # columns that bisect one edge share its midpoints
+        # the grid: one quadrature per C12 over all its temperatures
+        assert calls[:len(c12s)] == [(c, list(temps)) for c in c12s]
+        # the bisection: per round, one quadrature per C12 over its new midpoints
+        midpoints = [(t, c) for c, mids in calls[len(c12s):] for t in mids]
+        assert midpoints and len(set(midpoints)) == len(midpoints)  # each (T, C12) once
+        assert not {(t, c) for t in temps for c in c12s} & set(midpoints)
+        assert len(calls) - len(c12s) < len(midpoints)  # edges bisected at once share rounds
         info = json.loads((tmp_path / "o" / "run_info.json").read_text())
-        assert info["stationary"]["points"] == len(calls)
+        assert info["stationary"]["points"] == len(temps) * len(c12s) + len(midpoints)
 
     def test_unstable_bare_frequencies_are_a_regime_error(self, tmp_path):
         # bare omega0 = 1 under gamma0 = 0.1, cutoff = 20: the static shift
@@ -507,6 +505,82 @@ squeezings = 0:3:6
                 assert r_up == r_down and abs(t_up - t_down) <= 2.0 * tol
             n_t_edge += len(off_up)
         assert n_t_edge
+
+    def test_close_c12_values_get_their_own_slices(self, tmp_path):
+        # equal to 6 significant digits, so that "{:g}" writes both as -0.1
+        text = self.GRID + "c12_values = -0.1000001, -0.1000002\n"
+        cfg = load_config(write_cfg(tmp_path, text))
+        table, info = run_phase_sweep(cfg)
+        assert info["n_errors"] == 0 and len(table) == 72
+        assert sorted(phase_boundaries(cfg, table)) == [
+            "c12=-0.1000001;purity=0.5", "c12=-0.1000002;purity=0.5"]
+        # values that "{:g}" writes exactly keep their short keys
+        assert sweep._slice_key(-0.5, 0.5) == "c12=-0.5;purity=0.5"
+        assert sweep._slice_key(0.0) == "c12=0" and sweep._slice_key(-0.1) == "c12=-0.1"
+
+
+def _rows_without_nan(rows):
+    """Rows with NaN replaced by None, so that == compares them."""
+    return [{k: None if v != v else v for k, v in row.items()} for row in rows]
+
+
+class TestBatchedRouteMatchesPointwise:
+    """The sweep and boundaries, one quadrature per C12 and per bisection
+    round, against ``oracles``' one point and one edge at a time: equal to
+    the last bit."""
+
+    GRID = "\n[sweep]\ntemperatures = {temps}\nsqueezings = 0:3:6\n"
+    CASES = {
+        "position": BASE + GRID.format(temps="0.05:10:6"),
+        "symmetric": BASE.replace("coupling = position", "coupling = symmetric")
+        + GRID.format(temps="0.05:10:5"),
+        "zero temperature": BASE + GRID.format(temps="0:10:6"),
+        "two c12, two purities": BASE + GRID.format(temps="0.05:10:6")
+        + "c12_values = 0.0, -0.5\npurity_values = 0.5, 1.0\n",
+        "descending": BASE + GRID.format(temps="10, 8, 6, 4, 2, 0.05"),
+        # no dressed (+) frequency at C12 = -1.5: every row of that C12 is ERROR
+        "all-error c12": BASE + GRID.format(temps="0.05:10:6") + "c12_values = 0.0, -1.5\n",
+    }
+
+    def compare(self, tmp_path, text):
+        cfg = load_config(write_cfg(tmp_path, text))
+        table, info = run_phase_sweep(cfg)
+        rows = pointwise_phase_sweep(cfg)
+        assert _rows_without_nan(table) == _rows_without_nan(rows)
+        boundaries = phase_boundaries(cfg, table)
+        assert boundaries == pointwise_phase_boundaries(cfg, rows)
+        return table, info, boundaries
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rows_and_boundaries_equal_the_pointwise_route(self, tmp_path, case):
+        table, info, boundaries = self.compare(tmp_path, self.CASES[case])
+        temps, *_ = sweep_axes(load_config(tmp_path / "run.cfg"))
+        on_t_edges = [t for curves in boundaries.values() for points in curves.values()
+                      for t, _ in points if t not in temps]
+        assert on_t_edges  # the bisection ran
+        assert (info["n_errors"] > 0) == (case == "all-error c12")
+
+    def test_a_failed_midpoint_drops_only_its_edges(self, tmp_path, monkeypatch):
+        _, _, clean = self.compare(tmp_path, self.CASES["position"])
+        temps, *_ = sweep_axes(load_config(tmp_path / "run.cfg"))
+        t_star = next(t for curve in clean["c12=0;purity=0.5"].values() for t, _ in curve
+                      if t not in temps)
+        lo, hi = next((t0, t1) for t0, t1 in zip(temps, temps[1:]) if t0 < t_star < t1)
+        compute = sweep._stationary_points
+
+        def failing(config, temperatures, c12):  # every midpoint of the edge (lo, hi) fails
+            points = compute(config, temperatures, c12)
+            return [NumericsError("injected") if lo < t < hi else point
+                    for t, point in zip(temperatures, points)]
+
+        monkeypatch.setattr(sweep, "_stationary_points", failing)
+        _, _, failed = self.compare(tmp_path, self.CASES["position"])
+        dropped = 0
+        for name, points in clean["c12=0;purity=0.5"].items():
+            kept = [point for point in points if not lo < point[0] < hi]
+            assert failed["c12=0;purity=0.5"][name] == kept
+            dropped += len(points) - len(kept)
+        assert dropped
 
 
 class TestSymmetricSweep:
@@ -808,6 +882,8 @@ squeezings = 1.67
         assert set(info["wall_time_s"]) == {"config", "grid", "write"}
         assert info["wall_time_s"]["grid"] > 0.0 and info["wall_time_s"]["write"] >= 0.0
         assert info["wall_time_s"]["config"] > 0.0
+        # the solve and thermal-integral times of the grid, summed over its one solve
+        assert 0.0 < info["normal_modes_s"] + info["thermal_s"] < info["wall_time_s"]["grid"]
         assert_same_artifacts(tmp_path / "a", tmp_path / "b")
 
     def test_grid_size_limit(self, tmp_path, monkeypatch):
